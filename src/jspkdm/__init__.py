@@ -13,6 +13,7 @@ from .code_model import (
     DuplicateClassName,
     KdmModel,
     MethodUnit,
+    ModelIndex,
     MutationReport,
     PackageUnit,
     add_method_call,
@@ -74,7 +75,7 @@ __all__ = [
     "Attribute", "BlockUnit", "ClassUnit", "CodeElement", "CodeRelationship",
     "CodeStatement", "DependencyGraph", "Diagnostic", "DuplicateAttribute",
     "DuplicateClassName", "JspDocument", "JspNode", "JspParseError", "KdmModel",
-    "MalformedAttribute", "MethodUnit", "MutationReport", "NodeKind",
+    "MalformedAttribute", "MethodUnit", "ModelIndex", "MutationReport", "NodeKind",
     "PackageUnit", "PipelineConfig", "PipelineResult", "ResolvedKind",
     "ResolvedTarget", "RootNotFound", "ServletDecl", "ServletUnit",
     "StatementKind", "TAG_TABLE", "TranslationOptions", "UnterminatedScriptlet",

@@ -27,12 +27,15 @@ class DuplicateClassName(ValueError):
     """Two units mangled to the same class name; signals a pipeline bug."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class CodeRelationship:
+    """A class-to-class relationship, equal to another with the same
+    (from, to, kind); classes compare by identity."""
+
     from_class: "ClassUnit"
     to_class: "ClassUnit"
     kind: str
-    label: str = "newCall"
+    label: str = field(default="newCall", compare=False)
 
 
 @dataclass(eq=False)
@@ -155,37 +158,60 @@ def discover_model(units: list[ServletUnit], name: str = "webapp") -> KdmModel:
     return KdmModel(name=name, packages=[package], class_units=classes)
 
 
-def find_class_unit(model: KdmModel, source_page: str) -> ClassUnit | None:
-    """Sequential search by source page, tolerant of missing "/" prefixes."""
-    wanted = normalize_page_path(source_page)
-    for cu in model.class_units:
-        if cu.source_page == wanted:
-            return cu
-    return None
+class ModelIndex:
+    """Lookup indexes over one model, for a batch of lookups and injections.
+
+    Maps source pages to class units and holds the model's class units and
+    relationships in sets, so that :func:`find_class_unit` and
+    :func:`add_method_call` cost O(1) a call. The sets hold the model's own
+    objects and no keys of their own, and the model does not keep the index:
+    build one per batch, let it go after the batch, and change the model only
+    through it meanwhile.
+    """
+
+    def __init__(self, model: KdmModel):
+        self.model = model
+        self.classes: dict[str | None, ClassUnit] = {}
+        for cu in model.class_units:
+            self.classes.setdefault(cu.source_page, cu)
+        self.members = set(model.class_units)  # ClassUnit hashes by identity
+        self.relationships = set(model.relationships)
 
 
-def add_method_call(model: KdmModel, caller: ClassUnit, target: ClassUnit,
+def _indexed(model: KdmModel | ModelIndex) -> ModelIndex:
+    return model if isinstance(model, ModelIndex) else ModelIndex(model)
+
+
+def find_class_unit(model: KdmModel | ModelIndex, source_page: str) -> ClassUnit | None:
+    """The class unit of a source page, tolerant of missing "/" prefixes.
+
+    Given a model rather than a :class:`ModelIndex`, indexes it afresh.
+    """
+    return _indexed(model).classes.get(normalize_page_path(source_page))
+
+
+def add_method_call(model: KdmModel | ModelIndex, caller: ClassUnit, target: ClassUnit,
                     kind: str) -> MutationReport:
     """Record that ``caller``'s service method reaches ``target``.
 
     Appends a "newCall" element to the caller's service block carrying a new
     relationship, and registers the relationship model-wide. A repeated
     (from, to, kind) triple is reported as a duplicate and changes nothing.
+    Given a model rather than a :class:`ModelIndex`, indexes it afresh.
     """
-    members = {id(c) for c in model.class_units}
-    if id(caller) not in members or id(target) not in members:
+    index = _indexed(model)
+    if caller not in index.members or target not in index.members:
         raise ValueError("caller and target must belong to the model")
-    for rel in model.relationships:
-        if (rel.from_class is caller and rel.to_class is target
-                and rel.kind == kind):
-            return MutationReport("duplicate")
+    rel = CodeRelationship(from_class=caller, to_class=target, kind=kind)
+    if rel in index.relationships:
+        return MutationReport("duplicate")
     service = caller.method(SERVICE_METHOD)
     if service is None:
         return MutationReport("error", "MissingServiceMethod")
-    rel = CodeRelationship(from_class=caller, to_class=target, kind=kind)
     service.block.elements.append(
         CodeElement(name="newCall", kind="Call", relationships=[rel]))
-    model.relationships.append(rel)
+    index.model.relationships.append(rel)
+    index.relationships.add(rel)
     return MutationReport("added")
 
 

@@ -37,15 +37,47 @@ class ServletDecl:
 
 @dataclass
 class UrlMappingTable:
+    """Mapping entries in table order, compiled into the container's buckets.
+
+    On construction the entries are indexed the way a container's mapper
+    holds them: ``exact`` by pattern, ``prefix`` by base ("/a" for "/a/*",
+    "" for "/*"), ``extension`` by extension ("jsp" for "*.jsp"), and
+    ``default`` for "/". Each bucket stores the entry's index, and the first
+    entry wins a repeated key. :func:`build_lookup_table` builds tables; do
+    not change ``entries`` or ``decls`` otherwise.
+    """
+
     entries: list[tuple[str, str]] = field(default_factory=list)
     decls: list[ServletDecl] = field(default_factory=list)
     context_path: str = ""
 
-    def decl_for(self, servlet_name: str) -> ServletDecl | None:
+    def __post_init__(self) -> None:
+        self._decls_by_name: dict[str, ServletDecl] = {}
         for decl in self.decls:
-            if decl.servlet_name == servlet_name:
-                return decl
-        return None
+            self._decls_by_name.setdefault(decl.servlet_name, decl)
+        self.exact: dict[str, int] = {}
+        self.prefix: dict[str, int] = {}
+        self.extension: dict[str, int] = {}
+        self.default: int | None = None
+        for index in range(len(self.entries)):
+            self._index(index)
+
+    def _index(self, index: int) -> None:
+        """Put ``entries[index]`` into its bucket."""
+        pattern = self.entries[index][0]
+        shape = classify_pattern(pattern)
+        if shape == PATTERN_EXACT:
+            self.exact.setdefault(pattern, index)
+        elif shape == PATTERN_PREFIX:
+            self.prefix.setdefault(pattern[:-2], index)
+        elif shape == PATTERN_EXTENSION:
+            self.extension.setdefault(pattern[2:], index)
+        elif shape == PATTERN_DEFAULT and self.default is None:
+            self.default = index
+
+    def decl_for(self, servlet_name: str) -> ServletDecl | None:
+        """The first declaration of ``servlet_name``."""
+        return self._decls_by_name.get(servlet_name)
 
 
 class ResolvedKind(str, Enum):
@@ -307,6 +339,7 @@ def build_lookup_table(decls: list[ServletDecl],
             continue
         chosen[pattern] = len(table.entries)
         table.entries.append((pattern, servlet_name))
+        table._index(chosen[pattern])
     return table
 
 
@@ -345,23 +378,6 @@ def normalize_url_path(path: str) -> tuple[str, bool, bool]:
     return normalized, clamped, trimmed
 
 
-def _match_entry(pattern: str, url: str) -> tuple[int, int] | None:
-    """(tier, tiebreak) when ``pattern`` matches ``url``; lower wins."""
-    shape = classify_pattern(pattern)
-    if shape == PATTERN_EXACT:
-        return (0, 0) if url == pattern else None
-    if shape == PATTERN_PREFIX:
-        base = pattern[:-2]
-        if url == base or url.startswith(base + "/"):
-            return (1, -len(base))
-        return None
-    if shape == PATTERN_EXTENSION:
-        return (2, 0) if url.endswith(pattern[1:]) else None
-    if shape == PATTERN_DEFAULT:
-        return (3, 0)
-    return None
-
-
 def resolve_url(table: UrlMappingTable, ref: UrlRef, source_page: str,
                 known_pages: frozenset[str] | set[str] = frozenset(),
                 diagnostics: list[Diagnostic] | None = None) -> ResolvedTarget:
@@ -394,23 +410,26 @@ def resolve_url(table: UrlMappingTable, ref: UrlRef, source_page: str,
     ctx = table.context_path.rstrip("/")
     if ctx and (path == ctx or path.startswith(ctx + "/")):
         path = path[len(ctx):] or "/"
-    best: tuple[tuple[int, int], int] | None = None
-    best_entry: tuple[str, str] | None = None
-    matches: list[str] = []
-    for index, (pattern, servlet_name) in enumerate(table.entries):
-        rank = _match_entry(pattern, path)
-        if rank is None:
-            continue
-        matches.append(pattern)
-        if best is None or (rank, index) < best:
-            best = (rank, index)
-            best_entry = (pattern, servlet_name)
-    if best_entry is not None:
-        if len(matches) > 1:
-            shadowed = [p for p in matches if p != best_entry[0]]
+    # Probe the buckets in precedence order, so the first hit wins: exact,
+    # prefix bases from the longest ("/a/b", "/a", then "" for "/*"), the
+    # last segment's extension, default.
+    probes = [table.exact.get(path)]
+    cut = len(path)
+    while cut >= 0:
+        probes.append(table.prefix.get(path[:cut]))
+        cut = path.rfind("/", 0, cut)
+    dot = path.rfind(".")
+    if dot > path.rfind("/"):
+        probes.append(table.extension.get(path[dot + 1:]))
+    probes.append(table.default)
+    hits = [index for index in probes if index is not None]
+    if hits:
+        pattern, servlet_name = table.entries[hits[0]]
+        if len(hits) > 1:
+            shadowed = [table.entries[i][0] for i in sorted(hits[1:])]
             emit(diagnostics, "resolution",
-                 f"pattern {best_entry[0]!r} wins over {shadowed}", where)
-        decl = table.decl_for(best_entry[1])
+                 f"pattern {pattern!r} wins over {shadowed}", where)
+        decl = table.decl_for(servlet_name)
         if decl is not None and decl.jsp_file:
             return ResolvedTarget(ResolvedKind.INTERNAL_PAGE, page_path=decl.jsp_file)
         if decl is not None and decl.servlet_class:

@@ -6,7 +6,7 @@ the pages, resolve them, and inject the resolved page-to-page dependencies
 into the model. External targets, servlet-class targets and unresolved
 references stay in the dependency graph and the report; the model only ever
 relates class units. Per-file failures are isolated: a page that cannot be
-parsed is reported and skipped.
+read, parsed or translated is reported and skipped.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .code_model import (
     KdmModel,
+    ModelIndex,
     add_method_call,
     discover_model,
     find_class_unit,
@@ -66,6 +67,9 @@ class DependencyGraph:
     edges: list[tuple[str, str, str]] = field(default_factory=list)
     unresolved: list[tuple[str, str, str]] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        self._edge_set = set(self.edges)
+
     def add_node(self, node_id: str, kind: str) -> None:
         self.nodes.setdefault(node_id, kind)
 
@@ -74,8 +78,9 @@ class DependencyGraph:
         self.add_node(src, NODE_PAGE)
         self.add_node(dst, dst_kind)
         edge = (src, dst, tag_kind)
-        if edge in self.edges:
+        if edge in self._edge_set:
             return False
+        self._edge_set.add(edge)
         self.edges.append(edge)
         return True
 
@@ -183,19 +188,21 @@ def run_pipeline(inventory: WebAppInventory,
     units: list[ServletUnit] = []
     failed_pages: list[str] = []
     for page in inventory.jsp_pages:
-        text = _read_text(inventory.root / page.lstrip("/"), config.encoding,
-                          diagnostics, page)
-        if text is None:
-            failed_pages.append(page)
-            continue
         try:
+            text = _read_text(inventory.root / page.lstrip("/"), config.encoding,
+                              diagnostics, page)
+            if text is None:
+                failed_pages.append(page)
+                continue
             doc = parse_jsp(text, page)
-        except JspParseError as exc:
-            diagnostics.append(Diagnostic("parse", str(exc), page))
+            unit = translate_page(doc, options)
+        except Exception as exc:  # any fault in one page costs only that page
+            message = (str(exc) if isinstance(exc, JspParseError)
+                       else f"{type(exc).__name__}: {exc}")
+            diagnostics.append(Diagnostic("parse", message, page))
             failed_pages.append(page)
             continue
         docs[doc.page_path] = doc
-        unit = translate_page(doc, options)
         diagnostics.extend(unit.diagnostics)
         units.append(unit)
     model = discover_model(units, name=inventory.root.name or "webapp")
@@ -243,11 +250,12 @@ def run_pipeline(inventory: WebAppInventory,
     for page in sorted(docs):
         graph.add_node(page, NODE_PAGE)
     known_pages = frozenset(inventory.jsp_pages)
+    model_index = ModelIndex(model)
     counts = {"internal_page": 0, "internal_class": 0, "external": 0, "unresolved": 0}
     total_refs = 0
     duplicates = 0
     for page in sorted(docs):
-        caller = find_class_unit(model, page)
+        caller = find_class_unit(model_index, page)
         for ref in extract_url_refs(docs[page], diagnostics):
             total_refs += 1
             target = resolve_url(table, ref, page, known_pages, diagnostics)
@@ -258,14 +266,14 @@ def run_pipeline(inventory: WebAppInventory,
                 counts["internal_class"] += 1
                 graph.add_edge(page, target.class_name, ref.tag_kind, NODE_CLASS)
             elif target.kind is ResolvedKind.INTERNAL_PAGE:
-                target_unit = find_class_unit(model, target.page_path)
+                target_unit = find_class_unit(model_index, target.page_path)
                 if target_unit is None or caller is None:
                     counts["unresolved"] += 1
                     graph.unresolved.append(
                         (page, ref.raw_url, "target-page-not-in-model"))
                     continue
                 counts["internal_page"] += 1
-                outcome = add_method_call(model, caller, target_unit, ref.tag_kind)
+                outcome = add_method_call(model_index, caller, target_unit, ref.tag_kind)
                 if outcome.status == "added":
                     graph.add_edge(page, target.page_path, ref.tag_kind, NODE_PAGE)
                 elif outcome.status == "duplicate":

@@ -99,10 +99,9 @@ def regex_table2_scan(text: str) -> list[tuple[str, str, str]]:
 # -- servlet url-pattern precedence ------------------------------------------------
 
 
-def precedence_oracle(entries: list[tuple[str, str]],
-                      url: str) -> tuple[str, str] | None:
-    """Brute-force winner: rank every matching pattern by
-    (exact, longest prefix, extension, default) and entry order."""
+def _ranked_matches(entries: list[tuple[str, str]],
+                    url: str) -> list[tuple[int, int, int, str, str]]:
+    """(tier, tiebreak, index, pattern, servlet) for every matching entry."""
     ranked: list[tuple[int, int, int, str, str]] = []
     for index, (pattern, servlet_name) in enumerate(entries):
         if pattern == "/":
@@ -116,10 +115,22 @@ def precedence_oracle(entries: list[tuple[str, str]],
                 ranked.append((2, 0, index, pattern, servlet_name))
         elif url == pattern:
             ranked.append((0, 0, index, pattern, servlet_name))
+    return ranked
+
+
+def precedence_oracle(entries: list[tuple[str, str]],
+                      url: str) -> tuple[str, str] | None:
+    """Brute-force winner: rank every matching pattern by
+    (exact, longest prefix, extension, default) and entry order."""
+    ranked = sorted(_ranked_matches(entries, url))
     if not ranked:
         return None
-    ranked.sort()
     return ranked[0][3], ranked[0][4]
+
+
+def matching_patterns(entries: list[tuple[str, str]], url: str) -> list[str]:
+    """Every pattern that matches ``url``, in table order."""
+    return [m[3] for m in _ranked_matches(entries, url)]
 
 
 # -- java string literals -----------------------------------------------------------

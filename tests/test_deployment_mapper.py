@@ -24,7 +24,7 @@ from jspkdm.deployment_mapper import (
     java_qualified_class_name,
     normalize_url_path,
 )
-from .oracles import precedence_oracle
+from .oracles import matching_patterns, precedence_oracle
 
 WEB_XML_POWERS = b"""<?xml version="1.0" encoding="UTF-8"?>
 <web-app xmlns="http://java.sun.com/xml/ns/javaee">
@@ -358,3 +358,53 @@ class TestPrecedenceAgainstOracle:
                 decl = table.decl_for(servlet_name)
                 assert got.kind is ResolvedKind.INTERNAL_PAGE
                 assert got.page_path == decl.jsp_file
+
+    def test_10k_cases_agree_with_brute_force(self):
+        """Winner and shadowed patterns of the bucketed table, against the
+        oracle's scan of every entry. Dotted directory segments ("/a.do/x")
+        must not match "*.do"; the URL "/" and the context root itself hit
+        "/*" and the default "/"."""
+        rng = random.Random(0xB0C7)
+        segments = ["a", "b", "a.do", "x.jsp", "cc"]  # never the context "app"
+
+        def path(max_segments: int) -> str:
+            n = rng.randint(1, max_segments)
+            return "/" + "/".join(rng.choice(segments) for _ in range(n))
+
+        shapes = [lambda: path(3), lambda: path(2) + "/*", lambda: "/*",
+                  lambda: "*." + rng.choice(["do", "jsp", "html"]), lambda: "/"]
+        cases = shadowing = 0
+        for _ in range(1000):
+            patterns: list[tuple[str, str]] = []
+            for _ in range(rng.randint(0, 10)):
+                pattern = rng.choice(shapes)()
+                if pattern not in {p for p, _ in patterns}:
+                    patterns.append((pattern, f"/t{len(patterns)}.jsp"))
+            context_path = rng.choice(["", "", "/app"])
+            table = table_of(patterns, context_path)
+            for _ in range(10):
+                # ``url`` is what the table sees once the context path, if
+                # the reference carries it, is stripped.
+                url = rng.choice(["/", path(4), path(3) + rng.choice([".do", ".jsp"])])
+                raw = url
+                if context_path and rng.random() < 0.5:
+                    raw = context_path if url == "/" else context_path + url
+                diagnostics = []
+                got = resolve_url(table, make_ref(raw), "/index.jsp",
+                                  diagnostics=diagnostics)
+                expected = precedence_oracle(table.entries, url)
+                cases += 1
+                if expected is None:
+                    assert got.kind is ResolvedKind.UNRESOLVED
+                    assert diagnostics == []
+                    continue
+                winner, servlet_name = expected
+                assert got.kind is ResolvedKind.INTERNAL_PAGE
+                assert got.page_path == table.decl_for(servlet_name).jsp_file
+                shadowed = [p for p in matching_patterns(table.entries, url)
+                            if p != winner]
+                assert [d.message for d in diagnostics] == (
+                    [f"pattern {winner!r} wins over {shadowed}"] if shadowed else [])
+                shadowing += bool(shadowed)
+        assert cases == 10_000
+        assert shadowing > 1000

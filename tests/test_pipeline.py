@@ -14,6 +14,7 @@ from jspkdm import (
     emit_dot,
     run_pipeline,
     scan_webapp,
+    serialize_model,
     write_outputs,
 )
 from jspkdm.cli import main
@@ -158,6 +159,22 @@ class TestRunPipeline:
         clean_others = {e for e in clean.graph.edges if "/powers" not in e[1]}
         kept_others = {e for e in result.graph.edges if "/powers" not in e[1]}
         assert clean_others == kept_others
+
+    def test_deep_page_is_isolated(self, tmp_path):
+        # 3000 nested actions exceed the recursion limit of the recursive
+        # parser; that costs the page itself and nothing else.
+        root = make_two_page_app(tmp_path / "app")
+        clean = run_pipeline(scan_webapp(root))
+        (root / "deep.jsp").write_text(
+            '<c:if test="x">' * 3000 + '<a href="/b.jsp">b</a>', encoding="utf-8")
+        result = run_pipeline(scan_webapp(root))
+        assert result.report["pages"] == 3
+        assert result.report["pages_failed"] == ["/deep.jsp"]
+        assert [(d.category, d.location) for d in result.diagnostics] \
+            == [("parse", "/deep.jsp")]
+        assert result.diagnostics[0].message.startswith("RecursionError: ")
+        assert serialize_model(result.model) == serialize_model(clean.model)
+        assert emit_dot(result.graph) == emit_dot(clean.graph)
 
     def test_servlet_sources_written(self, fixture_webapp, tmp_path):
         out = tmp_path / "srcgen"

@@ -1,0 +1,65 @@
+"""Linear-time guards for phase 2: URL resolution and call injection.
+
+On a 2-core x86-64 VM under Python 3.11 the indexed code takes about 10 ms
+(resolve) and 40 ms (inject), and per-call scans of the mapping table and of
+the model take about 17 s and 2 s. Each bound sits 15-25x above the indexed
+time, so a slow spell of the machine cannot trip it, and the scans exceed it
+several times over.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+
+from jspkdm import (
+    BlockUnit,
+    ClassUnit,
+    KdmModel,
+    MethodUnit,
+    ModelIndex,
+    PackageUnit,
+    ServletDecl,
+    UrlRef,
+    add_method_call,
+    build_lookup_table,
+    resolve_url,
+)
+
+
+def test_resolve_1000_urls_against_10k_entries():
+    decls, mappings = [], []
+    for i in range(10_000):
+        decls.append(ServletDecl(f"s{i}", jsp_file=f"/t{i}.jsp"))
+        pattern = [f"/e/{i}", f"/p/{i}/*", f"*.x{i}", f"/d{i}/q"][i % 4]
+        mappings.append((pattern, f"s{i}"))
+    table = build_lookup_table(decls, mappings)
+    rng = random.Random(7)
+    urls = [rng.choice([f"/e/{4 * rng.randrange(2500)}",
+                        f"/p/{4 * rng.randrange(2500) + 1}/a/b",
+                        f"/f/g.x{4 * rng.randrange(2500) + 2}", "/nowhere"])
+            for _ in range(1000)]
+    refs = [UrlRef(source_page="/i.jsp", tag_kind="a-href", attribute="href",
+                   raw_url=url, dynamic=False) for url in urls]
+    start = time.perf_counter()
+    targets = [resolve_url(table, ref, "/i.jsp") for ref in refs]
+    elapsed = time.perf_counter() - start
+    assert sum(t.page_path is not None for t in targets) == sum(
+        url != "/nowhere" for url in urls)
+    assert elapsed < 0.25, f"1000 resolutions took {elapsed:.2f} s"
+
+
+def test_inject_5000_calls_into_2000_classes():
+    classes = [ClassUnit(f"c{i}", f"/p{i}.jsp",
+                         [MethodUnit("_jspService", BlockUnit())])
+               for i in range(2000)]
+    model = KdmModel("m", [PackageUnit("jsp", list(classes))], classes)
+    rng = random.Random(11)
+    calls = [(rng.choice(classes), rng.choice(classes), rng.choice(["a-href", "form"]))
+             for _ in range(5000)]
+    start = time.perf_counter()
+    index = ModelIndex(model)
+    statuses = [add_method_call(index, a, b, kind).status for a, b, kind in calls]
+    elapsed = time.perf_counter() - start
+    assert statuses.count("added") == len(model.relationships) == len(set(calls))
+    assert elapsed < 0.6, f"5000 injections took {elapsed:.2f} s"
