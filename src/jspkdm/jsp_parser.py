@@ -7,6 +7,15 @@ tags and text become sibling nodes); prefixed action elements such as
 folded flat otherwise. No EL evaluation and no tag-library loading happen
 here: the node list is the shared input for the servlet translator and the
 URL-reference extractor.
+
+Scanning takes time linear in the page size on any input. One compiled regex
+finds each "<" that opens something, so a stray "<" is skipped in C, and one
+compiled regex tokenizes each tag attribute. A tag with no ">" is scanned to
+EOF and then read as text; each attribute-name start such a scan passes is
+memoised with the keys that follow it, so the scan from the next "<" stops
+at the first memoised start instead of running to EOF again, while still
+raising for a duplicate name as a full scan would. A close tag is not looked
+for past the page's last ">".
 """
 
 from __future__ import annotations
@@ -110,7 +119,25 @@ def normalize_page_path(path: str) -> str:
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][\w.\-]*(?::[\w.\-]+)?")
-_ATTR_NAME_RE = re.compile(r"[^\s=/>]+")
+# One attribute: whitespace, then optionally a name, an "=" value and the
+# tag's end (group 5). An unquoted value (group 4) that starts with a quote
+# means the quote is never closed; an empty one at EOF means EOF came right
+# after "=".
+_ATTR_RE = re.compile(r"""\s*(?:([^\s=/>]+)\s*(?:=\s*(?:"([^"]*)"|'([^']*)'"""
+                      r"""|([^\s>/]*(?:/(?!>)[^\s>/]*)*)))?\s*(/?>)?)?""")
+# Every "<" that opens something; lastindex names the opener, and the last
+# two groups capture the name of a close tag or of an element.
+_LT_RE = re.compile(r"<(?:(%--)|(%@)|(%=)|(%!)|(%)|/(" + _NAME_RE.pattern + ")|("
+                    + _NAME_RE.pattern + "))")
+# _LT_RE group -> the arguments of _Parser._parse_delimited.
+_DELIMITED = {
+    1: (4, "--%>", NodeKind.COMMENT, "JSP comment"),
+    3: (3, "%>", NodeKind.EXPRESSION, "expression"),
+    4: (3, "%>", NodeKind.DECLARATION, "declaration"),
+    5: (2, "%>", NodeKind.SCRIPTLET, "scriptlet"),
+}
+_DIRECTIVE_OPENER = 2
+_CLOSE_OPENER = 6
 _DIRECTIVE_NAME_RE = re.compile(r"\s*([A-Za-z][\w.\-]*)")
 _DIRECTIVE_ATTR_RE = re.compile(
     r"([^\s=]+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s%>]+))")
@@ -138,6 +165,12 @@ class _Parser:
         self.page_path = page_path
         self.pos = 0
         self._close_span: Span | None = None
+        # A close tag needs a ">" after its name, and none follows this one.
+        self._last_gt = source.rfind(">")
+        # Attribute-name start -> (index of each key, attributes, index here)
+        # for every name that a tag scan reaching EOF passed; see
+        # _scan_tag_attrs.
+        self._eof_memo: dict[int, tuple[dict[str, int], list[Attribute], int]] = {}
 
     # -- error helpers ----------------------------------------------------
 
@@ -195,67 +228,69 @@ class _Parser:
         EOF arrives before ">" (the caller then treats "<" as template text).
         Quoted values may contain "<", ">" and expression fragments; an
         unclosed quote is a hard error.
+
+        Tokens from an attribute-name start onward do not depend on where
+        the scan began, so a scan that reaches EOF records each name start it
+        passed. A later scan that lands on one returns None at once, or
+        raises for the first name from there on that it has already seen.
         """
         src = self.source
         n = len(src)
+        memo = self._eof_memo
         attrs: list[Attribute] = []
         seen: set[str] = set()
+        starts: list[int] = []
         while True:
-            while pos < n and src[pos].isspace():
-                pos += 1
-            if pos >= n:
-                return None
-            c = src[pos]
-            if c == ">":
-                return attrs, pos + 1, False
-            if c == "/":
+            m = _ATTR_RE.match(src, pos)
+            name, double, single, value, end = m.groups()
+            if name is None:
+                pos = m.end()
+                if pos == n:
+                    break
+                if src[pos] == ">":
+                    return attrs, pos + 1, False
                 if src.startswith("/>", pos):
                     return attrs, pos + 2, True
-                pos += 1  # stray slash, skip
+                pos += 1  # stray "/" or "=", skip
                 continue
-            if c == "=":
-                pos += 1  # stray "=", skip
-                continue
-            m = _ATTR_NAME_RE.match(src, pos)
-            name = m.group(0)
-            pos = m.end()
-            while pos < n and src[pos].isspace():
-                pos += 1
-            value = ""
-            if pos < n and src[pos] == "=":
-                pos += 1
-                while pos < n and src[pos].isspace():
-                    pos += 1
-                if pos >= n:
-                    return None
-                q = src[pos]
-                if q in ("'", '"'):
-                    endq = src.find(q, pos + 1)
-                    if endq < 0:
-                        raise MalformedAttribute("unclosed quote", self.page_path, pos)
-                    value = src[pos + 1:endq]
-                    pos = endq + 1
-                else:
-                    vstart = pos
-                    while pos < n and not src[pos].isspace() and src[pos] != ">" \
-                            and not src.startswith("/>", pos):
-                        pos += 1
-                    value = src[vstart:pos]
+            start = m.start(1)
+            hit = memo.get(start)
+            if hit is not None:
+                order, known, index = hit
+                dups = [i for i in map(order.get, seen) if i is not None and i >= index]
+                if dups:
+                    raise DuplicateAttribute(f"duplicate attribute {known[min(dups)].name!r}",
+                                             self.page_path, tag_start)
+                return None
+            starts.append(start)
+            if double is not None:
+                value = double
+            elif single is not None:
+                value = single
+            elif value is None:  # no "="
+                value = ""
+            elif value.startswith(("'", '"')):
+                raise MalformedAttribute("unclosed quote", self.page_path, m.start(4))
+            elif not value and m.end(4) == n:
+                break  # EOF right after "="
             key = name.lower()
             if key in seen:
                 raise DuplicateAttribute(
                     f"duplicate attribute {name!r}", self.page_path, tag_start)
             seen.add(key)
             attrs.append(Attribute(name, value, _is_dynamic(value)))
+            pos = m.end()
+            if end is not None:
+                return attrs, pos, end == "/>"
+        order = {a.name.lower(): i for i, a in enumerate(attrs)}
+        for index, start in enumerate(starts):
+            memo[start] = (order, attrs, index)
+        return None
 
     # -- element / node parsing -------------------------------------------
 
-    def _parse_element(self, start: int) -> list[JspNode] | None:
-        src = self.source
-        m = _NAME_RE.match(src, start + 1)
-        assert m is not None  # caller checked the name start
-        name = m.group(0)
-        scanned = self._scan_tag_attrs(m.end(), start)
+    def _parse_element(self, start: int, name: str, name_end: int) -> list[JspNode] | None:
+        scanned = self._scan_tag_attrs(name_end, start)
         if scanned is None:
             return None
         attrs, tag_end, self_closing = scanned
@@ -290,71 +325,41 @@ class _Parser:
                 nodes.append(JspNode(kind=NodeKind.TEMPLATE_TEXT,
                                      body=src[run_start:end], span=(run_start, end)))
 
-        while self.pos < n:
-            lt = src.find("<", self.pos)
-            if lt < 0:
-                self.pos = n
-                break
-            if src.startswith("<%--", lt):
+        while (m := _LT_RE.search(src, self.pos)) is not None:
+            lt = m.start()
+            opener = m.lastindex
+            delimited = _DELIMITED.get(opener)
+            if delimited is not None:
                 flush_text(lt)
-                end = src.find("--%>", lt + 4)
-                if end < 0:
-                    raise self._unterminated(lt, "JSP comment")
-                self.pos = end + 4
-                nodes.append(JspNode(kind=NodeKind.COMMENT,
-                                     body=src[lt + 4:end], span=(lt, self.pos)))
-                run_start = self.pos
-            elif src.startswith("<%@", lt):
+                nodes.append(self._parse_delimited(lt, *delimited))
+            elif opener == _DIRECTIVE_OPENER:
                 flush_text(lt)
                 nodes.append(self._parse_directive(lt))
-                run_start = self.pos
-            elif src.startswith("<%=", lt):
-                flush_text(lt)
-                nodes.append(self._parse_delimited(lt, 3, "%>",
-                                                   NodeKind.EXPRESSION, "expression"))
-                run_start = self.pos
-            elif src.startswith("<%!", lt):
-                flush_text(lt)
-                nodes.append(self._parse_delimited(lt, 3, "%>",
-                                                   NodeKind.DECLARATION, "declaration"))
-                run_start = self.pos
-            elif src.startswith("<%", lt):
-                flush_text(lt)
-                nodes.append(self._parse_delimited(lt, 2, "%>",
-                                                   NodeKind.SCRIPTLET, "scriptlet"))
-                run_start = self.pos
-            elif src.startswith("</", lt):
-                m = _NAME_RE.match(src, lt + 2)
-                if not m:
-                    self.pos = lt + 1
-                    continue
-                gt = src.find(">", m.end())
+            elif opener == _CLOSE_OPENER:
+                name_end = m.end()
+                gt = src.find(">", name_end) if name_end <= self._last_gt else -1
                 if gt < 0:
                     self.pos = lt + 1
                     continue
-                name = m.group(0)
+                name = m.group(opener)
+                flush_text(lt)
+                self.pos = gt + 1
                 if until_close is not None and name == until_close:
-                    flush_text(lt)
-                    self.pos = gt + 1
                     self._close_span = (lt, gt + 1)
                     return nodes
-                flush_text(lt)
                 nodes.append(JspNode(kind=_classify_element(name), name="/" + name,
                                      span=(lt, gt + 1)))
-                self.pos = gt + 1
-                run_start = self.pos
-            elif lt + 1 < n and _NAME_RE.match(src, lt + 1):
-                produced = self._parse_element(lt)
+            else:
+                produced = self._parse_element(lt, m.group(opener), m.end())
                 if produced is None:
+                    # "<" that opens nothing: part of the template text.
                     self.pos = lt + 1
                     continue
                 flush_text(lt)
                 nodes.extend(produced)
-                run_start = self.pos
-            else:
-                # "<" that opens nothing: part of the template text.
-                self.pos = lt + 1
+            run_start = self.pos
 
+        self.pos = n
         flush_text(n)
         self._close_span = None
         return nodes
@@ -382,10 +387,15 @@ def parse_jsp_file(path, page_path: str, encoding: str = "utf-8") -> JspDocument
 
 def iter_nodes(nodes: list[JspNode]) -> Iterator[JspNode]:
     """Depth-first, document-order traversal."""
-    for node in nodes:
-        yield node
-        if node.children:
-            yield from iter_nodes(node.children)
+    stack = [iter(nodes)]
+    while stack:
+        for node in stack[-1]:
+            yield node
+            if node.children:
+                stack.append(iter(node.children))
+                break
+        else:
+            stack.pop()
 
 
 def elements_of(doc: JspDocument, kinds: set[NodeKind]) -> list[JspNode]:

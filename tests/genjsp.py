@@ -118,3 +118,27 @@ def random_page_path(rng: random.Random) -> str:
     segments = [rng.choice(WORDS + ["a_b", "x-y", "sub.dir", "001", "café"])
                 for _ in range(rng.randint(1, 4))]
     return "/" + "/".join(segments) + rng.choice([".jsp", ".jspf", ".jsp"])
+
+
+# Pieces of tag tails that stress the attribute tokenizer: stray characters,
+# both quote kinds, non-ASCII whitespace, "=" at EOF, and names that repeat
+# in another case.
+TAIL_BITS = ["<", "<", ">", "/", "/>", "=", '"', "'", "\x0b", "\u00a0", " ", "\n",
+             "a", "A", " a", " A", " b", " B", "x=", " a='", ' b="', "' ", '" ',
+             "<y", "<y a ", "<x q='<y a ' a", "<c:if", "</c:if>", "</c:if",
+             "<c:if test='t'>", "<td w=1", "=v", "/x", "${e}", "<%= e %>", "<%", "%>"]
+OPEN_BITS = [bit for bit in TAIL_BITS if ">" not in bit]
+
+
+def generate_adversarial_page(rng: random.Random) -> str:
+    """Generated fragments interleaved with tag tails. The last tail usually
+    has no ">", so the scans of the tags it opens run to EOF."""
+    parts: list[str] = []
+    for _ in range(rng.randint(0, 3)):
+        parts.append(generate_page(rng, size=rng.randint(0, 4))[0])
+        parts.extend(rng.choice(TAIL_BITS) for _ in range(rng.randint(0, 6)))
+    last = TAIL_BITS if rng.random() < 0.2 else OPEN_BITS
+    for k in range(rng.randint(1, 24)):
+        # Tags with unique names, as in a page of unterminated tags.
+        parts.append(rng.choice(last) if rng.random() < 0.6 else f" <t{k} w{k}")
+    return "".join(parts)

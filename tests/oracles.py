@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 
+from jspkdm import Attribute, DuplicateAttribute, MalformedAttribute
+
 # -- scripting-region delimiter scan --------------------------------------------
 
 _HEADS = {"@": "Directive", "=": "Expression", "!": "Declaration"}
@@ -158,6 +160,71 @@ def emit_literals(java_source: str) -> list[str]:
     """Unescaped string literals of the source's emit calls, in order."""
     return [unescape_java(m.group(1))
             for m in _EMIT_LITERAL_RE.finditer(java_source)]
+
+
+# -- tag attribute scan --------------------------------------------------------------
+
+_ATTR_NAME_RE = re.compile(r"[^\s=/>]+")
+
+
+def scan_tag_attrs_oracle(src: str, pos: int, tag_start: int, page_path: str):
+    """Character-loop tokenizer for a tag's attributes, from ``pos`` to ">".
+
+    Returns (attributes, position after ">", self_closing), or None when EOF
+    arrives first; raises ``MalformedAttribute`` at an unclosed quote and
+    ``DuplicateAttribute`` (at ``tag_start``) for a name seen before in any
+    case. No memo: every call scans on its own. Results and errors use the
+    package's own types, so a parser patched to call this compares directly.
+    """
+    n = len(src)
+    attrs = []
+    seen = set()
+    while True:
+        while pos < n and src[pos].isspace():
+            pos += 1
+        if pos >= n:
+            return None
+        c = src[pos]
+        if c == ">":
+            return attrs, pos + 1, False
+        if c == "/":
+            if src.startswith("/>", pos):
+                return attrs, pos + 2, True
+            pos += 1
+            continue
+        if c == "=":
+            pos += 1
+            continue
+        m = _ATTR_NAME_RE.match(src, pos)
+        name = m.group(0)
+        pos = m.end()
+        while pos < n and src[pos].isspace():
+            pos += 1
+        value = ""
+        if pos < n and src[pos] == "=":
+            pos += 1
+            while pos < n and src[pos].isspace():
+                pos += 1
+            if pos >= n:
+                return None
+            q = src[pos]
+            if q in ("'", '"'):
+                endq = src.find(q, pos + 1)
+                if endq < 0:
+                    raise MalformedAttribute("unclosed quote", page_path, pos)
+                value = src[pos + 1:endq]
+                pos = endq + 1
+            else:
+                vstart = pos
+                while pos < n and not src[pos].isspace() and src[pos] != ">" \
+                        and not src.startswith("/>", pos):
+                    pos += 1
+                value = src[vstart:pos]
+        key = name.lower()
+        if key in seen:
+            raise DuplicateAttribute(f"duplicate attribute {name!r}", page_path, tag_start)
+        seen.add(key)
+        attrs.append(Attribute(name, value, "<%=" in value or "${" in value))
 
 
 # -- structural checks ----------------------------------------------------------------

@@ -8,14 +8,17 @@ import pytest
 
 from jspkdm import (
     DuplicateAttribute,
+    JspNode,
+    JspParseError,
     MalformedAttribute,
     NodeKind,
     UnterminatedScriptlet,
     elements_of,
+    jsp_parser,
     parse_jsp,
 )
-from .genjsp import generate_page
-from .oracles import check_span_coverage, delimiter_scan
+from .genjsp import generate_adversarial_page, generate_page
+from .oracles import check_span_coverage, delimiter_scan, scan_tag_attrs_oracle
 
 
 def kinds_of(doc):
@@ -163,6 +166,36 @@ class TestAttributes:
         doc = parse_jsp("x <form action=/a", "/p.jsp")
         assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
 
+    def test_unterminated_tags_after_an_eof_scan_are_text(self):
+        doc = parse_jsp("<a b <c d <e f= <g 'h' <i j=", "/p.jsp")
+        assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
+
+    def test_duplicate_found_by_a_scan_reaching_an_eof_scan(self):
+        # The "<x" scan reaches EOF; the "<y" scan inside its quoted value
+        # then meets the last "a" again and must still raise.
+        with pytest.raises(DuplicateAttribute) as info:
+            parse_jsp("<x q='<y a ' a", "/p.jsp")
+        assert info.value.offset == 6
+        assert "duplicate attribute 'a'" in str(info.value)
+        with pytest.raises(DuplicateAttribute, match="'a'"):
+            parse_jsp("<p q='<r A ' a", "/p.jsp")
+
+    def test_eof_after_equals_skips_the_duplicate_check(self):
+        doc = parse_jsp("<x a a=", "/p.jsp")
+        assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
+        with pytest.raises(DuplicateAttribute):
+            parse_jsp("<x a a", "/p.jsp")
+
+    def test_unicode_whitespace_separates_attributes(self):
+        doc = parse_jsp("<div a=1\u00a0b='2'\x0bc>", "/p.jsp")
+        assert [(a.name, a.value) for a in doc.nodes[0].attributes] == [
+            ("a", "1"), ("b", "2"), ("c", "")]
+
+    def test_empty_unquoted_value(self):
+        doc = parse_jsp("<div a= /><p b=>", "/p.jsp")
+        assert [(n.name, n.attributes[0].value) for n in doc.nodes] == [("div", ""),
+                                                                       ("p", "")]
+
 
 class TestPowersPage:
     # Frozen from the delimiter-scan oracle over the fixture text.
@@ -201,6 +234,20 @@ class TestElementsOf:
         found = elements_of(doc, {NodeKind.STANDARD_ACTION})
         assert [n.name for n in found] == ["jsp:include"]
 
+    def test_iter_nodes_is_depth_first_in_document_order(self):
+        doc = parse_jsp('<c:if test="a">1<c:if test="b">2</c:if>3</c:if>4', "/p.jsp")
+        order = [n.body or n.name for n in jsp_parser.iter_nodes(doc.nodes)]
+        assert order == ["c:if", "1", "c:if", "2", "3", "4"]
+
+    def test_iter_nodes_survives_deep_trees(self):
+        node = JspNode(NodeKind.CUSTOM_ACTION, "c:if")
+        root = node
+        for _ in range(5000):
+            child = JspNode(NodeKind.CUSTOM_ACTION, "c:if")
+            node.children.append(child)
+            node = child
+        assert sum(1 for _ in jsp_parser.iter_nodes([root])) == 5001
+
     def test_finds_nodes_nested_in_actions(self):
         doc = parse_jsp('<c:if test="a"><jsp:include page="/x.jsp" /></c:if>',
                         "/p.jsp")
@@ -228,3 +275,31 @@ class TestRandomizedProperties:
             # determinism: same bytes, structurally identical documents
             again = parse_jsp(source, "/gen.jsp")
             assert again == doc
+
+
+def parse_outcome(source: str):
+    """The node list, or the (type, message, offset) of the parse error."""
+    try:
+        return parse_jsp(source, "/gen.jsp").nodes
+    except JspParseError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+class TestScannerAgreesWithOracle:
+    CASES = 10_000
+
+    def test_10k_pages_agree_with_the_character_loop(self, monkeypatch):
+        rng = random.Random(0x5CA7)
+        pages = [generate_adversarial_page(rng) if k % 4 else generate_page(rng)[0]
+                 for k in range(self.CASES)]
+        fast = [parse_outcome(page) for page in pages]
+        monkeypatch.setattr(
+            jsp_parser._Parser, "_scan_tag_attrs",
+            lambda parser, pos, tag_start: scan_tag_attrs_oracle(
+                parser.source, pos, tag_start, parser.page_path))
+        for page, got in zip(pages, fast):
+            assert got == parse_outcome(page), page
+        # Every outcome occurs, so each path of the scanner is compared.
+        kinds = {got[0] if isinstance(got, tuple) else list for got in fast}
+        assert kinds == {list, DuplicateAttribute, MalformedAttribute,
+                         UnterminatedScriptlet}

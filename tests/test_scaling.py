@@ -1,10 +1,12 @@
-"""Linear-time guards for phase 2: URL resolution and call injection.
+"""Linear-time guards for the parser and for phase 2 (URL resolution and
+call injection).
 
 On a 2-core x86-64 VM under Python 3.11 the indexed code takes about 10 ms
 (resolve) and 40 ms (inject), and per-call scans of the mapping table and of
-the model take about 17 s and 2 s. Each bound sits 15-25x above the indexed
-time, so a slow spell of the machine cannot trip it, and the scans exceed it
-several times over.
+the model take about 17 s and 2 s. A page of 8000 unterminated tags parses in
+about 50 ms; rescanning to EOF from every tag takes about 70 s. Each bound
+sits 15-25x above the linear time, so a slow spell of the machine cannot
+trip it, and the quadratic code exceeds it many times over.
 """
 
 from __future__ import annotations
@@ -12,19 +14,53 @@ from __future__ import annotations
 import random
 import time
 
+import pytest
+
 from jspkdm import (
     BlockUnit,
     ClassUnit,
     KdmModel,
     MethodUnit,
     ModelIndex,
+    NodeKind,
     PackageUnit,
     ServletDecl,
     UrlRef,
     add_method_call,
     build_lookup_table,
+    parse_jsp,
     resolve_url,
 )
+
+
+def unterminated_tags(count: int, tag: str = "<t{} ") -> str:
+    """``count`` tags with no ">" after any of them (8000 make about 55 KB)."""
+    return "".join(tag.format(m) for m in range(count))
+
+
+def parse_seconds(source: str) -> float:
+    start = time.perf_counter()
+    doc = parse_jsp(source, "/open.jsp")
+    elapsed = time.perf_counter() - start
+    assert [n.kind for n in doc.nodes] == [NodeKind.TEMPLATE_TEXT]
+    return elapsed
+
+
+def test_parse_8000_unterminated_tags():
+    elapsed = parse_seconds(unterminated_tags(8000))
+    assert elapsed < 1.0, f"8000 unterminated tags took {elapsed:.2f} s"
+
+
+# Close tags are cheaper per tag, so it takes more of them for the quadratic
+# search to show.
+@pytest.mark.parametrize("tag, count", [("<t{} ", 8000), ("</t{} ", 64_000)])
+def test_unterminated_tags_parse_in_linear_time(tag, count):
+    small, large = unterminated_tags(count, tag), unterminated_tags(2 * count, tag)
+    # Best of five alternating runs each, so one slow spell does not count.
+    runs = [(parse_seconds(small), parse_seconds(large)) for _ in range(5)]
+    small_s, large_s = min(r[0] for r in runs), min(r[1] for r in runs)
+    assert large_s < 3 * small_s, (
+        f"{small_s:.3f} s for {count} tags, {large_s:.3f} s for twice as many")
 
 
 def test_resolve_1000_urls_against_10k_entries():
