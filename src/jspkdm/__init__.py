@@ -63,7 +63,6 @@ from .servlet_translator import (
     CodeStatement,
     ServletUnit,
     StatementKind,
-    TranslationOptions,
     mangle_class_name,
     render_servlet_source,
     translate_page,
@@ -78,8 +77,8 @@ __all__ = [
     "MalformedAttribute", "MethodUnit", "ModelIndex", "MutationReport", "NodeKind",
     "PackageUnit", "PipelineConfig", "PipelineResult", "ResolvedKind",
     "ResolvedTarget", "RootNotFound", "ServletDecl", "ServletUnit",
-    "StatementKind", "TAG_TABLE", "TranslationOptions", "UnterminatedScriptlet",
-    "UrlMappingTable", "UrlRef", "WebAppInventory", "XmlSyntaxError",
+    "StatementKind", "TAG_TABLE", "UnterminatedScriptlet", "UrlMappingTable",
+    "UrlRef", "WebAppInventory", "XmlSyntaxError",
     "add_method_call", "build_lookup_table", "classify_tag", "deserialize_model",
     "discover_model", "elements_of", "emit_dot", "extract_url_refs",
     "find_class_unit", "mangle_class_name", "parse_jsp", "parse_jsp_file",

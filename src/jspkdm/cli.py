@@ -83,7 +83,6 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         config.encoding = args.encoding
     if args.servlet_src_out is not None:
         config.servlet_src_out = args.servlet_src_out
-    config.strict = bool(args.strict)
     return config
 
 
@@ -115,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     for path in written:
         print(f"wrote {path}")
     if result.diagnostics:
-        return 2 if config.strict else 1
+        return 2 if args.strict else 1
     return 0
 
 

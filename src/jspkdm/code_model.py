@@ -138,7 +138,8 @@ def _block_from_statements(statements: list[CodeStatement]) -> BlockUnit:
 
 def discover_model(units: list[ServletUnit], name: str = "webapp") -> KdmModel:
     """Build the code model from translated units: one class per page with
-    the three life-cycle methods, statements mirrored at element granularity."""
+    the three life-cycle methods; ``_jspInit`` and ``_jspDestroy`` are empty,
+    and ``_jspService``'s statements are mirrored at element granularity."""
     classes: list[ClassUnit] = []
     seen: set[str] = set()
     for unit in units:
@@ -149,9 +150,9 @@ def discover_model(units: list[ServletUnit], name: str = "webapp") -> KdmModel:
             name=unit.class_name,
             source_page=unit.source_page,
             code_elements=[
-                MethodUnit(INIT_METHOD, _block_from_statements(unit.init_body)),
+                MethodUnit(INIT_METHOD),
                 MethodUnit(SERVICE_METHOD, _block_from_statements(unit.service_body)),
-                MethodUnit(DESTROY_METHOD, _block_from_statements(unit.destroy_body)),
+                MethodUnit(DESTROY_METHOD),
             ],
         ))
     package = PackageUnit(name="jsp", class_units=list(classes))

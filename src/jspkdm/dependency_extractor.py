@@ -66,9 +66,8 @@ def extract_url_refs(doc: JspDocument,
         if pair is None:
             continue
         tag_kind, attribute = pair
-        ci = node.kind is NodeKind.HTML_ELEMENT
-        value = node.attribute_value(attribute, case_insensitive=ci)
-        if not value:
+        attr = node.attribute(attribute, case_insensitive=node.kind is NodeKind.HTML_ELEMENT)
+        if attr is None or not attr.value:
             if tag_kind not in _OPTIONAL_ATTR_KINDS:
                 emit(diagnostics, "extraction",
                      f"<{node.name}> without {attribute} attribute",
@@ -87,9 +86,9 @@ def extract_url_refs(doc: JspDocument,
             source_page=doc.page_path,
             tag_kind=tag_kind,
             attribute=attribute,
-            raw_url=value,
+            raw_url=attr.value,
             http_method=http_method,
-            dynamic="<%=" in value or "${" in value,
+            dynamic=attr.value_is_dynamic,
             span=node.span,
         ))
     return refs

@@ -109,13 +109,13 @@ def _child_text(element: ET.Element, local_name: str) -> str | None:
     return None
 
 
-def parse_web_xml(content: bytes) -> tuple[list[ServletDecl],
-                                           list[tuple[str, str]],
-                                           list[Diagnostic]]:
+def parse_web_xml(content: bytes, diagnostics: list[Diagnostic] | None = None
+                  ) -> tuple[list[ServletDecl], list[tuple[str, str]]]:
     """Servlet declarations and (url-pattern, servlet-name) pairs.
 
     Element matching is namespace-agnostic and local-name based; everything
-    outside the five mapping-related elements is ignored.
+    outside the five mapping-related elements is ignored. Incomplete
+    declarations and mappings yield diagnostics.
     """
     try:
         root = ET.fromstring(content)
@@ -123,7 +123,6 @@ def parse_web_xml(content: bytes) -> tuple[list[ServletDecl],
         raise XmlSyntaxError(str(exc)) from exc
     decls: list[ServletDecl] = []
     mappings: list[tuple[str, str]] = []
-    diagnostics: list[Diagnostic] = []
     for element in root.iter():
         local = _local(element.tag)
         if local == "servlet":
@@ -131,18 +130,16 @@ def parse_web_xml(content: bytes) -> tuple[list[ServletDecl],
             servlet_class = _child_text(element, "servlet-class")
             jsp_file = _child_text(element, "jsp-file")
             if not name:
-                diagnostics.append(Diagnostic(
-                    "web-xml", "servlet declaration without servlet-name; skipped"))
+                emit(diagnostics, "web-xml",
+                     "servlet declaration without servlet-name; skipped")
                 continue
             if servlet_class and jsp_file:
-                diagnostics.append(Diagnostic(
-                    "web-xml",
-                    f"servlet {name!r} declares both servlet-class and jsp-file; skipped"))
+                emit(diagnostics, "web-xml",
+                     f"servlet {name!r} declares both servlet-class and jsp-file; skipped")
                 continue
             if not servlet_class and not jsp_file:
-                diagnostics.append(Diagnostic(
-                    "web-xml",
-                    f"servlet {name!r} declares neither servlet-class nor jsp-file; skipped"))
+                emit(diagnostics, "web-xml",
+                     f"servlet {name!r} declares neither servlet-class nor jsp-file; skipped")
                 continue
             decls.append(ServletDecl(
                 servlet_name=name,
@@ -152,17 +149,15 @@ def parse_web_xml(content: bytes) -> tuple[list[ServletDecl],
         elif local == "servlet-mapping":
             name = _child_text(element, "servlet-name")
             if not name:
-                diagnostics.append(Diagnostic(
-                    "web-xml", "servlet-mapping without servlet-name; skipped"))
+                emit(diagnostics, "web-xml", "servlet-mapping without servlet-name; skipped")
                 continue
             patterns = [(child.text or "").strip() for child in element
                         if _local(child.tag) == "url-pattern"]
             if not patterns:
-                diagnostics.append(Diagnostic(
-                    "web-xml", f"servlet-mapping for {name!r} has no url-pattern"))
+                emit(diagnostics, "web-xml", f"servlet-mapping for {name!r} has no url-pattern")
             for pattern in patterns:
                 mappings.append((pattern, name))
-    return decls, mappings, diagnostics
+    return decls, mappings
 
 
 # -- @WebServlet annotations ------------------------------------------------------

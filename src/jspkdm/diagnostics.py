@@ -1,4 +1,9 @@
-"""Non-fatal findings collected while analyzing a web application."""
+"""Non-fatal findings collected while analyzing a web application.
+
+Every stage reports through :func:`emit` into the one list that the caller
+passes down (the run's sink); this module is the only place that builds a
+:class:`Diagnostic`.
+"""
 
 from __future__ import annotations
 

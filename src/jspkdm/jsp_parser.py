@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 Span = tuple[int, int]
 
@@ -79,17 +79,21 @@ class JspNode:
     # flat or self-closing nodes.
     inner_span: Span | None = None
 
-    def attribute_value(self, name: str, case_insensitive: bool = False) -> str | None:
+    def attribute(self, name: str, case_insensitive: bool = False) -> Attribute | None:
         if case_insensitive:
             name = name.lower()
             for attr in self.attributes:
                 if attr.name.lower() == name:
-                    return attr.value
+                    return attr
         else:
             for attr in self.attributes:
                 if attr.name == name:
-                    return attr.value
+                    return attr
         return None
+
+    def attribute_value(self, name: str, case_insensitive: bool = False) -> str | None:
+        attr = self.attribute(name, case_insensitive)
+        return None if attr is None else attr.value
 
 
 @dataclass
@@ -289,34 +293,44 @@ class _Parser:
 
     # -- element / node parsing -------------------------------------------
 
-    def _parse_element(self, start: int, name: str, name_end: int) -> list[JspNode] | None:
+    def _parse_element(self, nodes: list[JspNode], flush_text: Callable[[int], None],
+                       start: int, name: str, name_end: int) -> bool:
+        """Append the element opened at ``start`` to ``nodes``, after the text
+        before it; False, appending nothing, when no tag is there.
+
+        A prefixed action that is not self-closing nests: what follows is
+        parsed into ``nodes`` as well and moved into its children once the
+        close tag turns up. Left unclosed by EOF, it stays flat with what
+        followed as its siblings, so no node list is copied per unclosed level.
+        The tag is scanned here, not in ``_parse_nodes``, because the frame
+        depth of each call sets where a deep page hits the recursion limit,
+        and so the error text it is reported with.
+        """
         scanned = self._scan_tag_attrs(name_end, start)
         if scanned is None:
-            return None
+            return False
         attrs, tag_end, self_closing = scanned
-        kind = _classify_element(name)
+        flush_text(start)
+        node = JspNode(kind=_classify_element(name), name=name, attributes=attrs,
+                       span=(start, tag_end))
+        nodes.append(node)
         self.pos = tag_end
-        if ":" in name and not self_closing:
-            # Prefixed actions nest; look for the matching close tag.
-            children = self._parse_nodes(until_close=name)
-            close_span, self._close_span = self._close_span, None
-            if close_span is not None:
-                close_start, close_end = close_span
-                node = JspNode(kind=kind, name=name, attributes=attrs,
-                               children=children, span=(start, close_end),
-                               inner_span=(tag_end, close_start))
-                return [node]
-            # No close tag by EOF: fold flat, keep what followed as siblings.
-            node = JspNode(kind=kind, name=name, attributes=attrs,
-                           span=(start, tag_end))
-            return [node] + children
-        return [JspNode(kind=kind, name=name, attributes=attrs,
-                        span=(start, tag_end))]
+        if ":" not in name or self_closing:
+            return True
+        first_child = len(nodes)
+        self._parse_nodes(nodes, until_close=name)
+        close_span, self._close_span = self._close_span, None
+        if close_span is not None:
+            node.children = nodes[first_child:]
+            del nodes[first_child:]
+            node.span = (start, close_span[1])
+            node.inner_span = (tag_end, close_span[0])
+        return True
 
-    def _parse_nodes(self, until_close: str | None = None) -> list[JspNode]:
+    def _parse_nodes(self, nodes: list[JspNode], until_close: str | None = None
+                     ) -> list[JspNode]:
         src = self.source
         n = len(src)
-        nodes: list[JspNode] = []
         run_start = self.pos
         self._close_span = None
 
@@ -349,14 +363,10 @@ class _Parser:
                     return nodes
                 nodes.append(JspNode(kind=_classify_element(name), name="/" + name,
                                      span=(lt, gt + 1)))
-            else:
-                produced = self._parse_element(lt, m.group(opener), m.end())
-                if produced is None:
-                    # "<" that opens nothing: part of the template text.
-                    self.pos = lt + 1
-                    continue
-                flush_text(lt)
-                nodes.extend(produced)
+            elif not self._parse_element(nodes, flush_text, lt, m.group(opener), m.end()):
+                # "<" that opens nothing: part of the template text.
+                self.pos = lt + 1
+                continue
             run_start = self.pos
 
         self.pos = n
@@ -375,7 +385,7 @@ def parse_jsp(source: str, page_path: str) -> JspDocument:
     if not page_path:
         raise ValueError("page_path must be non-empty")
     page_path = normalize_page_path(page_path)
-    nodes = _Parser(source, page_path)._parse_nodes()
+    nodes = _Parser(source, page_path)._parse_nodes([])
     return JspDocument(page_path=page_path, nodes=nodes, source=source)
 
 

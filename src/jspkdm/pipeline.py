@@ -35,14 +35,9 @@ from .deployment_mapper import (
     resolve_url,
     scan_webservlet_annotations,
 )
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, emit
 from .jsp_parser import JspDocument, JspParseError, parse_jsp
-from .servlet_translator import (
-    ServletUnit,
-    TranslationOptions,
-    translate_page,
-    write_servlet_sources,
-)
+from .servlet_translator import ServletUnit, translate_page, write_servlet_sources
 
 NODE_PAGE = "page"
 NODE_CLASS = "class"
@@ -97,7 +92,6 @@ class PipelineConfig:
     formats: list[str] = field(default_factory=lambda: ["xmi", "json", "dot"])
     encoding: str = "utf-8"
     servlet_src_out: str | None = None
-    strict: bool = False
     known_tag_handlers: dict[str, str] = field(default_factory=dict)
 
 
@@ -106,7 +100,6 @@ class PipelineResult:
     model: KdmModel
     graph: DependencyGraph
     report: dict
-    units: list[ServletUnit] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
@@ -133,10 +126,8 @@ def scan_webapp(root, include: list[str] | None = None,
     sources: list[str] = []
 
     def on_error(error: OSError) -> None:
-        if diagnostics is not None:
-            diagnostics.append(Diagnostic(
-                "io", f"unreadable entry skipped: {error}",
-                getattr(error, "filename", None)))
+        emit(diagnostics, "io", f"unreadable entry skipped: {error}",
+             getattr(error, "filename", None))
 
     for dirpath, dirnames, filenames in os.walk(root, onerror=on_error):
         dirnames.sort()
@@ -167,7 +158,7 @@ def _read_text(path: Path, encoding: str,
     try:
         return path.read_text(encoding=encoding)
     except (OSError, UnicodeDecodeError) as exc:
-        diagnostics.append(Diagnostic("io", f"cannot read {what}: {exc}", str(path)))
+        emit(diagnostics, "io", f"cannot read {what}: {exc}", str(path))
         return None
 
 
@@ -181,7 +172,6 @@ def run_pipeline(inventory: WebAppInventory,
     """
     config = config or PipelineConfig()
     diagnostics = diagnostics if diagnostics is not None else []
-    options = TranslationOptions(known_tag_handlers=config.known_tag_handlers)
 
     # Phase 1: pages to servlet units to code model.
     docs: dict[str, JspDocument] = {}
@@ -195,15 +185,14 @@ def run_pipeline(inventory: WebAppInventory,
                 failed_pages.append(page)
                 continue
             doc = parse_jsp(text, page)
-            unit = translate_page(doc, options)
+            unit = translate_page(doc, config.known_tag_handlers, diagnostics)
         except Exception as exc:  # any fault in one page costs only that page
             message = (str(exc) if isinstance(exc, JspParseError)
                        else f"{type(exc).__name__}: {exc}")
-            diagnostics.append(Diagnostic("parse", message, page))
+            emit(diagnostics, "parse", message, page)
             failed_pages.append(page)
             continue
         docs[doc.page_path] = doc
-        diagnostics.extend(unit.diagnostics)
         units.append(unit)
     model = discover_model(units, name=inventory.root.name or "webapp")
 
@@ -216,19 +205,17 @@ def run_pipeline(inventory: WebAppInventory,
     if inventory.web_xml:
         try:
             raw = (inventory.root / inventory.web_xml.lstrip("/")).read_bytes()
-            decls, mappings, web_diags = parse_web_xml(raw)
-            diagnostics.extend(web_diags)
+            decls, mappings = parse_web_xml(raw, diagnostics)
         except OSError as exc:
-            diagnostics.append(Diagnostic("io", f"cannot read web.xml: {exc}",
-                                          inventory.web_xml))
+            emit(diagnostics, "io", f"cannot read web.xml: {exc}", inventory.web_xml)
         except XmlSyntaxError as exc:
-            diagnostics.append(Diagnostic("web-xml", str(exc), inventory.web_xml))
+            emit(diagnostics, "web-xml", str(exc), inventory.web_xml)
     java_files: list[tuple[str, Path]] = [
         (rel, inventory.root / rel.lstrip("/")) for rel in inventory.java_sources]
     for source_root in config.source_roots:
         base = Path(source_root)
         if not base.is_dir():
-            diagnostics.append(Diagnostic("io", "source root not found", str(base)))
+            emit(diagnostics, "io", "source root not found", str(base))
             continue
         java_files.extend(
             (p.as_posix(), p) for p in sorted(base.rglob("*.java")) if p.is_file())
@@ -279,8 +266,8 @@ def run_pipeline(inventory: WebAppInventory,
                 elif outcome.status == "duplicate":
                     duplicates += 1
                 else:
-                    diagnostics.append(Diagnostic(
-                        "model", f"cannot inject dependency: {outcome.reason}", page))
+                    emit(diagnostics, "model",
+                         f"cannot inject dependency: {outcome.reason}", page)
             else:
                 counts["unresolved"] += 1
                 graph.unresolved.append((page, ref.raw_url, target.reason or "unknown"))
@@ -303,7 +290,7 @@ def run_pipeline(inventory: WebAppInventory,
         "diagnostics": [d.to_dict() for d in diagnostics],
     }
     return PipelineResult(model=model, graph=graph, report=report,
-                          units=units, diagnostics=diagnostics)
+                          diagnostics=diagnostics)
 
 
 # -- emission -----------------------------------------------------------------------

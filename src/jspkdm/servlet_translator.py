@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
 
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, emit
 from .jsp_parser import JspDocument, JspNode, NodeKind, Span
 
 
@@ -37,24 +37,14 @@ class CodeStatement:
 
 
 @dataclass
-class TranslationOptions:
-    # Tag name (e.g. "c:redirect") -> handler class qualified name. Custom
-    # actions not listed here are emitted verbatim like any other tag.
-    known_tag_handlers: Mapping[str, str] = field(default_factory=dict)
-
-
-@dataclass
 class ServletUnit:
     """Servlet-shaped translation of one page."""
 
     class_name: str
     source_page: str
     declarations: list[CodeStatement] = field(default_factory=list)
-    init_body: list[CodeStatement] = field(default_factory=list)
     service_body: list[CodeStatement] = field(default_factory=list)
-    destroy_body: list[CodeStatement] = field(default_factory=list)
     imports: list[str] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
 SERVICE_METHOD = "_jspService"
@@ -100,10 +90,12 @@ def _capitalized(prop: str) -> str:
 
 
 class _Translator:
-    def __init__(self, doc: JspDocument, options: TranslationOptions, unit: ServletUnit):
+    def __init__(self, doc: JspDocument, known_tag_handlers: Mapping[str, str],
+                 unit: ServletUnit, diagnostics: list[Diagnostic] | None):
         self.doc = doc
-        self.options = options
+        self.known_tag_handlers = known_tag_handlers
         self.unit = unit
+        self.diagnostics = diagnostics
         self._pending: list[tuple[str, Span]] = []
 
     # -- emit buffering -----------------------------------------------------
@@ -137,9 +129,8 @@ class _Translator:
         self._emit(src[inner_end:end], (inner_end, end))
 
     def _diag(self, message: str, node: JspNode) -> None:
-        self.unit.diagnostics.append(Diagnostic(
-            "translation", message,
-            f"{self.doc.page_path}@{node.span[0]}"))
+        emit(self.diagnostics, "translation", message,
+             f"{self.doc.page_path}@{node.span[0]}")
 
     # -- node dispatch --------------------------------------------------------
 
@@ -228,7 +219,7 @@ class _Translator:
             self._emit_element(node)
 
     def _custom_action(self, node: JspNode) -> None:
-        handler = self.options.known_tag_handlers.get(node.name)
+        handler = self.known_tag_handlers.get(node.name)
         if handler is None:
             self._emit_element(node)
             return
@@ -242,11 +233,17 @@ class _Translator:
         self.walk(node.children)
 
 
-def translate_page(doc: JspDocument, options: TranslationOptions | None = None) -> ServletUnit:
-    """Apply the translation rules to one parsed page, in document order."""
+def translate_page(doc: JspDocument, known_tag_handlers: Mapping[str, str] | None = None,
+                   diagnostics: list[Diagnostic] | None = None) -> ServletUnit:
+    """Apply the translation rules to one parsed page, in document order.
+
+    ``known_tag_handlers`` maps a custom action's tag name (e.g.
+    "c:redirect") to its handler class; actions not listed there are emitted
+    verbatim like any other tag. Findings go to ``diagnostics``.
+    """
     unit = ServletUnit(class_name=mangle_class_name(doc.page_path),
                        source_page=doc.page_path)
-    translator = _Translator(doc, options or TranslationOptions(), unit)
+    translator = _Translator(doc, known_tag_handlers or {}, unit, diagnostics)
     translator.walk(doc.nodes)
     translator.flush()
     return unit
@@ -313,8 +310,6 @@ def render_servlet_source(unit: ServletUnit) -> str:
                 lines.append("    " + line.strip())
     lines.append("")
     lines.append(f"    public void {INIT_METHOD}() {{")
-    for stmt in unit.init_body:
-        _render_statement(stmt, lines, "        ")
     lines.append("    }")
     lines.append("")
     lines.append(f"    public void {SERVICE_METHOD}(HttpServletRequest request, "
@@ -328,8 +323,6 @@ def render_servlet_source(unit: ServletUnit) -> str:
     lines.append("    }")
     lines.append("")
     lines.append(f"    public void {DESTROY_METHOD}() {{")
-    for stmt in unit.destroy_body:
-        _render_statement(stmt, lines, "        ")
     lines.append("    }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -63,7 +63,8 @@ def table_of(patterns: list[tuple[str, str | None]], context_path: str = ""):
 
 class TestParseWebXml:
     def test_powers_declaration(self):
-        decls, mappings, diagnostics = parse_web_xml(WEB_XML_POWERS)
+        diagnostics = []
+        decls, mappings = parse_web_xml(WEB_XML_POWERS, diagnostics)
         assert len(decls) == 1
         assert decls[0].servlet_name == "pow"
         assert decls[0].jsp_file == "/powers.jsp"
@@ -73,7 +74,7 @@ class TestParseWebXml:
         assert diagnostics == []
 
     def test_empty_web_app(self):
-        decls, mappings, _ = parse_web_xml(b"<web-app/>")
+        decls, mappings = parse_web_xml(b"<web-app/>")
         assert decls == [] and mappings == []
 
     def test_two_url_patterns_one_servlet(self):
@@ -83,7 +84,7 @@ class TestParseWebXml:
           <servlet-mapping><servlet-name>s</servlet-name>
             <url-pattern>/a</url-pattern><url-pattern>/b</url-pattern>
           </servlet-mapping></web-app>"""
-        decls, mappings, _ = parse_web_xml(content)
+        decls, mappings = parse_web_xml(content)
         # oracle: independent XML walk counting url-pattern elements
         root = ET.fromstring(content)
         oracle_count = sum(1 for el in root.iter() if el.tag == "url-pattern")
@@ -94,7 +95,8 @@ class TestParseWebXml:
     def test_missing_servlet_name_skipped_with_diagnostic(self):
         content = b"""<web-app><servlet>
           <servlet-class>a.B</servlet-class></servlet></web-app>"""
-        decls, _, diagnostics = parse_web_xml(content)
+        diagnostics = []
+        decls, _ = parse_web_xml(content, diagnostics)
         assert decls == []
         assert len(diagnostics) == 1
 
@@ -107,12 +109,13 @@ class TestParseWebXml:
           <servlet-name>s</servlet-name>
           <servlet-class>a.B</servlet-class>
           <jsp-file>/a.jsp</jsp-file></servlet></web-app>"""
-        decls, _, diagnostics = parse_web_xml(content)
+        diagnostics = []
+        decls, _ = parse_web_xml(content, diagnostics)
         assert decls == []
         assert len(diagnostics) == 1
 
     def test_namespaced_elements_matched_by_local_name(self):
-        decls, mappings, _ = parse_web_xml(WEB_XML_POWERS)
+        decls, mappings = parse_web_xml(WEB_XML_POWERS)
         assert decls and mappings  # the fixture uses a default namespace
 
 

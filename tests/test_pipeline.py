@@ -19,6 +19,7 @@ from jspkdm import (
 )
 from jspkdm.cli import main
 from jspkdm.pipeline import NODE_CLASS, NODE_EXTERNAL, NODE_PAGE
+from jspkdm.servlet_translator import _Translator
 from .conftest import (
     FIXTURE_CLASS_EDGES,
     FIXTURE_EXTERNAL_EDGES,
@@ -175,6 +176,22 @@ class TestRunPipeline:
         assert result.diagnostics[0].message.startswith("RecursionError: ")
         assert serialize_model(result.model) == serialize_model(clean.model)
         assert emit_dot(result.graph) == emit_dot(clean.graph)
+
+    def test_failed_translation_keeps_its_earlier_diagnostics(self, tmp_path, monkeypatch):
+        # The translator reports into the run's sink as it goes, so what it
+        # found before a fault stays, ahead of the page's parse diagnostic.
+        def fail(translator, node):
+            raise RuntimeError(f"no handler for {node.name}")
+
+        monkeypatch.setattr(_Translator, "_custom_action", fail)
+        root = make_two_page_app(tmp_path / "app")
+        (root / "bad.jsp").write_text('<jsp:useBean id="b" /><x:tag />', encoding="utf-8")
+        result = run_pipeline(scan_webapp(root))
+        assert result.report["pages_failed"] == ["/bad.jsp"]
+        assert [(d.category, d.message, d.location) for d in result.diagnostics] == [
+            ("translation", "jsp:useBean without class attribute", "/bad.jsp@0"),
+            ("parse", "RuntimeError: no handler for x:tag", "/bad.jsp"),
+        ]
 
     def test_servlet_sources_written(self, fixture_webapp, tmp_path):
         out = tmp_path / "srcgen"

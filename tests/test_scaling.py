@@ -6,7 +6,8 @@ On a 2-core x86-64 VM under Python 3.11 the indexed code takes about 10 ms
 the model take about 17 s and 2 s. A page of 8000 unterminated tags parses in
 about 50 ms; rescanning to EOF from every tag takes about 70 s. Each bound
 sits 15-25x above the linear time, so a slow spell of the machine cannot
-trip it, and the quadratic code exceeds it many times over.
+trip it, and the quadratic code exceeds it many times over. Ratio guards
+compare best-of-five times of two inputs instead.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from jspkdm import (
     parse_jsp,
     resolve_url,
 )
+from jspkdm.jsp_parser import iter_nodes
 
 
 def unterminated_tags(count: int, tag: str = "<t{} ") -> str:
@@ -61,6 +63,25 @@ def test_unterminated_tags_parse_in_linear_time(tag, count):
     small_s, large_s = min(r[0] for r in runs), min(r[1] for r in runs)
     assert large_s < 3 * small_s, (
         f"{small_s:.3f} s for {count} tags, {large_s:.3f} s for twice as many")
+
+
+def test_unclosed_actions_before_a_large_page_cost_little():
+    # Folding each unclosed action used to copy every node after it, twice:
+    # 400 of them doubled the parse time of this page.
+    page = '<p class="c">x</p>' * 7000
+    prefixed = '<c:if test="x">' * 400 + page
+
+    def timed(source: str) -> float:
+        start = time.perf_counter()
+        doc = parse_jsp(source, "/big.jsp")
+        elapsed = time.perf_counter() - start
+        assert sum(1 for _ in iter_nodes(doc.nodes)) >= 20_000
+        return elapsed
+
+    runs = [(timed(page), timed(prefixed)) for _ in range(5)]
+    page_s, prefixed_s = min(r[0] for r in runs), min(r[1] for r in runs)
+    assert prefixed_s < 1.5 * page_s, (
+        f"{page_s:.3f} s for the page, {prefixed_s:.3f} s with 400 unclosed actions")
 
 
 def test_resolve_1000_urls_against_10k_entries():

@@ -8,7 +8,6 @@ import re
 from jspkdm import (
     NodeKind,
     StatementKind,
-    TranslationOptions,
     elements_of,
     mangle_class_name,
     parse_jsp,
@@ -20,8 +19,8 @@ from .genjsp import generate_page, random_page_path
 from .oracles import emit_literals, strip_scripting_regions, unescape_java
 
 
-def translate(source: str, options: TranslationOptions | None = None):
-    return translate_page(parse_jsp(source, "/p.jsp"), options)
+def translate(source: str, known_tag_handlers=None, diagnostics=None):
+    return translate_page(parse_jsp(source, "/p.jsp"), known_tag_handlers, diagnostics)
 
 
 def emitted_text(unit) -> str:
@@ -70,11 +69,13 @@ class TestRuleMapping:
         assert "method" not in stmt.metadata
 
     def test_use_bean_without_class_downgrades(self):
-        unit = translate('<jsp:useBean id="b" scope="page" />')
+        diagnostics = []
+        unit = translate('<jsp:useBean id="b" scope="page" />', diagnostics=diagnostics)
         (stmt,) = unit.service_body
         assert stmt.kind is StatementKind.TEMPLATE_EMIT
         assert stmt.text == '<jsp:useBean id="b" scope="page" />'
-        assert len(unit.diagnostics) == 1
+        assert [(d.category, d.location) for d in diagnostics] \
+            == [("translation", "/p.jsp@0")]
 
     def test_include_is_emitted_verbatim(self):
         source = '<jsp:include page="/myPage.jsp." flush="true" />'
@@ -100,10 +101,9 @@ class TestRuleMapping:
         assert unit.imports == ["java.util.*", "java.io.File"]
 
     def test_known_tag_handler_call(self):
-        options = TranslationOptions(known_tag_handlers={
-            "c:redirect": "org.apache.taglibs.standard.tag.rt.core.RedirectTag"})
+        handlers = {"c:redirect": "org.apache.taglibs.standard.tag.rt.core.RedirectTag"}
         unit = translate('<c:redirect url="/x.jsp" /><c:url value="/s.css" />',
-                         options)
+                         handlers)
         call, emit = unit.service_body
         assert call.kind is StatementKind.TAG_HANDLER_CALL
         assert call.metadata["tag"] == "c:redirect"
