@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from xml.sax.saxutils import quoteattr
+from json.encoder import encode_basestring_ascii
 
 from .jsp_parser import Span, normalize_page_path
 from .servlet_translator import (
@@ -90,6 +90,8 @@ class KdmModel:
     relationships: list[CodeRelationship] = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        """The model as plain data; its JSON serialization is exactly
+        ``json.dumps(model.to_dict(), indent=2)`` plus a newline."""
         rel_index = {id(r): i for i, r in enumerate(self.relationships)}
         return {
             "name": self.name,
@@ -222,33 +224,48 @@ XMI_NS = "http://www.omg.org/XMI"
 KDM_NS = "urn:jspkdm:code"
 
 
+def _quoteattr(value: str) -> str:
+    """``xml.sax.saxutils.quoteattr`` with chained ``str.replace``.
+
+    Importing ``xml.sax`` also imports ``urllib.request`` and ``ssl``, which
+    cost every run about a third of its start-up.
+    """
+    value = (value.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+             .replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;"))
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"' + value.replace('"', "&quot;") + '"'
+
+
 def _to_xmi(model: KdmModel) -> str:
     rel_ids = {id(r): f"rel.{i}" for i, r in enumerate(model.relationships)}
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     lines.append(
-        f'<kdm:Segment xmlns:kdm={quoteattr(KDM_NS)} xmlns:xmi={quoteattr(XMI_NS)} '
-        f'xmi:version="2.1" name={quoteattr(model.name)}>')
-    lines.append(f'  <codeModel name={quoteattr(model.name)}>')
+        f'<kdm:Segment xmlns:kdm={_quoteattr(KDM_NS)} xmlns:xmi={_quoteattr(XMI_NS)} '
+        f'xmi:version="2.1" name={_quoteattr(model.name)}>')
+    lines.append(f'  <codeModel name={_quoteattr(model.name)}>')
     for package in model.packages:
-        lines.append(f'    <package name={quoteattr(package.name)}>')
+        lines.append(f'    <package name={_quoteattr(package.name)}>')
         for cu in package.class_units:
-            attrs = f'xmi:id={quoteattr(cu.name)} name={quoteattr(cu.name)}'
+            attrs = f'xmi:id={_quoteattr(cu.name)} name={_quoteattr(cu.name)}'
             if cu.source_page is not None:
-                attrs += f' sourcePage={quoteattr(cu.source_page)}'
+                attrs += f' sourcePage={_quoteattr(cu.source_page)}'
             lines.append(f'      <classUnit {attrs}>')
             for method in cu.code_elements:
                 mid = f"{cu.name}.{method.name}"
-                lines.append(f'        <methodUnit xmi:id={quoteattr(mid)} '
-                             f'name={quoteattr(method.name)}>')
-                lines.append(f'          <blockUnit xmi:id={quoteattr(mid + ".block")}>')
+                lines.append(f'        <methodUnit xmi:id={_quoteattr(mid)} '
+                             f'name={_quoteattr(method.name)}>')
+                lines.append(f'          <blockUnit xmi:id={_quoteattr(mid + ".block")}>')
                 for el in method.block.elements:
-                    e_attrs = f'name={quoteattr(el.name)} kind={quoteattr(el.kind)}'
+                    e_attrs = f'name={_quoteattr(el.name)} kind={_quoteattr(el.kind)}'
                     if el.origin_span is not None:
                         e_attrs += (f' spanStart="{el.origin_span[0]}"'
                                     f' spanEnd="{el.origin_span[1]}"')
                     if el.relationships:
                         refs = " ".join(rel_ids[id(r)] for r in el.relationships)
-                        e_attrs += f' relations={quoteattr(refs)}'
+                        e_attrs += f' relations={_quoteattr(refs)}'
                     lines.append(f'            <codeElement {e_attrs}/>')
                 lines.append('          </blockUnit>')
                 lines.append('        </methodUnit>')
@@ -258,29 +275,105 @@ def _to_xmi(model: KdmModel) -> str:
     packaged = {id(c) for p in model.packages for c in p.class_units}
     for cu in model.class_units:
         if id(cu) not in packaged:
-            lines.append(f'    <classUnit xmi:id={quoteattr(cu.name)} '
-                         f'name={quoteattr(cu.name)}/>')
+            lines.append(f'    <classUnit xmi:id={_quoteattr(cu.name)} '
+                         f'name={_quoteattr(cu.name)}/>')
     for rel in model.relationships:
         lines.append(
-            f'    <codeRelationship xmi:id={quoteattr(rel_ids[id(rel)])} '
-            f'from={quoteattr(rel.from_class.name)} to={quoteattr(rel.to_class.name)} '
-            f'kind={quoteattr(rel.kind)} label={quoteattr(rel.label)}/>')
+            f'    <codeRelationship xmi:id={_quoteattr(rel_ids[id(rel)])} '
+            f'from={_quoteattr(rel.from_class.name)} to={_quoteattr(rel.to_class.name)} '
+            f'kind={_quoteattr(rel.kind)} label={_quoteattr(rel.label)}/>')
     lines.append('  </codeModel>')
     lines.append('</kdm:Segment>')
     return "\n".join(lines) + "\n"
 
 
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of rendered items, laid out as ``json.dumps(indent=2)``
+    lays it out when the array's key sits at ``indent``."""
+    if not items:
+        return "[]"
+    sep = "\n" + indent + "  "
+    return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
+
+
+def _to_json(model: KdmModel) -> str:
+    """``json.dumps(model.to_dict(), indent=2)``, written directly.
+
+    Each object is one template carrying its depth's fixed indentation, and
+    every string goes through the C-accelerated ``encode_basestring_ascii``
+    that ``ensure_ascii=True`` uses. ``json.dumps`` with an indent runs the
+    pure-Python encoder over a dict tree built first.
+    """
+    q = encode_basestring_ascii
+    rel_index = {id(r): repr(i) for i, r in enumerate(model.relationships)}
+    packages = [
+        f'{{\n      "name": {q(p.name)},\n'
+        f'      "classes": {_json_array([q(c.name) for c in p.class_units], " " * 6)}'
+        f'\n    }}'
+        for p in model.packages]
+    classes = []
+    for c in model.class_units:
+        methods = []
+        for m in c.code_elements:
+            elements = []
+            for e in m.block.elements:
+                span = ("null" if e.origin_span is None else
+                        _json_array([repr(x) for x in e.origin_span], " " * 14))
+                rels = _json_array([rel_index[id(r)] for r in e.relationships], " " * 14)
+                elements.append(
+                    f'{{\n              "name": {q(e.name)},\n'
+                    f'              "kind": {q(e.kind)},\n'
+                    f'              "origin_span": {span},\n'
+                    f'              "relationships": {rels}\n            }}')
+            methods.append(
+                f'{{\n          "name": {q(m.name)},\n'
+                f'          "elements": {_json_array(elements, " " * 10)}\n        }}')
+        source_page = "null" if c.source_page is None else q(c.source_page)
+        classes.append(
+            f'{{\n      "name": {q(c.name)},\n'
+            f'      "source_page": {source_page},\n'
+            f'      "methods": {_json_array(methods, " " * 6)}\n    }}')
+    relationships = [
+        f'{{\n      "from": {q(r.from_class.name)},\n'
+        f'      "to": {q(r.to_class.name)},\n'
+        f'      "kind": {q(r.kind)},\n'
+        f'      "label": {q(r.label)}\n    }}'
+        for r in model.relationships]
+    return (f'{{\n  "name": {q(model.name)},\n'
+            f'  "packages": {_json_array(packages, "  ")},\n'
+            f'  "class_units": {_json_array(classes, "  ")},\n'
+            f'  "relationships": {_json_array(relationships, "  ")}\n}}\n')
+
+
 def serialize_model(model: KdmModel, format: str = "json") -> bytes:
     """Stable bytes for a model; insertion order everywhere."""
     if format == "json":
-        return (json.dumps(model.to_dict(), indent=2) + "\n").encode("utf-8")
+        return _to_json(model).encode("utf-8")
     if format == "xmi":
         return _to_xmi(model).encode("utf-8")
     raise ValueError(f"unknown serialization format: {format!r}")
 
 
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, not {value!r}")
+    return value
+
+
+def _index(value, where: str) -> int:
+    # bool is an int to Python but not an integer to the schema.
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{where} must be a non-negative integer, not {value!r}")
+    return value
+
+
 def deserialize_model(data: bytes, format: str = "json") -> KdmModel:
-    """Rebuild a model from its JSON serialization."""
+    """Rebuild a model from its JSON serialization.
+
+    Names, spans and relationship indexes of the wrong type raise
+    ``ValueError``: the writer emits them as they are, so a model read from
+    such a file would serialize to invalid JSON.
+    """
     if format != "json":
         raise ValueError("only the json format deserializes")
     doc = json.loads(data.decode("utf-8"))
@@ -292,26 +385,35 @@ def deserialize_model(data: bytes, format: str = "json") -> KdmModel:
         for mdoc in cdoc["methods"]:
             elements = []
             for edoc in mdoc["elements"]:
-                element = CodeElement(
-                    name=edoc["name"], kind=edoc["kind"],
-                    origin_span=tuple(edoc["origin_span"])
-                    if edoc["origin_span"] is not None else None)
-                pending.append((element, edoc["relationships"]))
+                span = edoc["origin_span"]
+                if span is not None:
+                    if not isinstance(span, list) or len(span) != 2:
+                        raise ValueError(f"origin_span must be two integers, not {span!r}")
+                    span = tuple(_index(x, "origin_span") for x in span)
+                element = CodeElement(name=_text(edoc["name"], "element name"),
+                                      kind=_text(edoc["kind"], "element kind"),
+                                      origin_span=span)
+                pending.append((element, [_index(i, "relationship index")
+                                          for i in edoc["relationships"]]))
                 elements.append(element)
-            methods.append(MethodUnit(mdoc["name"], BlockUnit(elements)))
-        cu = ClassUnit(cdoc["name"], cdoc["source_page"], methods)
+            methods.append(MethodUnit(_text(mdoc["name"], "method name"), BlockUnit(elements)))
+        source_page = cdoc["source_page"]
+        cu = ClassUnit(_text(cdoc["name"], "class name"),
+                       None if source_page is None else _text(source_page, "source_page"),
+                       methods)
         classes.append(cu)
         by_name[cu.name] = cu
     relationships = [
         CodeRelationship(by_name[rdoc["from"]], by_name[rdoc["to"]],
-                         rdoc["kind"], rdoc["label"])
+                         _text(rdoc["kind"], "relationship kind"),
+                         _text(rdoc["label"], "relationship label"))
         for rdoc in doc["relationships"]
     ]
     for element, indices in pending:
         element.relationships = [relationships[i] for i in indices]
     packages = [
-        PackageUnit(pdoc["name"], [by_name[n] for n in pdoc["classes"]])
+        PackageUnit(_text(pdoc["name"], "package name"), [by_name[n] for n in pdoc["classes"]])
         for pdoc in doc["packages"]
     ]
-    return KdmModel(name=doc["name"], packages=packages,
+    return KdmModel(name=_text(doc["name"], "model name"), packages=packages,
                     class_units=classes, relationships=relationships)

@@ -187,8 +187,13 @@ def run_pipeline(inventory: WebAppInventory,
             doc = parse_jsp(text, page)
             unit = translate_page(doc, config.known_tag_handlers, diagnostics)
         except Exception as exc:  # any fault in one page costs only that page
-            message = (str(exc) if isinstance(exc, JspParseError)
-                       else f"{type(exc).__name__}: {exc}")
+            if isinstance(exc, JspParseError):
+                message = str(exc)
+            elif isinstance(exc, RecursionError):
+                # Its own text depends on the caller's stack depth, not the page.
+                message = "RecursionError: maximum recursion depth exceeded"
+            else:
+                message = f"{type(exc).__name__}: {exc}"
             emit(diagnostics, "parse", message, page)
             failed_pages.append(page)
             continue

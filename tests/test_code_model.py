@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import quoteattr
 
 import pytest
 
@@ -24,6 +26,7 @@ from jspkdm import (
     serialize_model,
     translate_page,
 )
+from jspkdm.code_model import _quoteattr
 
 
 def model_from_pages(pages: dict[str, str]) -> KdmModel:
@@ -207,6 +210,40 @@ class TestSerialization:
         with pytest.raises(ValueError):
             serialize_model(discover_model([]), "yaml")
 
+    # Valid JSON that breaks the schema's types: the writer would emit these
+    # values as they are, as ``True``, ``inf`` or a bare number.
+    SERVICE = ("class_units", 0, "methods", 1, "elements")
+
+    @pytest.mark.parametrize("path, value", [
+        (("name",), 7),
+        (("packages", 0, "name"), None),
+        (("class_units", 0, "name"), 1.5),
+        (("class_units", 0, "source_page"), ["/a.jsp"]),
+        (("class_units", 0, "methods", 0, "name"), False),
+        ((*SERVICE, 0, "kind"), {}),
+        ((*SERVICE, 0, "origin_span"), [True, 1]),
+        ((*SERVICE, 0, "origin_span"), [0, 1e400]),
+        ((*SERVICE, 0, "origin_span"), [0, -1]),
+        ((*SERVICE, 0, "origin_span"), [0, 1, 2]),
+        ((*SERVICE, 0, "origin_span"), "0-1"),
+        ((*SERVICE, 1, "relationships"), [0.0]),
+        ((*SERVICE, 1, "relationships"), [-1]),
+        (("relationships", 0, "label"), 3),
+    ])
+    def test_ill_typed_document_rejected(self, path, value):
+        model = two_class_model()
+        a, b = model.class_units
+        add_method_call(model, a, b, "a-href")
+        doc = json.loads(serialize_model(model, "json"))
+        service = doc["class_units"][0]["methods"][1]["elements"]
+        assert service[0]["origin_span"] is not None and service[1]["relationships"] == [0]
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError):
+            deserialize_model(json.dumps(doc).encode())
+
 
 def random_model(rng: random.Random) -> KdmModel:
     classes = []
@@ -255,7 +292,6 @@ class TestRandomModelRoundTrip:
             assert serialize_model(back, "json") == data
 
     def test_json_output_matches_published_schema(self):
-        import json
         from pathlib import Path
 
         jsonschema = pytest.importorskip("jsonschema")
@@ -266,3 +302,74 @@ class TestRandomModelRoundTrip:
         for _ in range(25):
             document = json.loads(serialize_model(random_model(rng), "json"))
             jsonschema.validate(document, schema)
+
+
+# Quotes, backslashes, control characters, non-ASCII text, U+2028 and a lone
+# surrogate: every escape the stdlib's ASCII string encoder makes.
+AWKWARD_TEXT = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "é", "漢",
+                "\u2028", "\ud800", "\U0001f600", "/", "a", "jsp"]
+
+
+def awkward_name(rng: random.Random) -> str:
+    return "".join(rng.choice(AWKWARD_TEXT) for _ in range(rng.randint(0, 6)))
+
+
+def awkward_model(rng: random.Random) -> KdmModel:
+    """A hand-built model that discovery never makes: empty packages, methods
+    and element lists, missing pages and spans, and elements holding several
+    relationships, all with awkward names."""
+    classes = [
+        ClassUnit(
+            name=awkward_name(rng),
+            source_page=awkward_name(rng) if rng.random() < 0.7 else None,
+            code_elements=[
+                MethodUnit(awkward_name(rng), BlockUnit([
+                    CodeElement(awkward_name(rng), awkward_name(rng),
+                                origin_span=(rng.randint(0, 10**6), rng.randint(0, 10**6))
+                                if rng.random() < 0.6 else None)
+                    for _ in range(rng.randint(0, 3))]))
+                for _ in range(rng.randint(0, 3))])
+        for _ in range(rng.randint(0, 4))]
+    packages = [PackageUnit(awkward_name(rng), rng.sample(classes, rng.randint(0, len(classes))))
+                for _ in range(rng.randint(0, 3))]
+    model = KdmModel(name=awkward_name(rng), packages=packages, class_units=classes)
+    if classes:
+        model.relationships = [
+            CodeRelationship(rng.choice(classes), rng.choice(classes),
+                             awkward_name(rng), awkward_name(rng))
+            for _ in range(rng.randint(1, 5))]
+        for element in (e for c in classes for m in c.code_elements for e in m.block.elements):
+            element.relationships = rng.choices(model.relationships, k=rng.randint(0, 4))
+    return model
+
+
+class TestWritersAgreeWithTheStdlib:
+    def test_json_is_the_bytes_of_json_dumps_of_to_dict(self):
+        rng = random.Random(0x15011)
+        shapes = set()
+        for _ in range(400):
+            model = awkward_model(rng) if rng.random() < 0.75 else random_model(rng)
+            doc = model.to_dict()
+            expected = (json.dumps(doc, indent=2) + "\n").encode()
+            assert serialize_model(model, "json") == expected
+            shapes.update(key for key, hit in [
+                ("no packages", not doc["packages"]),
+                ("no page", any(c["source_page"] is None for c in doc["class_units"])),
+                ("no methods", any(not c["methods"] for c in doc["class_units"])),
+                ("no elements", any(not m["elements"] for c in doc["class_units"]
+                                    for m in c["methods"])),
+                ("no span", b'"origin_span": null' in expected),
+                ("several relationships", any(
+                    len(e["relationships"]) > 1 for c in doc["class_units"]
+                    for m in c["methods"] for e in m["elements"])),
+                ("lone surrogate", b"\\ud800" in expected),
+                ("line separator", b"\\u2028" in expected),
+            ] if hit)
+        assert len(shapes) == 8
+
+    def test_quoteattr_matches_saxutils(self):
+        rng = random.Random(0x9A7)
+        alphabet = "ab&<>\"'\n\r\t é\x00"
+        for _ in range(10_000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+            assert _quoteattr(text) == quoteattr(text)

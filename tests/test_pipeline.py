@@ -177,6 +177,20 @@ class TestRunPipeline:
         assert serialize_model(result.model) == serialize_model(clean.model)
         assert emit_dot(result.graph) == emit_dot(clean.graph)
 
+    def test_deep_page_message_ignores_the_callers_depth(self, tmp_path):
+        # Python words a RecursionError by where the limit is hit, and that
+        # moves with the frames above run_pipeline.
+        root = tmp_path / "app"
+        root.mkdir()
+        (root / "deep.jsp").write_text('<c:if test="x">' * 3000, encoding="utf-8")
+        inventory = scan_webapp(root)
+
+        def run_under(frames: int):
+            return run_under(frames - 1) if frames else run_pipeline(inventory)
+
+        messages = {d.message for extra in range(8) for d in run_under(extra).diagnostics}
+        assert messages == {"RecursionError: maximum recursion depth exceeded"}
+
     def test_failed_translation_keeps_its_earlier_diagnostics(self, tmp_path, monkeypatch):
         # The translator reports into the run's sink as it goes, so what it
         # found before a fault stays, ahead of the page's parse diagnostic.

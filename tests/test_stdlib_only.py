@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +33,13 @@ def test_package_imports_only_the_standard_library():
 def test_pyproject_declares_no_dependencies():
     lines = (REPO / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     assert "dependencies = []" in lines
+
+
+def test_cli_import_loads_no_network_modules():
+    # ``xml.sax.saxutils`` pulls in ``urllib.request`` and ``ssl``, a third of
+    # the start-up every run pays; the serializers need neither.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    probe = "import sys, jspkdm.cli; print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
