@@ -38,12 +38,15 @@ class CodeRelationship:
     label: str = field(default="newCall", compare=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CodeElement:
+    """A statement-level element. Slotted, with ``relationships`` defaulting
+    to the shared ``()``: only injected "newCall" elements carry one."""
+
     name: str
     kind: str
     origin_span: Span | None = None
-    relationships: list[CodeRelationship] = field(default_factory=list)
+    relationships: tuple[CodeRelationship, ...] = ()
 
 
 @dataclass(eq=False)
@@ -212,7 +215,7 @@ def add_method_call(model: KdmModel | ModelIndex, caller: ClassUnit, target: Cla
     if service is None:
         return MutationReport("error", "MissingServiceMethod")
     service.block.elements.append(
-        CodeElement(name="newCall", kind="Call", relationships=[rel]))
+        CodeElement(name="newCall", kind="Call", relationships=(rel,)))
     index.model.relationships.append(rel)
     index.relationships.add(rel)
     return MutationReport("added")
@@ -410,7 +413,7 @@ def deserialize_model(data: bytes, format: str = "json") -> KdmModel:
         for rdoc in doc["relationships"]
     ]
     for element, indices in pending:
-        element.relationships = [relationships[i] for i in indices]
+        element.relationships = tuple([relationships[i] for i in indices])
     packages = [
         PackageUnit(_text(pdoc["name"], "package name"), [by_name[n] for n in pdoc["classes"]])
         for pdoc in doc["packages"]

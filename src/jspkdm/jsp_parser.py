@@ -21,9 +21,9 @@ for past the page's last ">".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 Span = tuple[int, int]
 
@@ -67,13 +67,17 @@ class DuplicateAttribute(JspParseError):
     """Two attributes of one tag share a name after ASCII lower-casing."""
 
 
-@dataclass
+@dataclass(slots=True)
 class JspNode:
+    """One node of a page. Slotted, with tuples that default to the shared
+    ``()``: a page makes one node per tag, and most tags have no attributes
+    and no children."""
+
     kind: NodeKind
     name: str = ""
-    attributes: list[Attribute] = field(default_factory=list)
+    attributes: tuple[Attribute, ...] = ()
     body: str | None = None
-    children: list["JspNode"] = field(default_factory=list)
+    children: tuple["JspNode", ...] = ()
     span: Span = (0, 0)
     # Region between the open and close tag for nested elements; None for
     # flat or self-closing nodes.
@@ -202,7 +206,7 @@ class _Parser:
         rest = inner[m.end():] if m else inner
         attrs = self._scan_directive_attrs(rest, start + 3 + (m.end() if m else 0))
         self.pos = end + 2
-        return JspNode(kind=NodeKind.DIRECTIVE, name=name, attributes=attrs,
+        return JspNode(kind=NodeKind.DIRECTIVE, name=name, attributes=tuple(attrs),
                        span=(start, self.pos))
 
     def _scan_directive_attrs(self, text: str, offset: int) -> list[Attribute]:
@@ -311,7 +315,7 @@ class _Parser:
             return False
         attrs, tag_end, self_closing = scanned
         flush_text(start)
-        node = JspNode(kind=_classify_element(name), name=name, attributes=attrs,
+        node = JspNode(kind=_classify_element(name), name=name, attributes=tuple(attrs),
                        span=(start, tag_end))
         nodes.append(node)
         self.pos = tag_end
@@ -321,7 +325,7 @@ class _Parser:
         self._parse_nodes(nodes, until_close=name)
         close_span, self._close_span = self._close_span, None
         if close_span is not None:
-            node.children = nodes[first_child:]
+            node.children = tuple(nodes[first_child:])
             del nodes[first_child:]
             node.span = (start, close_span[1])
             node.inner_span = (tag_end, close_span[0])
@@ -395,7 +399,7 @@ def parse_jsp_file(path, page_path: str, encoding: str = "utf-8") -> JspDocument
         return parse_jsp(fh.read(), page_path)
 
 
-def iter_nodes(nodes: list[JspNode]) -> Iterator[JspNode]:
+def iter_nodes(nodes: Sequence[JspNode]) -> Iterator[JspNode]:
     """Depth-first, document-order traversal."""
     stack = [iter(nodes)]
     while stack:

@@ -79,9 +79,6 @@ class DependencyGraph:
         self.edges.append(edge)
         return True
 
-    def internal_edges(self) -> list[tuple[str, str, str]]:
-        return [e for e in self.edges if self.nodes.get(e[1]) == NODE_PAGE]
-
 
 @dataclass
 class PipelineConfig:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .diagnostics import Diagnostic, emit
 from .jsp_parser import JspDocument, JspNode, NodeKind, Span
@@ -28,7 +28,7 @@ class StatementKind(str, Enum):
     EXPRESSION_EMIT = "ExpressionEmit"
 
 
-@dataclass
+@dataclass(slots=True)
 class CodeStatement:
     kind: StatementKind
     text: str
@@ -134,7 +134,7 @@ class _Translator:
 
     # -- node dispatch --------------------------------------------------------
 
-    def walk(self, nodes: list[JspNode]) -> None:
+    def walk(self, nodes: Sequence[JspNode]) -> None:
         for node in nodes:
             kind = node.kind
             if kind is NodeKind.COMMENT:

@@ -276,7 +276,7 @@ def random_model(rng: random.Random) -> KdmModel:
             service = a.method("_jspService")
             if service is not None:
                 service.block.elements.append(
-                    CodeElement(name="newCall", kind="Call", relationships=[rel]))
+                    CodeElement(name="newCall", kind="Call", relationships=(rel,)))
     return model
 
 
@@ -339,7 +339,8 @@ def awkward_model(rng: random.Random) -> KdmModel:
                              awkward_name(rng), awkward_name(rng))
             for _ in range(rng.randint(1, 5))]
         for element in (e for c in classes for m in c.code_elements for e in m.block.elements):
-            element.relationships = rng.choices(model.relationships, k=rng.randint(0, 4))
+            element.relationships = tuple(rng.choices(model.relationships,
+                                                      k=rng.randint(0, 4)))
     return model
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -32,7 +33,7 @@ class TestBasicKinds:
         node = doc.nodes[0]
         assert node.kind is NodeKind.SCRIPTLET
         assert node.body == " for (int i=0; i<10; i++) "
-        assert node.children == []
+        assert node.children == ()
 
     def test_empty_file(self):
         doc = parse_jsp("", "/p.jsp")
@@ -108,7 +109,7 @@ class TestBasicKinds:
         doc = parse_jsp('<c:if test="a">rest', "/p.jsp")
         assert [n.kind for n in doc.nodes] == [NodeKind.CUSTOM_ACTION,
                                                NodeKind.TEMPLATE_TEXT]
-        assert doc.nodes[0].children == []
+        assert doc.nodes[0].children == ()
         check_span_coverage(doc)
 
     def test_page_path_normalized(self):
@@ -241,18 +242,33 @@ class TestElementsOf:
 
     def test_iter_nodes_survives_deep_trees(self):
         node = JspNode(NodeKind.CUSTOM_ACTION, "c:if")
-        root = node
         for _ in range(5000):
-            child = JspNode(NodeKind.CUSTOM_ACTION, "c:if")
-            node.children.append(child)
-            node = child
-        assert sum(1 for _ in jsp_parser.iter_nodes([root])) == 5001
+            node = JspNode(NodeKind.CUSTOM_ACTION, "c:if", children=(node,))
+        assert sum(1 for _ in jsp_parser.iter_nodes([node])) == 5001
 
     def test_finds_nodes_nested_in_actions(self):
         doc = parse_jsp('<c:if test="a"><jsp:include page="/x.jsp" /></c:if>',
                         "/p.jsp")
         found = elements_of(doc, {NodeKind.STANDARD_ACTION})
         assert [n.name for n in found] == ["jsp:include"]
+
+
+class TestAllocation:
+    def test_a_node_costs_under_two_tracked_objects(self):
+        # This page costs 1.5 tracked objects a node: one per node, plus a
+        # tuple and an Attribute per attribute and a children tuple per
+        # closed action. Nodes that each carry two lists of their own, empty
+        # or not, cost 3.2.
+        page = ('<p class="c">x</p><br><c:if test="a">y<b>z</b></c:if><% s %>'
+                '<%= e %><a href="/x.jsp">l</a>') * 2000
+        gc.collect()
+        before = len(gc.get_objects())
+        doc = parse_jsp(page, "/big.jsp")
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        nodes = sum(1 for _ in jsp_parser.iter_nodes(doc.nodes))
+        assert nodes == 28_000
+        assert grown <= 2 * nodes, f"{grown} tracked objects for {nodes} nodes"
 
 
 class TestRandomizedProperties:
