@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import BinaryIO, Iterable, Iterator
 
 from .jsp_parser import Span, normalize_page_path
 from .servlet_translator import (
@@ -141,17 +142,21 @@ def _block_from_statements(statements: list[CodeStatement]) -> BlockUnit:
     ])
 
 
-def discover_model(units: list[ServletUnit], name: str = "webapp") -> KdmModel:
+def discover_model(units: Iterable[ServletUnit], name: str = "webapp") -> KdmModel:
     """Build the code model from translated units: one class per page with
     the three life-cycle methods; ``_jspInit`` and ``_jspDestroy`` are empty,
-    and ``_jspService``'s statements are mirrored at element granularity."""
-    classes: list[ClassUnit] = []
+    and ``_jspService``'s statements are mirrored at element granularity.
+
+    ``units`` may be any iterable, a generator included; no unit is held
+    past its own turn.
+    """
     seen: set[str] = set()
-    for unit in units:
+
+    def class_of(unit: ServletUnit) -> ClassUnit:
         if unit.class_name in seen:
             raise DuplicateClassName(unit.class_name)
         seen.add(unit.class_name)
-        classes.append(ClassUnit(
+        return ClassUnit(
             name=unit.class_name,
             source_page=unit.source_page,
             code_elements=[
@@ -159,7 +164,9 @@ def discover_model(units: list[ServletUnit], name: str = "webapp") -> KdmModel:
                 MethodUnit(SERVICE_METHOD, _block_from_statements(unit.service_body)),
                 MethodUnit(DESTROY_METHOD),
             ],
-        ))
+        )
+
+    classes = list(map(class_of, units))
     package = PackageUnit(name="jsp", class_units=list(classes))
     return KdmModel(name=name, packages=[package], class_units=classes)
 
@@ -242,20 +249,21 @@ def _quoteattr(value: str) -> str:
     return '"' + value.replace('"', "&quot;") + '"'
 
 
-def _to_xmi(model: KdmModel) -> str:
+def _xmi_chunks(model: KdmModel) -> Iterator[str]:
+    """The XMI document in pieces: the head, then one piece per class unit,
+    then one per relationship; their concatenation is the document."""
     rel_ids = {id(r): f"rel.{i}" for i, r in enumerate(model.relationships)}
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-    lines.append(
-        f'<kdm:Segment xmlns:kdm={_quoteattr(KDM_NS)} xmlns:xmi={_quoteattr(XMI_NS)} '
-        f'xmi:version="2.1" name={_quoteattr(model.name)}>')
-    lines.append(f'  <codeModel name={_quoteattr(model.name)}>')
+    yield (f'<?xml version="1.0" encoding="UTF-8"?>\n'
+           f'<kdm:Segment xmlns:kdm={_quoteattr(KDM_NS)} xmlns:xmi={_quoteattr(XMI_NS)} '
+           f'xmi:version="2.1" name={_quoteattr(model.name)}>\n'
+           f'  <codeModel name={_quoteattr(model.name)}>\n')
     for package in model.packages:
-        lines.append(f'    <package name={_quoteattr(package.name)}>')
+        yield f'    <package name={_quoteattr(package.name)}>\n'
         for cu in package.class_units:
             attrs = f'xmi:id={_quoteattr(cu.name)} name={_quoteattr(cu.name)}'
             if cu.source_page is not None:
                 attrs += f' sourcePage={_quoteattr(cu.source_page)}'
-            lines.append(f'      <classUnit {attrs}>')
+            lines = [f'      <classUnit {attrs}>']
             for method in cu.code_elements:
                 mid = f"{cu.name}.{method.name}"
                 lines.append(f'        <methodUnit xmi:id={_quoteattr(mid)} '
@@ -272,22 +280,20 @@ def _to_xmi(model: KdmModel) -> str:
                     lines.append(f'            <codeElement {e_attrs}/>')
                 lines.append('          </blockUnit>')
                 lines.append('        </methodUnit>')
-            lines.append('      </classUnit>')
-        lines.append('    </package>')
+            lines.append('      </classUnit>\n')
+            yield "\n".join(lines)
+        yield '    </package>\n'
     # Classes outside any package (possible on hand-built models).
     packaged = {id(c) for p in model.packages for c in p.class_units}
     for cu in model.class_units:
         if id(cu) not in packaged:
-            lines.append(f'    <classUnit xmi:id={_quoteattr(cu.name)} '
-                         f'name={_quoteattr(cu.name)}/>')
+            yield (f'    <classUnit xmi:id={_quoteattr(cu.name)} '
+                   f'name={_quoteattr(cu.name)}/>\n')
     for rel in model.relationships:
-        lines.append(
-            f'    <codeRelationship xmi:id={_quoteattr(rel_ids[id(rel)])} '
-            f'from={_quoteattr(rel.from_class.name)} to={_quoteattr(rel.to_class.name)} '
-            f'kind={_quoteattr(rel.kind)} label={_quoteattr(rel.label)}/>')
-    lines.append('  </codeModel>')
-    lines.append('</kdm:Segment>')
-    return "\n".join(lines) + "\n"
+        yield (f'    <codeRelationship xmi:id={_quoteattr(rel_ids[id(rel)])} '
+               f'from={_quoteattr(rel.from_class.name)} to={_quoteattr(rel.to_class.name)} '
+               f'kind={_quoteattr(rel.kind)} label={_quoteattr(rel.label)}/>\n')
+    yield '  </codeModel>\n</kdm:Segment>\n'
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -299,8 +305,42 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
 
 
-def _to_json(model: KdmModel) -> str:
-    """``json.dumps(model.to_dict(), indent=2)``, written directly.
+def _json_array_chunks(items: Iterable[str], indent: str) -> Iterator[str]:
+    """:func:`_json_array` in pieces, one per item."""
+    sep = "\n" + indent + "  "
+    first = True
+    for item in items:
+        yield ("[" if first else ",") + sep + item
+        first = False
+    yield "[]" if first else "\n" + indent + "]"
+
+
+def _json_class(c: ClassUnit, rel_index: dict[int, str]) -> str:
+    q = encode_basestring_ascii
+    methods = []
+    for m in c.code_elements:
+        elements = []
+        for e in m.block.elements:
+            span = ("null" if e.origin_span is None else
+                    _json_array([repr(x) for x in e.origin_span], " " * 14))
+            rels = _json_array([rel_index[id(r)] for r in e.relationships], " " * 14)
+            elements.append(
+                f'{{\n              "name": {q(e.name)},\n'
+                f'              "kind": {q(e.kind)},\n'
+                f'              "origin_span": {span},\n'
+                f'              "relationships": {rels}\n            }}')
+        methods.append(
+            f'{{\n          "name": {q(m.name)},\n'
+            f'          "elements": {_json_array(elements, " " * 10)}\n        }}')
+    source_page = "null" if c.source_page is None else q(c.source_page)
+    return (f'{{\n      "name": {q(c.name)},\n'
+            f'      "source_page": {source_page},\n'
+            f'      "methods": {_json_array(methods, " " * 6)}\n    }}')
+
+
+def _json_chunks(model: KdmModel) -> Iterator[str]:
+    """``json.dumps(model.to_dict(), indent=2)`` plus a newline, in pieces:
+    the head, then one piece per class unit and one per relationship.
 
     Each object is one template carrying its depth's fixed indentation, and
     every string goes through the C-accelerated ``encode_basestring_ascii``
@@ -314,47 +354,40 @@ def _to_json(model: KdmModel) -> str:
         f'      "classes": {_json_array([q(c.name) for c in p.class_units], " " * 6)}'
         f'\n    }}'
         for p in model.packages]
-    classes = []
-    for c in model.class_units:
-        methods = []
-        for m in c.code_elements:
-            elements = []
-            for e in m.block.elements:
-                span = ("null" if e.origin_span is None else
-                        _json_array([repr(x) for x in e.origin_span], " " * 14))
-                rels = _json_array([rel_index[id(r)] for r in e.relationships], " " * 14)
-                elements.append(
-                    f'{{\n              "name": {q(e.name)},\n'
-                    f'              "kind": {q(e.kind)},\n'
-                    f'              "origin_span": {span},\n'
-                    f'              "relationships": {rels}\n            }}')
-            methods.append(
-                f'{{\n          "name": {q(m.name)},\n'
-                f'          "elements": {_json_array(elements, " " * 10)}\n        }}')
-        source_page = "null" if c.source_page is None else q(c.source_page)
-        classes.append(
-            f'{{\n      "name": {q(c.name)},\n'
-            f'      "source_page": {source_page},\n'
-            f'      "methods": {_json_array(methods, " " * 6)}\n    }}')
-    relationships = [
+    yield (f'{{\n  "name": {q(model.name)},\n'
+           f'  "packages": {_json_array(packages, "  ")},\n'
+           f'  "class_units": ')
+    yield from _json_array_chunks(
+        (_json_class(c, rel_index) for c in model.class_units), "  ")
+    yield ',\n  "relationships": '
+    yield from _json_array_chunks((
         f'{{\n      "from": {q(r.from_class.name)},\n'
         f'      "to": {q(r.to_class.name)},\n'
         f'      "kind": {q(r.kind)},\n'
         f'      "label": {q(r.label)}\n    }}'
-        for r in model.relationships]
-    return (f'{{\n  "name": {q(model.name)},\n'
-            f'  "packages": {_json_array(packages, "  ")},\n'
-            f'  "class_units": {_json_array(classes, "  ")},\n'
-            f'  "relationships": {_json_array(relationships, "  ")}\n}}\n')
+        for r in model.relationships), "  ")
+    yield "\n}\n"
 
 
-def serialize_model(model: KdmModel, format: str = "json") -> bytes:
-    """Stable bytes for a model; insertion order everywhere."""
-    if format == "json":
-        return _to_json(model).encode("utf-8")
-    if format == "xmi":
-        return _to_xmi(model).encode("utf-8")
-    raise ValueError(f"unknown serialization format: {format!r}")
+_CHUNKS = {"json": _json_chunks, "xmi": _xmi_chunks}
+
+
+def serialize_model(model: KdmModel, format: str = "json",
+                    fh: BinaryIO | None = None) -> bytes | None:
+    """Stable UTF-8 bytes for a model; insertion order everywhere.
+
+    Given a binary file ``fh``, writes them there a class unit at a time and
+    returns None, so the whole document is never held at once; otherwise
+    returns them.
+    """
+    chunks = _CHUNKS.get(format)
+    if chunks is None:
+        raise ValueError(f"unknown serialization format: {format!r}")
+    if fh is None:
+        return b"".join([chunk.encode("utf-8") for chunk in chunks(model)])
+    for chunk in chunks(model):
+        fh.write(chunk.encode("utf-8"))
+    return None
 
 
 def _text(value, where: str) -> str:

@@ -1,12 +1,14 @@
 """End-to-end orchestration over a webapp directory.
 
-Two phases: (1) parse every page, translate it to a servlet unit and discover
-the code model; (2) parse deployment metadata, extract URL references from
-the pages, resolve them, and inject the resolved page-to-page dependencies
-into the model. External targets, servlet-class targets and unresolved
-references stay in the dependency graph and the report; the model only ever
-relates class units. Per-file failures are isolated: a page that cannot be
-read, parsed or translated is reported and skipped.
+Two phases: (1) one page at a time, parse it, translate it to a servlet
+unit, extract its URL references and add its class to the code model, so
+that only one page's document and unit are alive at once; (2) parse
+deployment metadata, resolve the extracted references, and inject the
+resolved page-to-page dependencies into the model. External targets,
+servlet-class targets and unresolved references stay in the dependency graph
+and the report; the model only ever relates class units. Per-file failures
+are isolated: a page that cannot be read, parsed, translated or extracted is
+reported and skipped.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import fnmatch
 import json
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 from .code_model import (
     KdmModel,
@@ -25,7 +29,7 @@ from .code_model import (
     find_class_unit,
     serialize_model,
 )
-from .dependency_extractor import extract_url_refs
+from .dependency_extractor import UrlRef, extract_url_refs
 from .deployment_mapper import (
     ResolvedKind,
     XmlSyntaxError,
@@ -36,7 +40,7 @@ from .deployment_mapper import (
     scan_webservlet_annotations,
 )
 from .diagnostics import Diagnostic, emit
-from .jsp_parser import JspDocument, JspParseError, parse_jsp
+from .jsp_parser import JspParseError, parse_jsp
 from .servlet_translator import ServletUnit, translate_page, write_servlet_sources
 
 NODE_PAGE = "page"
@@ -106,6 +110,23 @@ def _glob_match(rel_path: str, patterns: list[str]) -> bool:
     return any(fnmatch.fnmatch(rel_path, p) for p in patterns)
 
 
+def _shown(path: str) -> str:
+    """``path`` with the bytes of a name that is not valid UTF-8 written as
+    ``\\xNN``. Such a name reaches Python with surrogate escapes, and the
+    artifacts cannot carry a lone surrogate."""
+    return path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
+def _utf8_path(path: str, diagnostics: list[Diagnostic] | None) -> bool:
+    """Whether ``path`` encodes to UTF-8, with an "io" diagnostic if not."""
+    try:
+        path.encode("utf-8")
+    except UnicodeEncodeError:
+        emit(diagnostics, "io", "file name is not valid UTF-8; skipped", _shown(path))
+        return False
+    return True
+
+
 def scan_webapp(root, include: list[str] | None = None,
                 exclude: list[str] | None = None,
                 diagnostics: list[Diagnostic] | None = None) -> WebAppInventory:
@@ -138,10 +159,14 @@ def scan_webapp(root, include: list[str] | None = None,
             if exclude and _glob_match(rel, exclude):
                 continue
             suffix = path.suffix.lower()
-            if suffix in (".jsp", ".jspf"):
-                pages.append(rel)
-            elif suffix == ".java":
+            if suffix not in (".jsp", ".jspf", ".java"):
+                continue
+            if not _utf8_path(rel, diagnostics):
+                continue
+            if suffix == ".java":
                 sources.append(rel)
+            else:
+                pages.append(rel)
     inventory.jsp_pages = sorted(pages)
     inventory.java_sources = sorted(sources)
     web_xml = root / "WEB-INF" / "web.xml"
@@ -159,47 +184,78 @@ def _read_text(path: Path, encoding: str,
         return None
 
 
+def _parse_failure(exc: Exception) -> str:
+    if isinstance(exc, JspParseError):
+        return str(exc)
+    if isinstance(exc, RecursionError):
+        # Its own text depends on the caller's stack depth, not the page.
+        return "RecursionError: maximum recursion depth exceeded"
+    return f"{type(exc).__name__}: {exc}"
+
+
+@dataclass
+class _PageLoop:
+    """Phase 1 as an iterator of servlet units, one page at a time.
+
+    Each page is read, parsed and translated, its URL references extracted
+    and its servlet source written; then its document is dropped, and its
+    unit as soon as the consumer has taken it. ``pages`` keeps what phase 2
+    needs of each page that went through: its path, its references and the
+    diagnostics their extraction made.
+    """
+
+    inventory: WebAppInventory
+    config: PipelineConfig
+    diagnostics: list[Diagnostic]
+    pages: list[tuple[str, list[UrlRef], list[Diagnostic]]] = field(default_factory=list)
+    failed: list[str] = field(default_factory=list)
+    statements: int = 0
+
+    def __iter__(self) -> Iterator[ServletUnit]:
+        # map and filter hold no item past its turn, as a for loop's
+        # variable would.
+        return filter(None, map(self._page, self.inventory.jsp_pages))
+
+    def _page(self, page: str) -> ServletUnit | None:
+        config, diagnostics = self.config, self.diagnostics
+        page_diagnostics: list[Diagnostic] = []
+        try:
+            text = _read_text(self.inventory.root / page.lstrip("/"), config.encoding,
+                              diagnostics, page)
+            if text is None:
+                self.failed.append(page)
+                return None
+            doc = parse_jsp(text, page)
+            unit = translate_page(doc, config.known_tag_handlers, diagnostics)
+            refs = extract_url_refs(doc, page_diagnostics)
+        except Exception as exc:  # any fault in one page costs only that page
+            diagnostics.extend(page_diagnostics)
+            emit(diagnostics, "parse", _parse_failure(exc), page)
+            self.failed.append(page)
+            return None
+        self.pages.append((doc.page_path, refs, page_diagnostics))
+        self.statements += len(unit.service_body)
+        if config.servlet_src_out:
+            write_servlet_sources([unit], config.servlet_src_out)
+        return unit
+
+
 def run_pipeline(inventory: WebAppInventory,
                  config: PipelineConfig | None = None,
                  diagnostics: list[Diagnostic] | None = None) -> PipelineResult:
-    """Execute parse -> translate -> discover, then extract -> resolve -> inject.
+    """Execute parse -> translate -> extract -> discover, then resolve -> inject.
 
-    ``diagnostics`` may carry pre-collected entries (e.g. from the scan);
-    the run appends to it and the report includes everything.
+    Phase 1 holds one page's document and unit at a time. ``diagnostics``
+    may carry pre-collected entries (e.g. from the scan); the run appends to
+    it and the report includes everything.
     """
     config = config or PipelineConfig()
     diagnostics = diagnostics if diagnostics is not None else []
 
     # Phase 1: pages to servlet units to code model.
-    docs: dict[str, JspDocument] = {}
-    units: list[ServletUnit] = []
-    failed_pages: list[str] = []
-    for page in inventory.jsp_pages:
-        try:
-            text = _read_text(inventory.root / page.lstrip("/"), config.encoding,
-                              diagnostics, page)
-            if text is None:
-                failed_pages.append(page)
-                continue
-            doc = parse_jsp(text, page)
-            unit = translate_page(doc, config.known_tag_handlers, diagnostics)
-        except Exception as exc:  # any fault in one page costs only that page
-            if isinstance(exc, JspParseError):
-                message = str(exc)
-            elif isinstance(exc, RecursionError):
-                # Its own text depends on the caller's stack depth, not the page.
-                message = "RecursionError: maximum recursion depth exceeded"
-            else:
-                message = f"{type(exc).__name__}: {exc}"
-            emit(diagnostics, "parse", message, page)
-            failed_pages.append(page)
-            continue
-        docs[doc.page_path] = doc
-        units.append(unit)
-    model = discover_model(units, name=inventory.root.name or "webapp")
-
-    if config.servlet_src_out:
-        write_servlet_sources(units, config.servlet_src_out)
+    loop = _PageLoop(inventory, config, diagnostics)
+    model = discover_model(loop, name=_shown(inventory.root.name) or "webapp")
+    pages = sorted(loop.pages, key=itemgetter(0))
 
     # Phase 2: deployment metadata and URL mapping table.
     decls = []
@@ -220,7 +276,8 @@ def run_pipeline(inventory: WebAppInventory,
             emit(diagnostics, "io", "source root not found", str(base))
             continue
         java_files.extend(
-            (p.as_posix(), p) for p in sorted(base.rglob("*.java")) if p.is_file())
+            (p.as_posix(), p) for p in sorted(base.rglob("*.java"))
+            if p.is_file() and _utf8_path(p.as_posix(), diagnostics))
     seen_decls: set[int] = set()
     for label, java_path in java_files:
         source = _read_text(java_path, config.encoding, diagnostics, label)
@@ -234,18 +291,19 @@ def run_pipeline(inventory: WebAppInventory,
             mappings.append((pattern, decl.servlet_name))
     table = build_lookup_table(decls, mappings, config.context_path, diagnostics)
 
-    # Phase 2 continued: extract, resolve, inject.
+    # Phase 2 continued: resolve and inject each page's references.
     graph = DependencyGraph()
-    for page in sorted(docs):
+    for page, _, _ in pages:
         graph.add_node(page, NODE_PAGE)
     known_pages = frozenset(inventory.jsp_pages)
     model_index = ModelIndex(model)
     counts = {"internal_page": 0, "internal_class": 0, "external": 0, "unresolved": 0}
     total_refs = 0
     duplicates = 0
-    for page in sorted(docs):
+    for page, refs, page_diagnostics in pages:
         caller = find_class_unit(model_index, page)
-        for ref in extract_url_refs(docs[page], diagnostics):
+        diagnostics.extend(page_diagnostics)
+        for ref in refs:
             total_refs += 1
             target = resolve_url(table, ref, page, known_pages, diagnostics)
             if target.kind is ResolvedKind.EXTERNAL:
@@ -276,9 +334,9 @@ def run_pipeline(inventory: WebAppInventory,
 
     report = {
         "pages": len(inventory.jsp_pages),
-        "pages_parsed": len(docs),
-        "pages_failed": sorted(failed_pages),
-        "statements": sum(len(u.service_body) for u in units),
+        "pages_parsed": len(pages),
+        "pages_failed": sorted(loop.failed),
+        "statements": loop.statements,
         "url_refs": total_refs,
         "resolutions": counts,
         "relationships": len(model.relationships),
@@ -334,14 +392,12 @@ def write_outputs(result: PipelineResult, out_dir, formats: list[str]) -> list[s
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
-    if "xmi" in formats:
-        path = out / "model.xmi"
-        path.write_bytes(serialize_model(result.model, "xmi"))
-        written.append(str(path))
-    if "json" in formats:
-        path = out / "model.json"
-        path.write_bytes(serialize_model(result.model, "json"))
-        written.append(str(path))
+    for fmt, name in (("xmi", "model.xmi"), ("json", "model.json")):
+        if fmt in formats:
+            path = out / name
+            with open(path, "wb") as fh:
+                serialize_model(result.model, fmt, fh)
+            written.append(str(path))
     if "dot" in formats:
         path = out / "deps.dot"
         path.write_text(emit_dot(result.graph), encoding="utf-8")

@@ -96,37 +96,46 @@ class _Translator:
         self.known_tag_handlers = known_tag_handlers
         self.unit = unit
         self.diagnostics = diagnostics
-        self._pending: list[tuple[str, Span]] = []
+        # Source runs [start, end] of the template text not yet flushed:
+        # everything emitted verbatim is a slice of the page, so adjacent
+        # emits merge into one run and the text is sliced once, at flush.
+        self._pending: list[list[int]] = []
 
     # -- emit buffering -----------------------------------------------------
 
-    def _emit(self, text: str, span: Span) -> None:
-        if text:
-            self._pending.append((text, span))
+    def _emit(self, start: int, end: int) -> None:
+        if start == end:
+            return
+        pending = self._pending
+        if pending and pending[-1][1] == start:
+            pending[-1][1] = end
+        else:
+            pending.append([start, end])
 
     def flush(self) -> None:
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return
-        text = "".join(t for t, _ in self._pending)
-        span = (self._pending[0][1][0], self._pending[-1][1][1])
+        src = self.doc.source
+        text = "".join([src[start:end] for start, end in pending])
+        span = (pending[0][0], pending[-1][1])
         self.unit.service_body.append(
             CodeStatement(StatementKind.TEMPLATE_EMIT, text, origin_span=span))
-        self._pending.clear()
+        pending.clear()
 
     def _statement(self, stmt: CodeStatement) -> None:
         self.flush()
         self.unit.service_body.append(stmt)
 
     def _emit_element(self, node: JspNode) -> None:
-        src = self.doc.source
         if node.inner_span is None:
-            self._emit(self.doc.text_of(node), node.span)
+            self._emit(*node.span)
             return
         start, end = node.span
         inner_start, inner_end = node.inner_span
-        self._emit(src[start:inner_start], (start, inner_start))
+        self._emit(start, inner_start)
         self.walk(node.children)
-        self._emit(src[inner_end:end], (inner_end, end))
+        self._emit(inner_end, end)
 
     def _diag(self, message: str, node: JspNode) -> None:
         emit(self.diagnostics, "translation", message,
@@ -140,7 +149,7 @@ class _Translator:
             if kind is NodeKind.COMMENT:
                 continue  # never reaches the client
             if kind is NodeKind.TEMPLATE_TEXT:
-                self._emit(node.body or "", node.span)
+                self._emit(*node.span)
             elif kind is NodeKind.SCRIPTLET:
                 self._statement(CodeStatement(
                     StatementKind.INLINE_CODE, node.body or "", origin_span=node.span))
@@ -158,7 +167,7 @@ class _Translator:
             elif kind is NodeKind.CUSTOM_ACTION:
                 self._custom_action(node)
             else:  # HtmlElement: flat, emitted verbatim
-                self._emit(self.doc.text_of(node), node.span)
+                self._emit(*node.span)
 
     def _directive(self, node: JspNode) -> None:
         if node.name == "page":

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import quoteattr
 
@@ -344,12 +346,17 @@ def awkward_model(rng: random.Random) -> KdmModel:
     return model
 
 
+def writer_models():
+    """The 400 models both writer tests run on."""
+    rng = random.Random(0x15011)
+    for _ in range(400):
+        yield awkward_model(rng) if rng.random() < 0.75 else random_model(rng)
+
+
 class TestWritersAgreeWithTheStdlib:
     def test_json_is_the_bytes_of_json_dumps_of_to_dict(self):
-        rng = random.Random(0x15011)
         shapes = set()
-        for _ in range(400):
-            model = awkward_model(rng) if rng.random() < 0.75 else random_model(rng)
+        for model in writer_models():
             doc = model.to_dict()
             expected = (json.dumps(doc, indent=2) + "\n").encode()
             assert serialize_model(model, "json") == expected
@@ -368,9 +375,54 @@ class TestWritersAgreeWithTheStdlib:
             ] if hit)
         assert len(shapes) == 8
 
+    def test_writing_to_a_file_gives_the_returned_bytes(self):
+        written = 0
+        for model in writer_models():
+            for fmt in ("json", "xmi"):
+                fh = io.BytesIO()
+                try:
+                    expected = serialize_model(model, fmt)
+                except UnicodeEncodeError:  # a lone surrogate has no XML form
+                    with pytest.raises(UnicodeEncodeError):
+                        serialize_model(model, fmt, fh)
+                    continue
+                assert serialize_model(model, fmt, fh) is None
+                assert fh.getvalue() == expected
+                written += 1
+        assert written > 500
+
     def test_quoteattr_matches_saxutils(self):
         rng = random.Random(0x9A7)
         alphabet = "ab&<>\"'\n\r\t é\x00"
         for _ in range(10_000):
             text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
             assert _quoteattr(text) == quoteattr(text)
+
+
+class TestWriterMemory:
+    def test_writing_a_large_model_holds_a_class_unit_at_a_time(self, tmp_path):
+        rng = random.Random(0xF11E)
+        classes = [
+            ClassUnit(f"jsp_page{i}_002ejsp", f"/page{i}.jsp", [
+                MethodUnit("_jspInit"),
+                MethodUnit("_jspService", BlockUnit([
+                    CodeElement(kind, kind, (j * 40, j * 40 + rng.randint(1, 39)))
+                    for j, kind in enumerate(rng.choices(
+                        ["TemplateEmit", "InlineCode", "ExpressionEmit"], k=60))])),
+                MethodUnit("_jspDestroy")])
+            for i in range(400)]
+        model = KdmModel("big", [PackageUnit("jsp", list(classes))], classes)
+        for a in classes[:100]:
+            add_method_call(model, a, rng.choice(classes), "a-href")
+        for fmt in ("json", "xmi"):
+            with open(tmp_path / f"model.{fmt}", "wb") as fh:
+                tracemalloc.start()
+                try:
+                    serialize_model(model, fmt, fh)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                size = fh.tell()
+            assert size > 2_000_000
+            # The whole document as pieces, one string and its bytes: about 3x.
+            assert peak < 0.25 * size, f"{fmt}: peak {peak / size:.2f}x the bytes written"

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from jspkdm import (
     serialize_model,
     write_outputs,
 )
+from jspkdm import pipeline
 from jspkdm.cli import main
 from jspkdm.pipeline import NODE_CLASS, NODE_EXTERNAL, NODE_PAGE
 from jspkdm.servlet_translator import _Translator
@@ -87,6 +89,45 @@ class TestScanWebApp:
         (root / "b.jsp").write_text("x", encoding="utf-8")
         inventory = scan_webapp(root, include=["*a.jsp"])
         assert inventory.jsp_pages == ["/a.jsp"]
+
+
+    def test_file_name_that_is_not_utf8_is_skipped(self, fixture_webapp, tmp_path):
+        # os.walk hands such a name over with surrogate escapes, which no
+        # artifact can carry; the scan skips it and says so.
+        source_root = tmp_path / "java"
+        source_root.mkdir()
+        try:
+            for directory, name in ((fixture_webapp, b"caf\xe9.jsp"),
+                                    (source_root, b"Caf\xe9.java")):
+                with open(os.path.join(os.fsencode(directory), name), "wb") as fh:
+                    fh.write(b'<a href="/index.jsp">x</a>')
+        except OSError:
+            pytest.skip("the filesystem refuses file names that are not UTF-8")
+        if "caf\udce9.jsp" not in os.listdir(fixture_webapp):
+            pytest.skip("the filesystem rewrote the file name")
+        out = tmp_path / "out"
+        code = main(["analyze", str(fixture_webapp), "--out", str(out),
+                     "--source-root", str(source_root)])
+        assert code == 1
+        for name in ("model.xmi", "model.json", "deps.dot", "report.json"):
+            assert (out / name).is_file()
+        report = json.loads((out / "report.json").read_text())
+        assert report["pages"] == 5
+        skipped = [d["location"] for d in report["diagnostics"]
+                   if d["message"] == "file name is not valid UTF-8; skipped"]
+        assert skipped == ["/caf\\xe9.jsp", source_root.as_posix() + "/Caf\\xe9.java"]
+
+    def test_root_name_that_is_not_utf8_names_the_model_readably(self, tmp_path):
+        root = os.path.join(os.fsencode(tmp_path), b"caf\xe9")
+        try:
+            os.mkdir(root)
+        except OSError:
+            pytest.skip("the filesystem refuses file names that are not UTF-8")
+        with open(os.path.join(root, b"index.jsp"), "wb") as fh:
+            fh.write(b"<p>x</p>")
+        result = run_pipeline(scan_webapp(os.fsdecode(root)))
+        assert result.model.name == "caf\\xe9"
+        assert b'name="caf\\xe9"' in serialize_model(result.model, "xmi")
 
 
 class TestRunPipeline:
@@ -214,6 +255,51 @@ class TestRunPipeline:
             ("translation", "jsp:useBean without class attribute", "/bad.jsp@0"),
             ("parse", "RuntimeError: no handler for x:tag", "/bad.jsp"),
         ]
+
+    def test_no_page_outlives_its_iteration(self, fixture_webapp, tmp_path, monkeypatch):
+        # Phase 1 holds one page's document and unit at a time: when the next
+        # page is parsed or translated, every earlier one is already freed,
+        # including those of pages that failed to parse or to translate.
+        (fixture_webapp / "broken.jsp").write_text("<% nope", encoding="utf-8")
+        (fixture_webapp / "faulty.jsp").write_text("<p>x</p><x:fail />", encoding="utf-8")
+        custom_action = _Translator._custom_action
+
+        def fail_on_x(translator, node):
+            if node.name == "x:fail":
+                raise RuntimeError("no handler")
+            custom_action(translator, node)
+
+        monkeypatch.setattr(_Translator, "_custom_action", fail_on_x)
+        docs: list[weakref.ref] = []
+        units: list[weakref.ref] = []
+        alive: list[tuple[str, int, int]] = []
+        parse_jsp, translate_page = pipeline.parse_jsp, pipeline.translate_page
+
+        def count_alive(call: str, earlier_docs: list) -> None:
+            found = (sum(r() is not None for r in earlier_docs),
+                     sum(r() is not None for r in units))
+            if any(found):
+                alive.append((call, *found))
+
+        def parse(text, page):
+            count_alive(f"parse {page}", docs)
+            doc = parse_jsp(text, page)
+            docs.append(weakref.ref(doc))
+            return doc
+
+        def translate(doc, *args):
+            count_alive(f"translate {doc.page_path}", docs[:-1])
+            unit = translate_page(doc, *args)
+            units.append(weakref.ref(unit))
+            return unit
+
+        monkeypatch.setattr(pipeline, "parse_jsp", parse)
+        monkeypatch.setattr(pipeline, "translate_page", translate)
+        config = PipelineConfig(servlet_src_out=str(tmp_path / "servlets"))
+        result = run_pipeline(scan_webapp(fixture_webapp), config)
+        assert result.report["pages_failed"] == ["/broken.jsp", "/faulty.jsp"]
+        assert (len(docs), len(units)) == (6, 5)
+        assert alive == []
 
     def test_servlet_sources_written(self, fixture_webapp, tmp_path):
         out = tmp_path / "srcgen"

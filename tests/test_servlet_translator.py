@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 
 from jspkdm import (
+    JspParseError,
     NodeKind,
     StatementKind,
     elements_of,
@@ -15,8 +17,14 @@ from jspkdm import (
     translate_page,
 )
 from jspkdm.servlet_translator import escape_java_string
-from .genjsp import generate_page, random_page_path
-from .oracles import emit_literals, strip_scripting_regions, unescape_java
+from jspkdm.jsp_parser import iter_nodes
+from .genjsp import generate_adversarial_page, generate_page, random_page_path
+from .oracles import (
+    emit_literals,
+    strip_scripting_regions,
+    translate_with_text_buffer,
+    unescape_java,
+)
 
 
 def translate(source: str, known_tag_handlers=None, diagnostics=None):
@@ -238,3 +246,45 @@ class TestRandomizedProperties:
             expected_literals = [s.text for s in unit.service_body
                                  if s.kind is StatementKind.TEMPLATE_EMIT]
             assert emit_literals(rendered) == expected_literals
+
+
+class TestRunBuffer:
+    """Template text is buffered as source runs and sliced once per flush."""
+
+    def test_statements_match_the_text_buffer(self):
+        rng = random.Random(0x5EED)
+        handlers = {"c:if": "org.example.IfTag", "c:url": "org.example.UrlTag"}
+        checked = 0
+        for i in range(2000):
+            source = generate_page(rng)[0] if i % 2 else generate_adversarial_page(rng)
+            try:
+                doc = parse_jsp(source, "/gen.jsp")
+            except JspParseError:
+                continue
+            # What makes a run exact: every verbatim text is its span's slice.
+            for node in iter_nodes(doc.nodes):
+                if node.kind is NodeKind.TEMPLATE_TEXT:
+                    assert node.body == doc.text_of(node)
+            known = handlers if i % 3 == 0 else None
+            unit = translate_page(doc, known)
+            reference = translate_with_text_buffer(doc, known)
+            assert unit.service_body == reference.service_body
+            assert unit.declarations == reference.declarations
+            checked += 1
+        assert checked > 1200
+
+    def test_flat_megabyte_page_translates_in_little_memory(self):
+        rows = [f'<tr id="r{n}"><td class="c">cell {n}</td><td>text</td></tr>'
+                f'<a href="/p{n}.jsp">link</a>\n' for n in range(12_000)]
+        source = "<html><body>\n" + "".join(rows) + "</body></html>\n"
+        assert len(source) > 1_000_000
+        doc = parse_jsp(source, "/big.jsp")
+        tracemalloc.start()
+        try:
+            unit = translate_page(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "".join(s.text for s in unit.service_body) == source
+        # A (text, span) pair per node and a slice per tag cost about 16x.
+        assert peak < 3 * len(source), f"peak {peak / len(source):.1f}x the page"
