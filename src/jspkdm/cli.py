@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .pipeline import (
+    FORMATS,
     PipelineConfig,
     RootNotFound,
     run_pipeline,
@@ -18,7 +20,9 @@ from .pipeline import (
     write_outputs,
 )
 
-_FORMATS = ("xmi", "json", "dot")
+
+def _format_list(value: str) -> list[str]:
+    return [f.strip() for f in value.split(",") if f.strip()]
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -31,13 +35,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     analyze.add_argument("webapp_root", help="web application root directory")
     analyze.add_argument("--out", default="jspkdm-out", metavar="DIR",
                          help="output directory (default: %(default)s)")
-    analyze.add_argument("--format", default=None, metavar="LIST",
+    analyze.add_argument("--format", dest="formats", type=_format_list, default=None,
+                         metavar="LIST",
                          help="comma-separated subset of xmi,json,dot "
                               "(default: all; report.json is always written)")
     analyze.add_argument("--context-path", default=None, metavar="/APP",
                          help="deployed context path to strip before matching")
-    analyze.add_argument("--source-root", action="append", default=None,
-                         metavar="DIR", help="extra directory scanned for "
+    analyze.add_argument("--source-root", dest="source_roots", action="append",
+                         default=None, metavar="DIR", help="extra directory scanned for "
                          "*.java (repeatable)")
     analyze.add_argument("--include", action="append", default=None,
                          metavar="GLOB", help="only analyze matching paths "
@@ -55,45 +60,54 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _all_str(values) -> bool:
+    return all(isinstance(v, str) for v in values)
+
+
+# The type of a setting's default -> the shape a config file's value must have.
+_SHAPES = {
+    list: ("a list of strings", lambda v: isinstance(v, list) and _all_str(v)),
+    dict: ("an object of strings", lambda v: isinstance(v, dict) and _all_str(v.values())),
+    str: ("a string", lambda v: isinstance(v, str)),
+    type(None): ("a string or null", lambda v: v is None or isinstance(v, str)),
+}
+
+
+def _checked(raw) -> dict:
+    """The settings of a config file, each of the shape of its field's default."""
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
+    defaults = vars(PipelineConfig())
+    for key, value in raw.items():
+        if key not in defaults:
+            raise ValueError(f"unknown key {key!r}")
+        shape, fits = _SHAPES[type(defaults[key])]
+        if not fits(value):
+            raise ValueError(f"{key!r} must be {shape}, not {value!r}")
+    return raw
+
+
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    config = PipelineConfig()
+    """The defaults, overlaid by the config file, overlaid by the given flags."""
+    settings = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        config.context_path = raw.get("context_path", config.context_path)
-        config.source_roots = list(raw.get("source_roots", config.source_roots))
-        config.include = list(raw.get("include", config.include))
-        config.exclude = list(raw.get("exclude", config.exclude))
-        config.formats = list(raw.get("formats", config.formats))
-        config.encoding = raw.get("encoding", config.encoding)
-        config.servlet_src_out = raw.get("servlet_src_out", config.servlet_src_out)
-        config.known_tag_handlers = dict(raw.get("known_tag_handlers",
-                                                 config.known_tag_handlers))
-    if args.context_path is not None:
-        config.context_path = args.context_path
-    if args.source_root is not None:
-        config.source_roots = list(args.source_root)
-    if args.include is not None:
-        config.include = list(args.include)
-    if args.exclude is not None:
-        config.exclude = list(args.exclude)
-    if args.format is not None:
-        config.formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    if args.encoding is not None:
-        config.encoding = args.encoding
-    if args.servlet_src_out is not None:
-        config.servlet_src_out = args.servlet_src_out
-    return config
+            settings = _checked(json.load(fh))
+    flags = vars(args)
+    for f in fields(PipelineConfig):
+        if flags.get(f.name) is not None:
+            settings[f.name] = flags[f.name]
+    return PipelineConfig(**settings)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"jspkdm: cannot load config: {exc}", file=sys.stderr)
         return 2
-    unknown = [f for f in config.formats if f not in _FORMATS]
+    unknown = [f for f in config.formats if f not in FORMATS]
     if unknown:
         print(f"jspkdm: unknown output format(s): {', '.join(unknown)}",
               file=sys.stderr)

@@ -191,28 +191,19 @@ class ModelIndex:
         self.relationships = set(model.relationships)
 
 
-def _indexed(model: KdmModel | ModelIndex) -> ModelIndex:
-    return model if isinstance(model, ModelIndex) else ModelIndex(model)
+def find_class_unit(index: ModelIndex, source_page: str) -> ClassUnit | None:
+    """The class unit of a source page, tolerant of missing "/" prefixes."""
+    return index.classes.get(normalize_page_path(source_page))
 
 
-def find_class_unit(model: KdmModel | ModelIndex, source_page: str) -> ClassUnit | None:
-    """The class unit of a source page, tolerant of missing "/" prefixes.
-
-    Given a model rather than a :class:`ModelIndex`, indexes it afresh.
-    """
-    return _indexed(model).classes.get(normalize_page_path(source_page))
-
-
-def add_method_call(model: KdmModel | ModelIndex, caller: ClassUnit, target: ClassUnit,
+def add_method_call(index: ModelIndex, caller: ClassUnit, target: ClassUnit,
                     kind: str) -> MutationReport:
     """Record that ``caller``'s service method reaches ``target``.
 
     Appends a "newCall" element to the caller's service block carrying a new
     relationship, and registers the relationship model-wide. A repeated
     (from, to, kind) triple is reported as a duplicate and changes nothing.
-    Given a model rather than a :class:`ModelIndex`, indexes it afresh.
     """
-    index = _indexed(model)
     if caller not in index.members or target not in index.members:
         raise ValueError("caller and target must belong to the model")
     rel = CodeRelationship(from_class=caller, to_class=target, kind=kind)
@@ -296,23 +287,21 @@ def _xmi_chunks(model: KdmModel) -> Iterator[str]:
     yield '  </codeModel>\n</kdm:Segment>\n'
 
 
-def _json_array(items: list[str], indent: str) -> str:
-    """A JSON array of rendered items, laid out as ``json.dumps(indent=2)``
-    lays it out when the array's key sits at ``indent``."""
-    if not items:
-        return "[]"
-    sep = "\n" + indent + "  "
-    return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
-
-
 def _json_array_chunks(items: Iterable[str], indent: str) -> Iterator[str]:
-    """:func:`_json_array` in pieces, one per item."""
+    """A JSON array of rendered items in pieces, one per item, laid out as
+    ``json.dumps(indent=2)`` lays it out when the array's key sits at
+    ``indent``."""
     sep = "\n" + indent + "  "
     first = True
     for item in items:
         yield ("[" if first else ",") + sep + item
         first = False
     yield "[]" if first else "\n" + indent + "]"
+
+
+def _json_array(items: Iterable[str], indent: str) -> str:
+    """:func:`_json_array_chunks` in one string."""
+    return "".join(_json_array_chunks(items, indent))
 
 
 def _json_class(c: ClassUnit, rel_index: dict[int, str]) -> str:
@@ -403,15 +392,13 @@ def _index(value, where: str) -> int:
     return value
 
 
-def deserialize_model(data: bytes, format: str = "json") -> KdmModel:
+def deserialize_model(data: bytes) -> KdmModel:
     """Rebuild a model from its JSON serialization.
 
     Names, spans and relationship indexes of the wrong type raise
     ``ValueError``: the writer emits them as they are, so a model read from
     such a file would serialize to invalid JSON.
     """
-    if format != "json":
-        raise ValueError("only the json format deserializes")
     doc = json.loads(data.decode("utf-8"))
     classes: list[ClassUnit] = []
     by_name: dict[str, ClassUnit] = {}

@@ -39,7 +39,7 @@ class ServletDecl:
 class UrlMappingTable:
     """Mapping entries in table order, compiled into the container's buckets.
 
-    On construction the entries are indexed the way a container's mapper
+    Each entry is indexed as it is added, the way a container's mapper
     holds them: ``exact`` by pattern, ``prefix`` by base ("/a" for "/a/*",
     "" for "/*"), ``extension`` by extension ("jsp" for "*.jsp"), and
     ``default`` for "/". Each bucket stores the entry's index, and the first
@@ -47,7 +47,7 @@ class UrlMappingTable:
     not change ``entries`` or ``decls`` otherwise.
     """
 
-    entries: list[tuple[str, str]] = field(default_factory=list)
+    entries: list[tuple[str, str]] = field(default_factory=list, init=False)
     decls: list[ServletDecl] = field(default_factory=list)
     context_path: str = ""
 
@@ -59,8 +59,6 @@ class UrlMappingTable:
         self.prefix: dict[str, int] = {}
         self.extension: dict[str, int] = {}
         self.default: int | None = None
-        for index in range(len(self.entries)):
-            self._index(index)
 
     def _index(self, index: int) -> None:
         """Put ``entries[index]`` into its bucket."""

@@ -63,11 +63,8 @@ class WebAppInventory:
 @dataclass
 class DependencyGraph:
     nodes: dict[str, str] = field(default_factory=dict)  # id -> node kind
-    edges: list[tuple[str, str, str]] = field(default_factory=list)
+    edges: set[tuple[str, str, str]] = field(default_factory=set)  # readers sort
     unresolved: list[tuple[str, str, str]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._edge_set = set(self.edges)
 
     def add_node(self, node_id: str, kind: str) -> None:
         self.nodes.setdefault(node_id, kind)
@@ -77,11 +74,13 @@ class DependencyGraph:
         self.add_node(src, NODE_PAGE)
         self.add_node(dst, dst_kind)
         edge = (src, dst, tag_kind)
-        if edge in self._edge_set:
+        if edge in self.edges:
             return False
-        self._edge_set.add(edge)
-        self.edges.append(edge)
+        self.edges.add(edge)
         return True
+
+
+FORMATS = ("xmi", "json", "dot")
 
 
 @dataclass
@@ -90,7 +89,7 @@ class PipelineConfig:
     source_roots: list[str] = field(default_factory=list)
     include: list[str] = field(default_factory=list)
     exclude: list[str] = field(default_factory=list)
-    formats: list[str] = field(default_factory=lambda: ["xmi", "json", "dot"])
+    formats: list[str] = field(default_factory=lambda: list(FORMATS))
     encoding: str = "utf-8"
     servlet_src_out: str | None = None
     known_tag_handlers: dict[str, str] = field(default_factory=dict)
@@ -165,6 +164,10 @@ def scan_webapp(root, include: list[str] | None = None,
                 continue
             if suffix == ".java":
                 sources.append(rel)
+            elif "\\" in rel:
+                # normalize_page_path reads a backslash as "/", so the name could
+                # collide with another page's; no container serves it anyway.
+                emit(diagnostics, "io", "page name contains a backslash; skipped", rel)
             else:
                 pages.append(rel)
     inventory.jsp_pages = sorted(pages)
@@ -297,14 +300,12 @@ def run_pipeline(inventory: WebAppInventory,
         graph.add_node(page, NODE_PAGE)
     known_pages = frozenset(inventory.jsp_pages)
     model_index = ModelIndex(model)
-    counts = {"internal_page": 0, "internal_class": 0, "external": 0, "unresolved": 0}
-    total_refs = 0
+    counts = {"internal_page": 0, "internal_class": 0, "external": 0}
     duplicates = 0
     for page, refs, page_diagnostics in pages:
         caller = find_class_unit(model_index, page)
         diagnostics.extend(page_diagnostics)
         for ref in refs:
-            total_refs += 1
             target = resolve_url(table, ref, page, known_pages, diagnostics)
             if target.kind is ResolvedKind.EXTERNAL:
                 counts["external"] += 1
@@ -315,7 +316,6 @@ def run_pipeline(inventory: WebAppInventory,
             elif target.kind is ResolvedKind.INTERNAL_PAGE:
                 target_unit = find_class_unit(model_index, target.page_path)
                 if target_unit is None or caller is None:
-                    counts["unresolved"] += 1
                     graph.unresolved.append(
                         (page, ref.raw_url, "target-page-not-in-model"))
                     continue
@@ -329,15 +329,15 @@ def run_pipeline(inventory: WebAppInventory,
                     emit(diagnostics, "model",
                          f"cannot inject dependency: {outcome.reason}", page)
             else:
-                counts["unresolved"] += 1
                 graph.unresolved.append((page, ref.raw_url, target.reason or "unknown"))
 
+    counts["unresolved"] = len(graph.unresolved)
     report = {
         "pages": len(inventory.jsp_pages),
         "pages_parsed": len(pages),
         "pages_failed": sorted(loop.failed),
         "statements": loop.statements,
-        "url_refs": total_refs,
+        "url_refs": sum(counts.values()),
         "resolutions": counts,
         "relationships": len(model.relationships),
         "duplicate_refs": duplicates,

@@ -18,6 +18,7 @@ from jspkdm import (
     ClassUnit,
     KdmModel,
     MethodUnit,
+    ModelIndex,
     NodeKind,
     PackageUnit,
     ResolvedKind,
@@ -154,13 +155,13 @@ def test_criterion_5_call_injection_semantics():
         a, b = model.class_units
         block = a.method("_jspService").block
         elements_before = len(block.elements)
-        report = add_method_call(model, a, b, "jsp:include")
+        report = add_method_call(ModelIndex(model), a, b, "jsp:include")
         assert report.status == "added"
         assert len(model.relationships) == 1
         new_elements = block.elements[elements_before:]
         assert len(new_elements) == 1 and new_elements[0].name == "newCall"
 
-        repeat = add_method_call(model, a, b, "jsp:include")
+        repeat = add_method_call(ModelIndex(model), a, b, "jsp:include")
         assert repeat.status == "duplicate"
         assert len(model.relationships) == 1
         assert len(block.elements) == elements_before + 1
@@ -170,7 +171,7 @@ def test_criterion_5_call_injection_semantics():
         model2 = KdmModel("m", packages=[PackageUnit("jsp", [orphan, a])],
                           class_units=[orphan, a])
         snapshot = len(model2.relationships)
-        failed = add_method_call(model2, orphan, a, "form")
+        failed = add_method_call(ModelIndex(model2), orphan, a, "form")
         assert failed.status == "error"
         assert len(model2.relationships) == snapshot
         assert len(orphan.code_elements[0].block.elements) == 0

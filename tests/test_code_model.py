@@ -19,6 +19,7 @@ from jspkdm import (
     DuplicateClassName,
     KdmModel,
     MethodUnit,
+    ModelIndex,
     PackageUnit,
     add_method_call,
     deserialize_model,
@@ -73,11 +74,11 @@ class TestDiscovery:
 class TestFindClassUnit:
     def test_exact_match(self):
         model = two_class_model()
-        cu = find_class_unit(model, "/a.jsp")
+        cu = find_class_unit(ModelIndex(model), "/a.jsp")
         assert cu is not None and cu.source_page == "/a.jsp"
 
     def test_missing_page(self):
-        assert find_class_unit(two_class_model(), "/missing.jsp") is None
+        assert find_class_unit(ModelIndex(two_class_model()), "/missing.jsp") is None
 
     def test_normalization(self):
         model = two_class_model()
@@ -87,7 +88,8 @@ class TestFindClassUnit:
             while "//" in normalized:
                 normalized = normalized.replace("//", "/")
             assert normalized == "/a.jsp"
-            assert find_class_unit(model, raw) is find_class_unit(model, "/a.jsp")
+            assert (find_class_unit(ModelIndex(model), raw)
+                    is find_class_unit(ModelIndex(model), "/a.jsp"))
 
 
 class TestAddMethodCall:
@@ -96,7 +98,7 @@ class TestAddMethodCall:
         a, b = model.class_units
         block = a.method("_jspService").block
         n_elements = len(block.elements)
-        report = add_method_call(model, a, b, "jsp:include")
+        report = add_method_call(ModelIndex(model), a, b, "jsp:include")
         assert report.status == "added"
         assert len(model.relationships) == 1
         assert len(block.elements) == n_elements + 1
@@ -110,10 +112,10 @@ class TestAddMethodCall:
     def test_repeat_is_reported_duplicate(self):
         model = two_class_model()
         a, b = model.class_units
-        add_method_call(model, a, b, "jsp:include")
+        add_method_call(ModelIndex(model), a, b, "jsp:include")
         before = len(model.relationships)
         block_len = len(a.method("_jspService").block.elements)
-        report = add_method_call(model, a, b, "jsp:include")
+        report = add_method_call(ModelIndex(model), a, b, "jsp:include")
         assert report.status == "duplicate"
         assert len(model.relationships) == before
         assert len(a.method("_jspService").block.elements) == block_len
@@ -121,15 +123,15 @@ class TestAddMethodCall:
     def test_different_kind_is_a_new_relationship(self):
         model = two_class_model()
         a, b = model.class_units
-        add_method_call(model, a, b, "jsp:include")
-        report = add_method_call(model, a, b, "a-href")
+        add_method_call(ModelIndex(model), a, b, "jsp:include")
+        report = add_method_call(ModelIndex(model), a, b, "a-href")
         assert report.status == "added"
         assert len(model.relationships) == 2
 
     def test_self_reference_allowed(self):
         model = two_class_model()
         a = model.class_units[0]
-        report = add_method_call(model, a, a, "a-href")
+        report = add_method_call(ModelIndex(model), a, a, "a-href")
         assert report.status == "added"
         rel = model.relationships[0]
         assert rel.from_class is rel.to_class is a
@@ -141,7 +143,7 @@ class TestAddMethodCall:
             MethodUnit("_jspService", BlockUnit())])
         model = KdmModel(name="m", packages=[PackageUnit("jsp", [orphan, target])],
                          class_units=[orphan, target])
-        report = add_method_call(model, orphan, target, "form")
+        report = add_method_call(ModelIndex(model), orphan, target, "form")
         assert report.status == "error"
         assert report.reason == "MissingServiceMethod"
         assert model.relationships == []
@@ -150,7 +152,7 @@ class TestAddMethodCall:
         model = two_class_model()
         stranger = ClassUnit(name="x")
         with pytest.raises(ValueError):
-            add_method_call(model, model.class_units[0], stranger, "form")
+            add_method_call(ModelIndex(model), model.class_units[0], stranger, "form")
 
     def test_referential_integrity_after_random_mutations(self):
         rng = random.Random(99)
@@ -160,7 +162,8 @@ class TestAddMethodCall:
             a = rng.choice(model.class_units)
             b = rng.choice(model.class_units)
             before = len(model.relationships)
-            report = add_method_call(model, a, b, rng.choice(["a-href", "form"]))
+            report = add_method_call(ModelIndex(model), a, b,
+                                     rng.choice(["a-href", "form"]))
             delta = len(model.relationships) - before
             assert delta in (0, 1)
             assert (report.status == "added") == (delta == 1)
@@ -188,7 +191,7 @@ class TestSerialization:
     def test_xmi_relationship_ids_resolve(self):
         model = two_class_model()
         a, b = model.class_units
-        add_method_call(model, a, b, "jsp:forward")
+        add_method_call(ModelIndex(model), a, b, "jsp:forward")
         root = ET.fromstring(serialize_model(model, "xmi"))
         xmi = "{http://www.omg.org/XMI}"
         class_ids = {el.attrib[xmi + "id"] for el in root.iter()
@@ -235,7 +238,7 @@ class TestSerialization:
     def test_ill_typed_document_rejected(self, path, value):
         model = two_class_model()
         a, b = model.class_units
-        add_method_call(model, a, b, "a-href")
+        add_method_call(ModelIndex(model), a, b, "a-href")
         doc = json.loads(serialize_model(model, "json"))
         service = doc["class_units"][0]["methods"][1]["elements"]
         assert service[0]["origin_span"] is not None and service[1]["relationships"] == [0]
@@ -413,7 +416,7 @@ class TestWriterMemory:
             for i in range(400)]
         model = KdmModel("big", [PackageUnit("jsp", list(classes))], classes)
         for a in classes[:100]:
-            add_method_call(model, a, rng.choice(classes), "a-href")
+            add_method_call(ModelIndex(model), a, rng.choice(classes), "a-href")
         for fmt in ("json", "xmi"):
             with open(tmp_path / f"model.{fmt}", "wb") as fh:
                 tracemalloc.start()

@@ -117,6 +117,29 @@ class TestScanWebApp:
                    if d["message"] == "file name is not valid UTF-8; skipped"]
         assert skipped == ["/caf\\xe9.jsp", source_root.as_posix() + "/Caf\\xe9.java"]
 
+    def test_page_name_with_a_backslash_is_skipped(self, tmp_path):
+        # A page named a\b.jsp would model as /a/b.jsp, the path of the real page.
+        root = tmp_path / "app"
+        (root / "a").mkdir(parents=True)
+        (root / "a" / "b.jsp").write_text('<a href="/index.jsp">x</a>', encoding="utf-8")
+        try:
+            (root / "a\\b.jsp").write_text("<p>other</p>", encoding="utf-8")
+        except OSError:
+            pytest.skip("the filesystem refuses a backslash in a file name")
+        if "a\\b.jsp" not in os.listdir(root):
+            pytest.skip("the filesystem rewrote the file name")
+        out = tmp_path / "out"
+        assert main(["analyze", str(root), "--out", str(out)]) == 1
+        for name in ("model.xmi", "model.json", "deps.dot", "report.json"):
+            assert (out / name).is_file()
+        report = json.loads((out / "report.json").read_text())
+        assert (report["pages"], report["pages_parsed"]) == (1, 1)
+        assert [(d["category"], d["message"], d["location"]) for d in report["diagnostics"]
+                if d["category"] == "io"] == [
+            ("io", "page name contains a backslash; skipped", "/a\\b.jsp")]
+        model = json.loads((out / "model.json").read_text())
+        assert [c["source_page"] for c in model["class_units"]] == ["/a/b.jsp"]
+
     def test_root_name_that_is_not_utf8_names_the_model_readably(self, tmp_path):
         root = os.path.join(os.fsencode(tmp_path), b"caf\xe9")
         try:
@@ -155,8 +178,8 @@ class TestRunPipeline:
                                     encoding="utf-8")
         result = run_pipeline(scan_webapp(root))
         assert result.model.relationships == []
-        assert result.graph.edges == [
-            ("/a.jsp", "https://www.uqam.ca", "a-href")]
+        assert result.graph.edges == {
+            ("/a.jsp", "https://www.uqam.ca", "a-href")}
         assert result.graph.nodes["https://www.uqam.ca"] == NODE_EXTERNAL
 
     def test_fixture_webapp_hand_trace(self, fixture_webapp):
@@ -301,6 +324,34 @@ class TestRunPipeline:
         assert (len(docs), len(units)) == (6, 5)
         assert alive == []
 
+    def test_ill_formed_web_xml_leaves_the_annotations_mapped(self, fixture_webapp):
+        (fixture_webapp / "WEB-INF" / "web.xml").write_text("<web-app><servlet>",
+                                                           encoding="utf-8")
+        result = run_pipeline(scan_webapp(fixture_webapp))
+        assert [(d.category, d.location) for d in result.diagnostics] == [
+            ("web-xml", "/WEB-INF/web.xml")]
+        assert ("/index.jsp", "com.example.SearchServlet", "form") in result.graph.edges
+        assert result.report["resolutions"]["internal_class"] == 1
+
+    def test_missing_source_root_is_reported(self, fixture_webapp, tmp_path):
+        missing = tmp_path / "no-such-dir"
+        result = run_pipeline(scan_webapp(fixture_webapp),
+                              PipelineConfig(source_roots=[str(missing)]))
+        assert [d.to_dict() for d in result.diagnostics] == [
+            {"category": "io", "message": "source root not found",
+             "location": str(missing)}]
+
+    def test_page_that_is_not_utf8_fails_alone(self, fixture_webapp):
+        (fixture_webapp / "latin1.jsp").write_bytes(b"<p>caf\xe9</p>")
+        result = run_pipeline(scan_webapp(fixture_webapp))
+        (diagnostic,) = result.diagnostics
+        assert (diagnostic.category, diagnostic.location) == (
+            "io", str(fixture_webapp / "latin1.jsp"))
+        assert diagnostic.message.startswith("cannot read /latin1.jsp: ")
+        assert result.report["pages_failed"] == ["/latin1.jsp"]
+        assert result.report["pages_parsed"] == 5
+        assert model_edge_set(result.model) == FIXTURE_MODEL_EDGES
+
     def test_servlet_sources_written(self, fixture_webapp, tmp_path):
         out = tmp_path / "srcgen"
         config = PipelineConfig(servlet_src_out=str(out))
@@ -414,6 +465,26 @@ class TestCli:
         assert report["pages"] == 4
         # the excluded page's class is gone, so the forward lands unresolved
         assert report["resolutions"]["unresolved"] == 2
+
+    @pytest.mark.parametrize("config", [
+        ["formats", "json"],
+        {"include": "/a.jsp"},
+        {"source_root": [".."]},
+        {"known_tag_handlers": ["c:x"]},
+    ])
+    def test_malformed_config_file_is_exit_2(self, fixture_webapp, tmp_path, capsys,
+                                             config):
+        config_file = tmp_path / "conf.json"
+        config_file.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["analyze", str(fixture_webapp), "--out", str(out),
+                     "--config", str(config_file)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("jspkdm: cannot load config: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_servlet_src_out_flag(self, fixture_webapp, tmp_path):
         out_dir = tmp_path / "out"

@@ -6,6 +6,8 @@ import random
 import re
 import tracemalloc
 
+import pytest
+
 from jspkdm import (
     JspParseError,
     NodeKind,
@@ -34,6 +36,15 @@ def translate(source: str, known_tag_handlers=None, diagnostics=None):
 def emitted_text(unit) -> str:
     return "".join(s.text for s in unit.service_body
                    if s.kind is StatementKind.TEMPLATE_EMIT)
+
+
+def service_lines(unit) -> list[str]:
+    """The rendered lines of ``_jspService`` between its prologue and
+    ``out.close();``, without their indentation."""
+    lines = render_servlet_source(unit).splitlines()
+    start = lines.index("        ServletOutputStream out = response.getOutputStream();")
+    end = lines.index("        out.close();")
+    return [line.strip() for line in lines[start + 1:end]]
 
 
 class TestRuleMapping:
@@ -216,6 +227,42 @@ class TestRendering:
     def test_render_deterministic(self, powers_page):
         unit = translate_page(parse_jsp(powers_page, "/powers.jsp"))
         assert render_servlet_source(unit) == render_servlet_source(unit)
+
+    @pytest.mark.parametrize("action, line", [
+        ('<jsp:useBean id="cart" class="shop.Cart" scope="session"/>',
+         "shop.Cart cart = new shop.Cart();"),
+        ('<jsp:getProperty name="cart" property="total"/>',
+         "out.print(cart.getTotal());"),
+        ('<jsp:setProperty name="cart" property="*"/>',
+         '// jsp:setProperty property="*" on cart'),
+        ('<jsp:setProperty name="cart" property="owner" value="<%= user.getName() %>"/>',
+         "cart.setOwner(user.getName());"),
+        ("<jsp:setProperty name=\"cart\" property=\"note\" value='say \"hi\"'/>",
+         'cart.setNote("say \\"hi\\"");'),
+        ('<jsp:setProperty name="cart" property="count" param="n"/>',
+         'cart.setCount(request.getParameter("n"));'),
+        ('<jsp:setProperty name="cart" property="size"/>',
+         'cart.setSize(request.getParameter("size"));'),
+        ('<c:redirect url="/x.jsp"/>',
+         "// custom tag c:redirect -> org.example.RedirectTag "
+         "(setAttribute/doStartTag/doEndTag)"),
+    ])
+    def test_action_renders_as(self, action, line):
+        unit = translate(action, {"c:redirect": "org.example.RedirectTag"})
+        assert service_lines(unit) == [line]
+
+    @pytest.mark.parametrize("action, line, name", [
+        ('<jsp:getProperty name="cart"/>',
+         'out.print("<jsp:getProperty name=\\"cart\\"/>");', "jsp:getProperty"),
+        ('<jsp:setProperty property="size"/>',
+         'out.print("<jsp:setProperty property=\\"size\\"/>");', "jsp:setProperty"),
+    ])
+    def test_property_action_without_name_or_property_is_emitted(self, action, line, name):
+        diagnostics = []
+        unit = translate(action, diagnostics=diagnostics)
+        assert service_lines(unit) == [line]
+        assert [(d.category, d.message, d.location) for d in diagnostics] == [
+            ("translation", f"{name} missing name/property attribute", "/p.jsp@0")]
 
 
 class TestRandomizedProperties:
