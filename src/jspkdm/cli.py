@@ -112,6 +112,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"jspkdm: unknown output format(s): {', '.join(unknown)}",
               file=sys.stderr)
         return 2
+    try:
+        # Unlike codecs.lookup, this also refuses a codec that is not a text
+        # encoding ("rot13"); a name with a NUL raises ValueError.
+        "".encode(config.encoding)
+    except (LookupError, ValueError):
+        print(f"jspkdm: unknown encoding: {config.encoding}", file=sys.stderr)
+        return 2
     scan_diagnostics: list = []
     try:
         inventory = scan_webapp(args.webapp_root, config.include, config.exclude,

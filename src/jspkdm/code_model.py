@@ -392,12 +392,21 @@ def _index(value, where: str) -> int:
     return value
 
 
+def _target(items, key, where: str):
+    """``items[key]``; a key that names nothing there raises ``ValueError``."""
+    try:
+        return items[key]
+    except (KeyError, IndexError, TypeError):
+        raise ValueError(f"{where} {key!r} names nothing") from None
+
+
 def deserialize_model(data: bytes) -> KdmModel:
     """Rebuild a model from its JSON serialization.
 
     Names, spans and relationship indexes of the wrong type raise
     ``ValueError``: the writer emits them as they are, so a model read from
-    such a file would serialize to invalid JSON.
+    such a file would serialize to invalid JSON. So do references to a class
+    or relationship that the document does not hold.
     """
     doc = json.loads(data.decode("utf-8"))
     classes: list[ClassUnit] = []
@@ -427,15 +436,18 @@ def deserialize_model(data: bytes) -> KdmModel:
         classes.append(cu)
         by_name[cu.name] = cu
     relationships = [
-        CodeRelationship(by_name[rdoc["from"]], by_name[rdoc["to"]],
+        CodeRelationship(_target(by_name, rdoc["from"], "relationship from"),
+                         _target(by_name, rdoc["to"], "relationship to"),
                          _text(rdoc["kind"], "relationship kind"),
                          _text(rdoc["label"], "relationship label"))
         for rdoc in doc["relationships"]
     ]
     for element, indices in pending:
-        element.relationships = tuple([relationships[i] for i in indices])
+        element.relationships = tuple([_target(relationships, i, "relationship index")
+                                       for i in indices])
     packages = [
-        PackageUnit(_text(pdoc["name"], "package name"), [by_name[n] for n in pdoc["classes"]])
+        PackageUnit(_text(pdoc["name"], "package name"),
+                    [_target(by_name, n, "package class") for n in pdoc["classes"]])
         for pdoc in doc["packages"]
     ]
     return KdmModel(name=_text(doc["name"], "model name"), packages=packages,

@@ -37,17 +37,16 @@ class ServletDecl:
 
 @dataclass
 class UrlMappingTable:
-    """Mapping entries in table order, compiled into the container's buckets.
+    """Mapping entries in table order, with ``index`` from pattern to position.
 
-    Each entry is indexed as it is added, the way a container's mapper
-    holds them: ``exact`` by pattern, ``prefix`` by base ("/a" for "/a/*",
-    "" for "/*"), ``extension`` by extension ("jsp" for "*.jsp"), and
-    ``default`` for "/". Each bucket stores the entry's index, and the first
-    entry wins a repeated key. :func:`build_lookup_table` builds tables; do
-    not change ``entries`` or ``decls`` otherwise.
+    A valid pattern is its own lookup key, so :func:`resolve_url` builds the
+    patterns that could match a path and looks each one up in ``index``.
+    :func:`build_lookup_table` builds tables; do not change ``entries``,
+    ``index`` or ``decls`` otherwise.
     """
 
     entries: list[tuple[str, str]] = field(default_factory=list, init=False)
+    index: dict[str, int] = field(default_factory=dict, init=False)
     decls: list[ServletDecl] = field(default_factory=list)
     context_path: str = ""
 
@@ -55,23 +54,6 @@ class UrlMappingTable:
         self._decls_by_name: dict[str, ServletDecl] = {}
         for decl in self.decls:
             self._decls_by_name.setdefault(decl.servlet_name, decl)
-        self.exact: dict[str, int] = {}
-        self.prefix: dict[str, int] = {}
-        self.extension: dict[str, int] = {}
-        self.default: int | None = None
-
-    def _index(self, index: int) -> None:
-        """Put ``entries[index]`` into its bucket."""
-        pattern = self.entries[index][0]
-        shape = classify_pattern(pattern)
-        if shape == PATTERN_EXACT:
-            self.exact.setdefault(pattern, index)
-        elif shape == PATTERN_PREFIX:
-            self.prefix.setdefault(pattern[:-2], index)
-        elif shape == PATTERN_EXTENSION:
-            self.extension.setdefault(pattern[2:], index)
-        elif shape == PATTERN_DEFAULT and self.default is None:
-            self.default = index
 
     def decl_for(self, servlet_name: str) -> ServletDecl | None:
         """The first declaration of ``servlet_name``."""
@@ -303,7 +285,6 @@ def build_lookup_table(decls: list[ServletDecl],
     over an annotation one; the shadowed mapping is recorded.
     """
     table = UrlMappingTable(context_path=context_path, decls=list(decls))
-    chosen: dict[str, int] = {}  # pattern -> index into table.entries
     for pattern, servlet_name in mappings:
         decl = table.decl_for(servlet_name)
         if decl is None:
@@ -315,24 +296,22 @@ def build_lookup_table(decls: list[ServletDecl],
             emit(diagnostics, "mapping",
                  f"invalid url-pattern {pattern!r} for servlet {servlet_name!r}; dropped")
             continue
-        if pattern in chosen:
-            index = chosen[pattern]
-            _, current_name = table.entries[index]
-            current = table.decl_for(current_name)
-            if (current is not None and current.source == SOURCE_ANNOTATION
-                    and decl.source == SOURCE_WEB_XML):
-                emit(diagnostics, "mapping",
-                     f"pattern {pattern!r}: web.xml servlet {servlet_name!r} "
-                     f"shadows annotation servlet {current_name!r}")
-                table.entries[index] = (pattern, servlet_name)
-            else:
-                emit(diagnostics, "mapping",
-                     f"pattern {pattern!r} already mapped to {current_name!r}; "
-                     f"{servlet_name!r} shadowed")
+        if pattern not in table.index:
+            table.index[pattern] = len(table.entries)
+            table.entries.append((pattern, servlet_name))
             continue
-        chosen[pattern] = len(table.entries)
-        table.entries.append((pattern, servlet_name))
-        table._index(chosen[pattern])
+        position = table.index[pattern]
+        _, current_name = table.entries[position]
+        if (table.decl_for(current_name).source == SOURCE_ANNOTATION
+                and decl.source == SOURCE_WEB_XML):
+            emit(diagnostics, "mapping",
+                 f"pattern {pattern!r}: web.xml servlet {servlet_name!r} "
+                 f"shadows annotation servlet {current_name!r}")
+            table.entries[position] = (pattern, servlet_name)
+        else:
+            emit(diagnostics, "mapping",
+                 f"pattern {pattern!r} already mapped to {current_name!r}; "
+                 f"{servlet_name!r} shadowed")
     return table
 
 
@@ -403,19 +382,20 @@ def resolve_url(table: UrlMappingTable, ref: UrlRef, source_page: str,
     ctx = table.context_path.rstrip("/")
     if ctx and (path == ctx or path.startswith(ctx + "/")):
         path = path[len(ctx):] or "/"
-    # Probe the buckets in precedence order, so the first hit wins: exact,
-    # prefix bases from the longest ("/a/b", "/a", then "" for "/*"), the
-    # last segment's extension, default.
-    probes = [table.exact.get(path)]
+    # Look up the patterns that could match, in precedence order, so the
+    # first hit wins: the path itself as an exact pattern, the prefixes from
+    # the longest ("/a/b/*", "/a/*", then "/*"), the last segment's
+    # extension, then the default "/". A path with a "*" is no exact pattern.
+    probes = [path] if path != "/" and "*" not in path else []
     cut = len(path)
     while cut >= 0:
-        probes.append(table.prefix.get(path[:cut]))
+        probes.append(path[:cut] + "/*")
         cut = path.rfind("/", 0, cut)
     dot = path.rfind(".")
     if dot > path.rfind("/"):
-        probes.append(table.extension.get(path[dot + 1:]))
-    probes.append(table.default)
-    hits = [index for index in probes if index is not None]
+        probes.append("*" + path[dot:])
+    probes.append("/")
+    hits = [table.index[p] for p in probes if p in table.index]
     if hits:
         pattern, servlet_name = table.entries[hits[0]]
         if len(hits) > 1:
@@ -423,9 +403,9 @@ def resolve_url(table: UrlMappingTable, ref: UrlRef, source_page: str,
             emit(diagnostics, "resolution",
                  f"pattern {pattern!r} wins over {shadowed}", where)
         decl = table.decl_for(servlet_name)
-        if decl is not None and decl.jsp_file:
+        if decl.jsp_file:
             return ResolvedTarget(ResolvedKind.INTERNAL_PAGE, page_path=decl.jsp_file)
-        if decl is not None and decl.servlet_class:
+        if decl.servlet_class:
             return ResolvedTarget(ResolvedKind.INTERNAL_SERVLET_CLASS,
                                   class_name=decl.servlet_class)
     if path in known_pages:

@@ -182,9 +182,11 @@ def _read_text(path: Path, encoding: str,
                diagnostics: list[Diagnostic], what: str) -> str | None:
     try:
         return path.read_text(encoding=encoding)
-    except (OSError, UnicodeDecodeError) as exc:
-        emit(diagnostics, "io", f"cannot read {what}: {exc}", str(path))
-        return None
+    except OSError as exc:
+        emit(diagnostics, "io", f"cannot read {what}: {exc.strerror}", what)
+    except UnicodeDecodeError as exc:
+        emit(diagnostics, "io", f"cannot read {what}: {exc}", what)
+    return None
 
 
 def _parse_failure(exc: Exception) -> str:
@@ -268,7 +270,7 @@ def run_pipeline(inventory: WebAppInventory,
             raw = (inventory.root / inventory.web_xml.lstrip("/")).read_bytes()
             decls, mappings = parse_web_xml(raw, diagnostics)
         except OSError as exc:
-            emit(diagnostics, "io", f"cannot read web.xml: {exc}", inventory.web_xml)
+            emit(diagnostics, "io", f"cannot read web.xml: {exc.strerror}", inventory.web_xml)
         except XmlSyntaxError as exc:
             emit(diagnostics, "web-xml", str(exc), inventory.web_xml)
     java_files: list[tuple[str, Path]] = [
@@ -281,16 +283,13 @@ def run_pipeline(inventory: WebAppInventory,
         java_files.extend(
             (p.as_posix(), p) for p in sorted(base.rglob("*.java"))
             if p.is_file() and _utf8_path(p.as_posix(), diagnostics))
-    seen_decls: set[int] = set()
     for label, java_path in java_files:
         source = _read_text(java_path, config.encoding, diagnostics, label)
         if source is None:
             continue
         qualified = java_qualified_class_name(source, java_path.stem)
         for pattern, decl in scan_webservlet_annotations(source, qualified, diagnostics):
-            if id(decl) not in seen_decls:
-                seen_decls.add(id(decl))
-                decls.append(decl)
+            decls.append(decl)
             mappings.append((pattern, decl.servlet_name))
     table = build_lookup_table(decls, mappings, config.context_path, diagnostics)
 

@@ -262,11 +262,11 @@ def translate_page(doc: JspDocument, known_tag_handlers: Mapping[str, str] | Non
 
 _DEFAULT_IMPORTS = ("java.io.*", "javax.servlet.*", "javax.servlet.http.*")
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
 
 def escape_java_string(text: str) -> str:
-    return "".join(_ESCAPES.get(ch, ch) for ch in text)
+    # The backslash first, so the escapes added after it stay single.
+    return (text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+            .replace("\r", "\\r").replace("\t", "\\t"))
 
 
 def _render_statement(stmt: CodeStatement, out: list[str], indent: str) -> None:

@@ -234,6 +234,10 @@ class TestSerialization:
         ((*SERVICE, 1, "relationships"), [0.0]),
         ((*SERVICE, 1, "relationships"), [-1]),
         (("relationships", 0, "label"), 3),
+        # References to what the document does not hold.
+        (("relationships", 0, "to"), "B"),
+        (("packages", 0, "classes"), ["B"]),
+        ((*SERVICE, 1, "relationships"), [1]),
     ])
     def test_ill_typed_document_rejected(self, path, value):
         model = two_class_model()

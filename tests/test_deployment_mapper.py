@@ -289,6 +289,23 @@ class TestResolveUrl:
         assert target.kind is ResolvedKind.UNRESOLVED
         assert target.reason == "no-mapping"
 
+    @pytest.mark.parametrize("url, page_path, message", [
+        ("/a/*", "/prefix.jsp", "pattern '/a/*' wins over ['/*', '/']"),
+        ("/*", "/all.jsp", "pattern '/*' wins over ['/']"),
+        ("/", "/all.jsp", "pattern '/*' wins over ['/']"),
+        ("/a*", "/all.jsp", "pattern '/*' wins over ['/']"),
+        ("/b/*.jsp", "/all.jsp", "pattern '/*' wins over ['/', '*.jsp']"),
+    ])
+    def test_url_spelled_like_a_pattern(self, url, page_path, message):
+        """Such a URL matches by the rules, never as an exact hit on the
+        entry of its own spelling: "/a/*" must not hit "/a/*" twice."""
+        table = table_of([("/a/*", "/prefix.jsp"), ("/*", "/all.jsp"),
+                          ("/", "/root.jsp"), ("*.jsp", "/ext.jsp")])
+        diagnostics = []
+        target = resolve_url(table, make_ref(url), "/index.jsp", diagnostics=diagnostics)
+        assert target.page_path == page_path
+        assert [d.message for d in diagnostics] == [message]
+
     def test_implicit_page_only_when_known(self):
         table = table_of([])
         hit = resolve_url(table, make_ref("/real.jsp"), "/i.jsp",

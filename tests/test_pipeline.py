@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import os
@@ -345,12 +346,25 @@ class TestRunPipeline:
         (fixture_webapp / "latin1.jsp").write_bytes(b"<p>caf\xe9</p>")
         result = run_pipeline(scan_webapp(fixture_webapp))
         (diagnostic,) = result.diagnostics
-        assert (diagnostic.category, diagnostic.location) == (
-            "io", str(fixture_webapp / "latin1.jsp"))
+        assert (diagnostic.category, diagnostic.location) == ("io", "/latin1.jsp")
         assert diagnostic.message.startswith("cannot read /latin1.jsp: ")
         assert result.report["pages_failed"] == ["/latin1.jsp"]
         assert result.report["pages_parsed"] == 5
         assert model_edge_set(result.model) == FIXTURE_MODEL_EDGES
+
+    def test_file_gone_after_the_scan_is_named_by_its_webapp_path(self, fixture_webapp,
+                                                                  tmp_path):
+        inventory = scan_webapp(fixture_webapp)
+        java = "/WEB-INF/src/com/example/SearchServlet.java"
+        for rel in ("/powers.jsp", java):
+            (fixture_webapp / rel.lstrip("/")).unlink()
+        result = run_pipeline(inventory)
+        missing = os.strerror(errno.ENOENT)
+        assert [d.to_dict() for d in result.diagnostics if d.category == "io"] == [
+            {"category": "io", "message": f"cannot read {rel}: {missing}", "location": rel}
+            for rel in ("/powers.jsp", java)]
+        assert result.report["pages_failed"] == ["/powers.jsp"]
+        assert str(tmp_path) not in json.dumps(result.report)
 
     def test_servlet_sources_written(self, fixture_webapp, tmp_path):
         out = tmp_path / "srcgen"
@@ -484,6 +498,25 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("jspkdm: cannot load config: ")
         assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--encoding", "nope"], {}),
+        ([], {"encoding": "nope"}),
+        (["--encoding", "rot13"], {}),  # a codec, but not a text encoding
+    ])
+    def test_unknown_encoding_is_exit_2(self, fixture_webapp, tmp_path, capsys,
+                                        flags, config):
+        config_file = tmp_path / "conf.json"
+        config_file.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["analyze", str(fixture_webapp), "--out", str(out),
+                     "--config", str(config_file), *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        encoding = flags[-1] if flags else config["encoding"]
+        assert captured.err == f"jspkdm: unknown encoding: {encoding}\n"
         assert not out.exists()
 
     def test_servlet_src_out_flag(self, fixture_webapp, tmp_path):
