@@ -36,7 +36,6 @@ from .deployment_mapper import (
 )
 from .diagnostics import Diagnostic
 from .jsp_parser import (
-    Attribute,
     DuplicateAttribute,
     JspDocument,
     JspNode,
@@ -71,7 +70,7 @@ from .servlet_translator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Attribute", "BlockUnit", "ClassUnit", "CodeElement", "CodeRelationship",
+    "BlockUnit", "ClassUnit", "CodeElement", "CodeRelationship",
     "CodeStatement", "DependencyGraph", "Diagnostic", "DuplicateAttribute",
     "DuplicateClassName", "JspDocument", "JspNode", "JspParseError", "KdmModel",
     "MalformedAttribute", "MethodUnit", "ModelIndex", "MutationReport", "NodeKind",

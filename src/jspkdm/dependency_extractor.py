@@ -49,6 +49,10 @@ class UrlRef:
     span: Span = (0, 0)
 
 
+def _is_dynamic(url: str) -> bool:
+    return "<%=" in url or "${" in url
+
+
 def classify_tag(node: JspNode) -> tuple[str, str] | None:
     """The (tag kind, attribute) pair for a dependency-bearing node, if any."""
     name = node.name
@@ -66,8 +70,9 @@ def extract_url_refs(doc: JspDocument,
         if pair is None:
             continue
         tag_kind, attribute = pair
-        attr = node.attribute(attribute, case_insensitive=node.kind is NodeKind.HTML_ELEMENT)
-        if attr is None or not attr.value:
+        url = node.attribute_value(attribute,
+                                   case_insensitive=node.kind is NodeKind.HTML_ELEMENT)
+        if not url:
             if tag_kind not in _OPTIONAL_ATTR_KINDS:
                 emit(diagnostics, "extraction",
                      f"<{node.name}> without {attribute} attribute",
@@ -86,9 +91,9 @@ def extract_url_refs(doc: JspDocument,
             source_page=doc.page_path,
             tag_kind=tag_kind,
             attribute=attribute,
-            raw_url=attr.value,
+            raw_url=url,
             http_method=http_method,
-            dynamic=attr.value_is_dynamic,
+            dynamic=_is_dynamic(url),
             span=node.span,
         ))
     return refs

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 Span = tuple[int, int]
 
@@ -38,12 +38,6 @@ class NodeKind(str, Enum):
     CUSTOM_ACTION = "CustomAction"
     HTML_ELEMENT = "HtmlElement"
     COMMENT = "Comment"
-
-
-class Attribute(NamedTuple):
-    name: str
-    value: str
-    value_is_dynamic: bool
 
 
 class JspParseError(ValueError):
@@ -71,33 +65,23 @@ class DuplicateAttribute(JspParseError):
 class JspNode:
     """One node of a page. Slotted, with tuples that default to the shared
     ``()``: a page makes one node per tag, and most tags have no attributes
-    and no children."""
+    and no children. Attributes are ``(name, value)`` string pairs, which the
+    collector untracks; no text is copied out of the source."""
 
     kind: NodeKind
     name: str = ""
-    attributes: tuple[Attribute, ...] = ()
-    body: str | None = None
+    attributes: tuple[tuple[str, str], ...] = ()
     children: tuple["JspNode", ...] = ()
     span: Span = (0, 0)
-    # Region between the open and close tag for nested elements; None for
-    # flat or self-closing nodes.
+    # Region between the open and the close: a closed action's children, or a
+    # scripting element's or JSP comment's text; None for other nodes.
     inner_span: Span | None = None
 
-    def attribute(self, name: str, case_insensitive: bool = False) -> Attribute | None:
-        if case_insensitive:
-            name = name.lower()
-            for attr in self.attributes:
-                if attr.name.lower() == name:
-                    return attr
-        else:
-            for attr in self.attributes:
-                if attr.name == name:
-                    return attr
-        return None
-
     def attribute_value(self, name: str, case_insensitive: bool = False) -> str | None:
-        attr = self.attribute(name, case_insensitive)
-        return None if attr is None else attr.value
+        for key, value in self.attributes:
+            if key == name or case_insensitive and key.lower() == name.lower():
+                return value
+        return None
 
 
 @dataclass
@@ -107,10 +91,6 @@ class JspDocument:
     page_path: str
     nodes: list[JspNode]
     source: str
-
-    @property
-    def source_length(self) -> int:
-        return len(self.source)
 
     def text_of(self, node: JspNode) -> str:
         return self.source[node.span[0]:node.span[1]]
@@ -151,10 +131,6 @@ _DIRECTIVE_ATTR_RE = re.compile(
     r"([^\s=]+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s%>]+))")
 
 
-def _is_dynamic(value: str) -> bool:
-    return "<%=" in value or "${" in value
-
-
 def _classify_element(name: str) -> NodeKind:
     if ":" not in name:
         return NodeKind.HTML_ELEMENT
@@ -178,7 +154,7 @@ class _Parser:
         # Attribute-name start -> (index of each key, attributes, index here)
         # for every name that a tag scan reaching EOF passed; see
         # _scan_tag_attrs.
-        self._eof_memo: dict[int, tuple[dict[str, int], list[Attribute], int]] = {}
+        self._eof_memo: dict[int, tuple[dict[str, int], list[tuple[str, str]], int]] = {}
 
     # -- error helpers ----------------------------------------------------
 
@@ -193,8 +169,8 @@ class _Parser:
         if end < 0:
             raise self._unterminated(start, what)
         self.pos = end + len(closer)
-        return JspNode(kind=kind, body=self.source[start + open_len:end],
-                       span=(start, self.pos))
+        return JspNode(kind=kind, span=(start, self.pos),
+                       inner_span=(start + open_len, end))
 
     def _parse_directive(self, start: int) -> JspNode:
         end = self.source.find("%>", start + 3)
@@ -209,8 +185,8 @@ class _Parser:
         return JspNode(kind=NodeKind.DIRECTIVE, name=name, attributes=tuple(attrs),
                        span=(start, self.pos))
 
-    def _scan_directive_attrs(self, text: str, offset: int) -> list[Attribute]:
-        attrs: list[Attribute] = []
+    def _scan_directive_attrs(self, text: str, offset: int) -> list[tuple[str, str]]:
+        attrs: list[tuple[str, str]] = []
         seen: set[str] = set()
         consumed = 0
         for m in _DIRECTIVE_ATTR_RE.finditer(text):
@@ -221,7 +197,7 @@ class _Parser:
                 raise DuplicateAttribute(
                     f"duplicate attribute {name!r}", self.page_path, offset + m.start())
             seen.add(key)
-            attrs.append(Attribute(name, value, _is_dynamic(value)))
+            attrs.append((name, value))
             consumed = m.end()
         leftover = text[consumed:]
         if '"' in leftover or "'" in leftover:
@@ -229,7 +205,8 @@ class _Parser:
                 "unclosed quote in directive", self.page_path, offset + consumed)
         return attrs
 
-    def _scan_tag_attrs(self, pos: int, tag_start: int) -> tuple[list[Attribute], int, bool] | None:
+    def _scan_tag_attrs(self, pos: int, tag_start: int
+                        ) -> tuple[list[tuple[str, str]], int, bool] | None:
         """Scan attributes from ``pos`` up to the tag's ``>``.
 
         Returns (attributes, position after ">", self_closing), or None when
@@ -245,7 +222,7 @@ class _Parser:
         src = self.source
         n = len(src)
         memo = self._eof_memo
-        attrs: list[Attribute] = []
+        attrs: list[tuple[str, str]] = []
         seen: set[str] = set()
         starts: list[int] = []
         while True:
@@ -267,7 +244,7 @@ class _Parser:
                 order, known, index = hit
                 dups = [i for i in map(order.get, seen) if i is not None and i >= index]
                 if dups:
-                    raise DuplicateAttribute(f"duplicate attribute {known[min(dups)].name!r}",
+                    raise DuplicateAttribute(f"duplicate attribute {known[min(dups)][0]!r}",
                                              self.page_path, tag_start)
                 return None
             starts.append(start)
@@ -286,11 +263,11 @@ class _Parser:
                 raise DuplicateAttribute(
                     f"duplicate attribute {name!r}", self.page_path, tag_start)
             seen.add(key)
-            attrs.append(Attribute(name, value, _is_dynamic(value)))
+            attrs.append((name, value))
             pos = m.end()
             if end is not None:
                 return attrs, pos, end == "/>"
-        order = {a.name.lower(): i for i, a in enumerate(attrs)}
+        order = {name.lower(): i for i, (name, _) in enumerate(attrs)}
         for index, start in enumerate(starts):
             memo[start] = (order, attrs, index)
         return None
@@ -340,8 +317,7 @@ class _Parser:
 
         def flush_text(end: int) -> None:
             if end > run_start:
-                nodes.append(JspNode(kind=NodeKind.TEMPLATE_TEXT,
-                                     body=src[run_start:end], span=(run_start, end)))
+                nodes.append(JspNode(kind=NodeKind.TEMPLATE_TEXT, span=(run_start, end)))
 
         while (m := _LT_RE.search(src, self.pos)) is not None:
             lt = m.start()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import fnmatch
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -109,11 +110,17 @@ def _glob_match(rel_path: str, patterns: list[str]) -> bool:
     return any(fnmatch.fnmatch(rel_path, p) for p in patterns)
 
 
+# The characters of a str that XML 1.0 cannot carry, lone surrogates aside.
+_NOT_XML_RE = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
 def _shown(path: str) -> str:
     """``path`` with the bytes of a name that is not valid UTF-8 written as
-    ``\\xNN``. Such a name reaches Python with surrogate escapes, and the
-    artifacts cannot carry a lone surrogate."""
-    return path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+    ``\\xNN``, and each character XML cannot carry as its Python escape. Such
+    a name reaches Python with surrogate escapes, and the artifacts cannot
+    carry a lone surrogate."""
+    path = path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+    return _NOT_XML_RE.sub(lambda m: m[0].encode("unicode_escape").decode(), path)
 
 
 def _utf8_path(path: str, diagnostics: list[Diagnostic] | None) -> bool:
@@ -168,6 +175,8 @@ def scan_webapp(root, include: list[str] | None = None,
                 # normalize_page_path reads a backslash as "/", so the name could
                 # collide with another page's; no container serves it anyway.
                 emit(diagnostics, "io", "page name contains a backslash; skipped", rel)
+            elif _NOT_XML_RE.search(rel):
+                emit(diagnostics, "io", "page name is not valid in XML; skipped", _shown(rel))
             else:
                 pages.append(rel)
     inventory.jsp_pages = sorted(pages)

@@ -137,6 +137,10 @@ class _Translator:
         self.walk(node.children)
         self._emit(inner_end, end)
 
+    def _code_of(self, node: JspNode) -> str:
+        start, end = node.inner_span
+        return self.doc.source[start:end]
+
     def _diag(self, message: str, node: JspNode) -> None:
         emit(self.diagnostics, "translation", message,
              f"{self.doc.page_path}@{node.span[0]}")
@@ -152,13 +156,13 @@ class _Translator:
                 self._emit(*node.span)
             elif kind is NodeKind.SCRIPTLET:
                 self._statement(CodeStatement(
-                    StatementKind.INLINE_CODE, node.body or "", origin_span=node.span))
+                    StatementKind.INLINE_CODE, self._code_of(node), origin_span=node.span))
             elif kind is NodeKind.EXPRESSION:
                 self._statement(CodeStatement(
-                    StatementKind.EXPRESSION_EMIT, node.body or "", origin_span=node.span))
+                    StatementKind.EXPRESSION_EMIT, self._code_of(node), origin_span=node.span))
             elif kind is NodeKind.DECLARATION:
                 self.unit.declarations.append(CodeStatement(
-                    StatementKind.INLINE_CODE, (node.body or "").strip(),
+                    StatementKind.INLINE_CODE, self._code_of(node).strip(),
                     origin_span=node.span))
             elif kind is NodeKind.DIRECTIVE:
                 self._directive(node)
@@ -237,7 +241,7 @@ class _Translator:
             StatementKind.TAG_HANDLER_CALL, self.doc.text_of(node),
             metadata={"tag": node.name, "handler": handler,
                       "methods": methods,
-                      "attributes": [a.name for a in node.attributes]},
+                      "attributes": [name for name, _ in node.attributes]},
             origin_span=node.span))
         self.walk(node.children)
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import re
 
-from jspkdm import (Attribute, CodeStatement, DuplicateAttribute, MalformedAttribute,
-                    ServletUnit, StatementKind, mangle_class_name)
+from jspkdm import (CodeStatement, DuplicateAttribute, MalformedAttribute, ServletUnit,
+                    StatementKind, mangle_class_name)
 from jspkdm.servlet_translator import _Translator
 
 # -- scripting-region delimiter scan --------------------------------------------
@@ -210,7 +210,7 @@ _ATTR_NAME_RE = re.compile(r"[^\s=/>]+")
 def scan_tag_attrs_oracle(src: str, pos: int, tag_start: int, page_path: str):
     """Character-loop tokenizer for a tag's attributes, from ``pos`` to ">".
 
-    Returns (attributes, position after ">", self_closing), or None when EOF
+    Returns ((name, value) pairs, position after ">", self_closing), or None when EOF
     arrives first; raises ``MalformedAttribute`` at an unclosed quote and
     ``DuplicateAttribute`` (at ``tag_start``) for a name seen before in any
     case. No memo: every call scans on its own. Results and errors use the
@@ -264,7 +264,7 @@ def scan_tag_attrs_oracle(src: str, pos: int, tag_start: int, page_path: str):
         if key in seen:
             raise DuplicateAttribute(f"duplicate attribute {name!r}", page_path, tag_start)
         seen.add(key)
-        attrs.append(Attribute(name, value, "<%=" in value or "${" in value))
+        attrs.append((name, value))
 
 
 # -- structural checks ----------------------------------------------------------------
@@ -272,21 +272,22 @@ def scan_tag_attrs_oracle(src: str, pos: int, tag_start: int, page_path: str):
 
 def check_span_coverage(doc) -> None:
     """Assert the span invariants: sibling spans tile their region exactly,
-    children tile the parent's inner region, and the top level tiles the
-    whole source."""
+    an inner region lies strictly inside its node's span, children tile the
+    parent's inner region, and the top level tiles the whole source."""
 
     def check_level(nodes, start: int, end: int) -> None:
         pos = start
         for node in nodes:
             assert node.span[0] == pos, (node.span, pos)
             assert node.span[1] >= node.span[0]
-            if node.children:
-                assert node.inner_span is not None
+            if node.inner_span is not None:
                 inner_start, inner_end = node.inner_span
                 assert node.span[0] < inner_start <= inner_end < node.span[1]
+            if node.children:
+                assert node.inner_span is not None
                 check_level(node.children, inner_start, inner_end)
             pos = node.span[1]
         assert pos == end, (pos, end)
 
-    check_level(doc.nodes, 0, doc.source_length)
+    check_level(doc.nodes, 0, len(doc.source))
     assert "".join(doc.text_of(n) for n in doc.nodes) == doc.source

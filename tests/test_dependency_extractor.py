@@ -69,8 +69,13 @@ class TestExtraction:
     def test_dynamic_urls_flagged(self):
         refs = refs_of('<a href="${target}">x</a>'
                        '<c:url value="/fixed.css" />'
-                       '<jsp:forward page="<%= p %>" />')
-        assert [r.dynamic for r in refs] == [True, False, True]
+                       '<jsp:forward page="<%= p %>" />'
+                       '<a href="<%= u %>"></a>'
+                       '<a href="/static"></a>'
+                       # Only the designated attribute's value counts.
+                       '<a class="${c}" href="/x.jsp">'
+                       '<A HREF="<%= u %>">')
+        assert [r.dynamic for r in refs] == [True, False, True, True, False, False, True]
 
     def test_order_is_document_order(self, table2_page):
         refs = extract_url_refs(parse_jsp(table2_page, "/t.jsp"))

@@ -26,25 +26,30 @@ def kinds_of(doc):
     return [node.kind for node in doc.nodes]
 
 
+def inner_text(doc, node):
+    start, end = node.inner_span
+    return doc.source[start:end]
+
+
 class TestBasicKinds:
     def test_scriptlet_body_is_verbatim(self):
         doc = parse_jsp("<% for (int i=0; i<10; i++) %>", "/p.jsp")
         assert len(doc.nodes) == 1
         node = doc.nodes[0]
         assert node.kind is NodeKind.SCRIPTLET
-        assert node.body == " for (int i=0; i<10; i++) "
+        assert inner_text(doc, node) == " for (int i=0; i<10; i++) "
         assert node.children == ()
 
     def test_empty_file(self):
         doc = parse_jsp("", "/p.jsp")
         assert doc.nodes == []
-        assert doc.source_length == 0
+        assert doc.source == ""
 
     def test_declaration_and_expression(self):
         doc = parse_jsp("<%! int i=0; %><%= i %>", "/p.jsp")
         assert kinds_of(doc) == [NodeKind.DECLARATION, NodeKind.EXPRESSION]
-        assert doc.nodes[0].body == " int i=0; "
-        assert doc.nodes[1].body == " i "
+        assert inner_text(doc, doc.nodes[0]) == " int i=0; "
+        assert inner_text(doc, doc.nodes[1]) == " i "
 
     def test_classic_directive(self):
         doc = parse_jsp('<%@ page import="java.util.*" %>', "/p.jsp")
@@ -82,15 +87,15 @@ class TestBasicKinds:
     def test_jsp_comment_vs_html_comment(self):
         doc = parse_jsp("<%-- hidden --%><!-- shown -->", "/p.jsp")
         assert doc.nodes[0].kind is NodeKind.COMMENT
-        assert doc.nodes[0].body == " hidden "
+        assert inner_text(doc, doc.nodes[0]) == " hidden "
         # the HTML comment is plain template text
         assert doc.nodes[1].kind is NodeKind.TEMPLATE_TEXT
-        assert doc.nodes[1].body == "<!-- shown -->"
+        assert doc.text_of(doc.nodes[1]) == "<!-- shown -->"
 
     def test_bare_angle_brackets_are_text(self):
         doc = parse_jsp("a < b > c <3 <\n", "/p.jsp")
         assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
-        assert doc.nodes[0].body == "a < b > c <3 <\n"
+        assert doc.text_of(doc.nodes[0]) == "a < b > c <3 <\n"
 
     def test_unbalanced_html_is_not_an_error(self):
         doc = parse_jsp("<table><tr><td>x", "/p.jsp")
@@ -103,7 +108,7 @@ class TestBasicKinds:
         assert outer.kind is NodeKind.CUSTOM_ACTION
         assert [c.kind for c in outer.children] == [NodeKind.TEMPLATE_TEXT,
                                                     NodeKind.CUSTOM_ACTION]
-        assert outer.children[1].children[0].body == "deep"
+        assert doc.text_of(outer.children[1].children[0]) == "deep"
 
     def test_unclosed_custom_action_folds_flat(self):
         doc = parse_jsp('<c:if test="a">rest', "/p.jsp")
@@ -137,12 +142,6 @@ class TestAttributes:
     def test_boolean_attribute(self):
         doc = parse_jsp("<input disabled>", "/p.jsp")
         assert doc.nodes[0].attribute_value("disabled") == ""
-
-    def test_dynamic_flag(self):
-        doc = parse_jsp('<a href="${target}"></a><a href="<%= u %>"></a>'
-                        '<a href="/static"></a>', "/p.jsp")
-        anchors = [n for n in doc.nodes if n.name == "a"]
-        assert [a.attributes[0].value_is_dynamic for a in anchors] == [True, True, False]
 
     def test_expression_inside_quoted_value(self):
         doc = parse_jsp('<a href="<%= base %>/x.jsp">', "/p.jsp")
@@ -189,13 +188,12 @@ class TestAttributes:
 
     def test_unicode_whitespace_separates_attributes(self):
         doc = parse_jsp("<div a=1\u00a0b='2'\x0bc>", "/p.jsp")
-        assert [(a.name, a.value) for a in doc.nodes[0].attributes] == [
-            ("a", "1"), ("b", "2"), ("c", "")]
+        assert doc.nodes[0].attributes == (("a", "1"), ("b", "2"), ("c", ""))
 
     def test_empty_unquoted_value(self):
         doc = parse_jsp("<div a= /><p b=>", "/p.jsp")
-        assert [(n.name, n.attributes[0].value) for n in doc.nodes] == [("div", ""),
-                                                                       ("p", "")]
+        assert [(n.name, n.attributes) for n in doc.nodes] == [("div", (("a", ""),)),
+                                                               ("p", (("b", ""),))]
 
 
 class TestPowersPage:
@@ -237,7 +235,7 @@ class TestElementsOf:
 
     def test_iter_nodes_is_depth_first_in_document_order(self):
         doc = parse_jsp('<c:if test="a">1<c:if test="b">2</c:if>3</c:if>4', "/p.jsp")
-        order = [n.body or n.name for n in jsp_parser.iter_nodes(doc.nodes)]
+        order = [n.name or doc.text_of(n) for n in jsp_parser.iter_nodes(doc.nodes)]
         assert order == ["c:if", "1", "c:if", "2", "3", "4"]
 
     def test_iter_nodes_survives_deep_trees(self):
@@ -254,11 +252,12 @@ class TestElementsOf:
 
 
 class TestAllocation:
-    def test_a_node_costs_under_two_tracked_objects(self):
-        # This page costs 1.5 tracked objects a node: one per node, plus a
-        # tuple and an Attribute per attribute and a children tuple per
-        # closed action. Nodes that each carry two lists of their own, empty
-        # or not, cost 3.2.
+    def test_a_node_costs_at_most_1_2_tracked_objects(self):
+        # This page costs 1.07 tracked objects a node: one per node and a
+        # children tuple per closed action. Attributes are tuples of strings,
+        # which the collector untracks; as NamedTuple records they kept two
+        # tracked objects each, 1.5 a node here. Nodes that each carry two
+        # lists of their own, empty or not, cost 3.2.
         page = ('<p class="c">x</p><br><c:if test="a">y<b>z</b></c:if><% s %>'
                 '<%= e %><a href="/x.jsp">l</a>') * 2000
         gc.collect()
@@ -268,7 +267,7 @@ class TestAllocation:
         grown = len(gc.get_objects()) - before
         nodes = sum(1 for _ in jsp_parser.iter_nodes(doc.nodes))
         assert nodes == 28_000
-        assert grown <= 2 * nodes, f"{grown} tracked objects for {nodes} nodes"
+        assert grown <= 1.2 * nodes, f"{grown} tracked objects for {nodes} nodes"
 
 
 class TestRandomizedProperties:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -140,6 +141,44 @@ class TestScanWebApp:
             ("io", "page name contains a backslash; skipped", "/a\\b.jsp")]
         model = json.loads((out / "model.json").read_text())
         assert [c["source_page"] for c in model["class_units"]] == ["/a/b.jsp"]
+
+    @pytest.mark.parametrize("name, shown", [("a\x01b.jsp", "/a\\x01b.jsp"),
+                                             ("a\ufffe.jsp", "/a\\ufffe.jsp")])
+    def test_page_name_that_xml_cannot_carry_is_skipped(self, tmp_path, name, shown):
+        # The page's path is an attribute of model.xmi, which XML 1.0 forbids
+        # these characters in even as character references.
+        root = tmp_path / "app"
+        root.mkdir()
+        (root / "index.jsp").write_text("<p>x</p>", encoding="utf-8")
+        try:
+            (root / name).write_text("<p>other</p>", encoding="utf-8")
+        except OSError:
+            pytest.skip("the filesystem refuses the file name")
+        if name not in os.listdir(root):
+            pytest.skip("the filesystem rewrote the file name")
+        out = tmp_path / "out"
+        assert main(["analyze", str(root), "--out", str(out)]) == 1
+        for artifact in ("model.xmi", "model.json", "deps.dot", "report.json"):
+            assert (out / artifact).is_file()
+        ElementTree.parse(out / "model.xmi")
+        report = json.loads((out / "report.json").read_text())
+        assert [(d["category"], d["message"], d["location"])
+                for d in report["diagnostics"]] == [
+            ("io", "page name is not valid in XML; skipped", shown)]
+        model = json.loads((out / "model.json").read_text())
+        assert [c["source_page"] for c in model["class_units"]] == ["/index.jsp"]
+
+    def test_root_name_that_xml_cannot_carry_names_the_model_readably(self, tmp_path):
+        root = tmp_path / "r\x02oot"
+        try:
+            root.mkdir()
+        except OSError:
+            pytest.skip("the filesystem refuses the directory name")
+        (root / "index.jsp").write_text("<p>x</p>", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["analyze", str(root), "--out", str(out)]) == 0
+        segment = ElementTree.parse(out / "model.xmi").getroot()
+        assert segment.get("name") == "r\\x02oot"
 
     def test_root_name_that_is_not_utf8_names_the_model_readably(self, tmp_path):
         root = os.path.join(os.fsencode(tmp_path), b"caf\xe9")

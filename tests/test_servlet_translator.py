@@ -19,7 +19,6 @@ from jspkdm import (
     translate_page,
 )
 from jspkdm.servlet_translator import escape_java_string
-from jspkdm.jsp_parser import iter_nodes
 from .genjsp import generate_adversarial_page, generate_page, random_page_path
 from .oracles import (
     emit_literals,
@@ -308,10 +307,6 @@ class TestRunBuffer:
                 doc = parse_jsp(source, "/gen.jsp")
             except JspParseError:
                 continue
-            # What makes a run exact: every verbatim text is its span's slice.
-            for node in iter_nodes(doc.nodes):
-                if node.kind is NodeKind.TEMPLATE_TEXT:
-                    assert node.body == doc.text_of(node)
             known = handlers if i % 3 == 0 else None
             unit = translate_page(doc, known)
             reference = translate_with_text_buffer(doc, known)
