@@ -15,6 +15,8 @@ from .jsp_parser import JspDocument, JspNode, NodeKind, Span, iter_nodes
 
 # (tag kind, designated attribute), keyed by node kind and name. HTML tag and
 # attribute names match case-insensitively, JSP and prefixed names exactly.
+# The parser makes nodes of only the HTML tags named here
+# (jsp_parser._HTML_NODE_NAMES, pinned equal by the parser tests).
 TAG_TABLE: dict[tuple[NodeKind, str], tuple[str, str]] = {
     (NodeKind.HTML_ELEMENT, "form"): ("form", "action"),
     (NodeKind.HTML_ELEMENT, "a"): ("a-href", "href"),
@@ -44,7 +46,6 @@ class UrlRef:
     tag_kind: str
     attribute: str
     raw_url: str
-    http_method: str | None = None
     dynamic: bool = False
     span: Span = (0, 0)
 
@@ -78,21 +79,16 @@ def extract_url_refs(doc: JspDocument,
                      f"<{node.name}> without {attribute} attribute",
                      f"{doc.page_path}@{node.span[0]}")
             continue
-        http_method = None
         if tag_kind == "form":
-            raw_method = node.attribute_value("method", case_insensitive=True)
-            http_method = (raw_method or "get").lower()
-            if http_method not in _FORM_METHODS:
-                emit(diagnostics, "extraction",
-                     f"unsupported form method {raw_method!r}",
+            method = node.attribute_value("method", case_insensitive=True)
+            if method and method.lower() not in _FORM_METHODS:
+                emit(diagnostics, "extraction", f"unsupported form method {method!r}",
                      f"{doc.page_path}@{node.span[0]}")
-                http_method = None
         refs.append(UrlRef(
             source_page=doc.page_path,
             tag_kind=tag_kind,
             attribute=attribute,
             raw_url=url,
-            http_method=http_method,
             dynamic=_is_dynamic(url),
             span=node.span,
         ))

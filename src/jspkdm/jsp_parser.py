@@ -1,12 +1,16 @@
 """Tag-level parser for JSP pages.
 
 Produces a :class:`JspDocument`: an ordered, span-annotated node list that
-covers the page source exactly. HTML is tokenized flatly (open tags, close
-tags and text become sibling nodes); prefixed action elements such as
-``jsp:include`` or ``c:if`` are nested when their close tag is found and
-folded flat otherwise. No EL evaluation and no tag-library loading happen
-here: the node list is the shared input for the servlet translator and the
-URL-reference extractor.
+covers the page source exactly. As in a container's translation, markup that
+is not JSP is template text: an HTML tag becomes a node of its own only when
+it carries a dependency (an ``a`` or ``form`` open tag, flat, with no
+children). Every other HTML open tag and every HTML close tag stays part of
+the surrounding text run, though it is still scanned as a tag, so its
+attribute errors are raised and a ``<%`` inside one of its quoted values
+opens nothing. Prefixed action elements such as ``jsp:include`` or ``c:if``
+are nested when their close tag is found and folded flat otherwise. No EL
+evaluation and no tag-library loading happen here: the node list is the
+shared input for the servlet translator and the URL-reference extractor.
 
 Scanning takes time linear in the page size on any input. One compiled regex
 finds each "<" that opens something, so a stray "<" is skipped in C, and one
@@ -63,9 +67,10 @@ class DuplicateAttribute(JspParseError):
 
 @dataclass(slots=True)
 class JspNode:
-    """One node of a page. Slotted, with tuples that default to the shared
-    ``()``: a page makes one node per tag, and most tags have no attributes
-    and no children. Attributes are ``(name, value)`` string pairs, which the
+    """One node of a page: a text run, a JSP element, or an ``a``/``form``
+    tag. Slotted, with tuples that default to the shared ``()``: a page makes
+    one node per JSP element, and most nodes have no attributes and no
+    children. Attributes are ``(name, value)`` string pairs, which the
     collector untracks; no text is copied out of the source."""
 
     kind: NodeKind
@@ -129,6 +134,13 @@ _CLOSE_OPENER = 6
 _DIRECTIVE_NAME_RE = re.compile(r"\s*([A-Za-z][\w.\-]*)")
 _DIRECTIVE_ATTR_RE = re.compile(
     r"([^\s=]+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s%>]+))")
+
+
+# The node names of the HTML tags that become nodes, lower-cased: those that
+# carry a dependency (dependency_extractor.TAG_TABLE's HtmlElement rows). Any
+# other HTML open tag, and every HTML close tag ("/a" is never in here), is
+# template text.
+_HTML_NODE_NAMES = frozenset({"a", "form"})
 
 
 def _classify_element(name: str) -> NodeKind:
@@ -277,7 +289,9 @@ class _Parser:
     def _parse_element(self, nodes: list[JspNode], flush_text: Callable[[int], None],
                        start: int, name: str, name_end: int) -> bool:
         """Append the element opened at ``start`` to ``nodes``, after the text
-        before it; False, appending nothing, when no tag is there.
+        before it; False, appending nothing, when what is there is template
+        text: no tag, or a plain HTML tag (scanned all the same, so an
+        attribute error is raised and a quoted ``<%`` is skipped as for any tag).
 
         A prefixed action that is not self-closing nests: what follows is
         parsed into ``nodes`` as well and moved into its children once the
@@ -289,8 +303,12 @@ class _Parser:
         """
         scanned = self._scan_tag_attrs(name_end, start)
         if scanned is None:
+            self.pos = start + 1
             return False
         attrs, tag_end, self_closing = scanned
+        if ":" not in name and name.lower() not in _HTML_NODE_NAMES:
+            self.pos = tag_end
+            return False
         flush_text(start)
         node = JspNode(kind=_classify_element(name), name=name, attributes=tuple(attrs),
                        span=(start, tag_end))
@@ -336,17 +354,17 @@ class _Parser:
                     self.pos = lt + 1
                     continue
                 name = m.group(opener)
-                flush_text(lt)
                 self.pos = gt + 1
+                if ":" not in name and "/" + name.lower() not in _HTML_NODE_NAMES:
+                    continue  # a plain HTML close tag: part of the template text
+                flush_text(lt)
                 if until_close is not None and name == until_close:
                     self._close_span = (lt, gt + 1)
                     return nodes
                 nodes.append(JspNode(kind=_classify_element(name), name="/" + name,
                                      span=(lt, gt + 1)))
             elif not self._parse_element(nodes, flush_text, lt, m.group(opener), m.end()):
-                # "<" that opens nothing: part of the template text.
-                self.pos = lt + 1
-                continue
+                continue  # no tag, or a plain HTML tag: part of the template text
             run_start = self.pos
 
         self.pos = n

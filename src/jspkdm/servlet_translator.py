@@ -170,7 +170,8 @@ class _Translator:
                 self._standard_action(node)
             elif kind is NodeKind.CUSTOM_ACTION:
                 self._custom_action(node)
-            else:  # HtmlElement: flat, emitted verbatim
+            else:  # HtmlElement: an a or form tag, a node only for the extractor
+                # and, like all markup, template text
                 self._emit(*node.span)
 
     def _directive(self, node: JspNode) -> None:

@@ -40,21 +40,33 @@ class TestClassifyTag:
 
 class TestExtraction:
     def test_form_with_method(self):
-        (ref,) = refs_of('<form action="/myPage.jsp" method="get">')
+        diagnostics = []
+        (ref,) = refs_of('<form action="/myPage.jsp" method="get">', diagnostics)
         assert ref.tag_kind == "form"
         assert ref.attribute == "action"
         assert ref.raw_url == "/myPage.jsp"
-        assert ref.http_method == "get"
         assert not ref.dynamic
+        assert diagnostics == []
 
     def test_form_method_defaults_to_get(self):
-        (ref,) = refs_of('<form action="/x">')
-        assert ref.http_method == "get"
+        for source in ('<form action="/x">', '<form action="/x" method="">'):
+            diagnostics = []
+            (ref,) = refs_of(source, diagnostics)
+            assert ref.raw_url == "/x"
+            assert diagnostics == []
 
     def test_form_method_case_and_attr_case(self):
-        (ref,) = refs_of('<FORM ACTION="/x" METHOD="POST">')
+        diagnostics = []
+        (ref,) = refs_of('<FORM ACTION="/x" METHOD="POST">', diagnostics)
         assert ref.raw_url == "/x"
-        assert ref.http_method == "post"
+        assert diagnostics == []
+
+    def test_unsupported_form_method_is_a_diagnostic(self):
+        diagnostics = []
+        (ref,) = refs_of('<p><Form action="/x" Method="Delete">', diagnostics)
+        assert ref.raw_url == "/x"
+        assert [(d.category, d.message, d.location) for d in diagnostics] == [
+            ("extraction", "unsupported form method 'Delete'", "/p.jsp@3")]
 
     def test_page_directive_without_error_page_yields_nothing(self):
         diagnostics = []

@@ -1,4 +1,5 @@
-"""Parser tests: kinds, spans, errors, and the randomized span/count suites."""
+"""Parser tests: kinds, spans, errors, the randomized span/count suites, and
+the node-per-tag shape that the translation and extraction do not depend on."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import random
 import pytest
 
 from jspkdm import (
+    TAG_TABLE,
     DuplicateAttribute,
     JspNode,
     JspParseError,
@@ -15,8 +17,10 @@ from jspkdm import (
     NodeKind,
     UnterminatedScriptlet,
     elements_of,
+    extract_url_refs,
     jsp_parser,
     parse_jsp,
+    translate_page,
 )
 from .genjsp import generate_adversarial_page, generate_page
 from .oracles import check_span_coverage, delimiter_scan, scan_tag_attrs_oracle
@@ -98,9 +102,10 @@ class TestBasicKinds:
         assert doc.text_of(doc.nodes[0]) == "a < b > c <3 <\n"
 
     def test_unbalanced_html_is_not_an_error(self):
-        doc = parse_jsp("<table><tr><td>x", "/p.jsp")
-        names = [n.name for n in doc.nodes if n.kind is NodeKind.HTML_ELEMENT]
-        assert names == ["table", "tr", "td"]
+        source = "<table><tr><td>x</b></tr>"
+        doc = parse_jsp(source, "/p.jsp")
+        assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
+        assert doc.text_of(doc.nodes[0]) == source
 
     def test_nested_custom_action(self):
         doc = parse_jsp('<c:if test="a">in<c:if test="b">deep</c:if></c:if>', "/p.jsp")
@@ -133,15 +138,15 @@ class TestBasicKinds:
 
 class TestAttributes:
     def test_quote_styles(self):
-        doc = parse_jsp("<div a=\"one\" b='two' c=three>", "/p.jsp")
+        doc = parse_jsp("<a a=\"one\" b='two' c=three>", "/p.jsp")
         node = doc.nodes[0]
         assert node.attribute_value("a") == "one"
         assert node.attribute_value("b") == "two"
         assert node.attribute_value("c") == "three"
 
     def test_boolean_attribute(self):
-        doc = parse_jsp("<input disabled>", "/p.jsp")
-        assert doc.nodes[0].attribute_value("disabled") == ""
+        doc = parse_jsp("<form novalidate>", "/p.jsp")
+        assert doc.nodes[0].attribute_value("novalidate") == ""
 
     def test_expression_inside_quoted_value(self):
         doc = parse_jsp('<a href="<%= base %>/x.jsp">', "/p.jsp")
@@ -187,13 +192,13 @@ class TestAttributes:
             parse_jsp("<x a a", "/p.jsp")
 
     def test_unicode_whitespace_separates_attributes(self):
-        doc = parse_jsp("<div a=1\u00a0b='2'\x0bc>", "/p.jsp")
+        doc = parse_jsp("<a a=1\u00a0b='2'\x0bc>", "/p.jsp")
         assert doc.nodes[0].attributes == (("a", "1"), ("b", "2"), ("c", ""))
 
     def test_empty_unquoted_value(self):
-        doc = parse_jsp("<div a= /><p b=>", "/p.jsp")
-        assert [(n.name, n.attributes) for n in doc.nodes] == [("div", (("a", ""),)),
-                                                               ("p", (("b", ""),))]
+        doc = parse_jsp("<c:x a= /><form b=>", "/p.jsp")
+        assert [(n.name, n.attributes) for n in doc.nodes] == [("c:x", (("a", ""),)),
+                                                               ("form", (("b", ""),))]
 
 
 class TestPowersPage:
@@ -251,23 +256,123 @@ class TestElementsOf:
         assert [n.name for n in found] == ["jsp:include"]
 
 
+def tracked_objects_left_by(source: str):
+    """The parsed page and the number of tracked objects it holds."""
+    gc.collect()
+    before = len(gc.get_objects())
+    doc = parse_jsp(source, "/big.jsp")
+    gc.collect()
+    return doc, len(gc.get_objects()) - before
+
+
 class TestAllocation:
     def test_a_node_costs_at_most_1_2_tracked_objects(self):
         # This page costs 1.07 tracked objects a node: one per node and a
-        # children tuple per closed action. Attributes are tuples of strings,
-        # which the collector untracks; as NamedTuple records they kept two
-        # tracked objects each, 1.5 a node here. Nodes that each carry two
-        # lists of their own, empty or not, cost 3.2.
-        page = ('<p class="c">x</p><br><c:if test="a">y<b>z</b></c:if><% s %>'
-                '<%= e %><a href="/x.jsp">l</a>') * 2000
-        gc.collect()
-        before = len(gc.get_objects())
-        doc = parse_jsp(page, "/big.jsp")
-        gc.collect()
-        grown = len(gc.get_objects()) - before
+        # children tuple per closed action. It is built from tags that
+        # become nodes; a plain HTML tag is template text. Attributes are
+        # tuples of strings, which the collector untracks; as NamedTuple
+        # records they kept two tracked objects each, 1.5 a node here. Nodes
+        # that each carry two lists of their own, empty or not, cost 3.2.
+        page = ('<a class="c">x</a><form>y<c:if test="a">y<a>z</a></c:if><% s %>'
+                '<%= e %><%-- c --%><jsp:include page="/i.jsp" />'
+                '<a href="/x.jsp">l</a><br>') * 2000
+        doc, grown = tracked_objects_left_by(page)
         nodes = sum(1 for _ in jsp_parser.iter_nodes(doc.nodes))
         assert nodes == 28_000
         assert grown <= 1.2 * nodes, f"{grown} tracked objects for {nodes} nodes"
+
+
+class TestPlainMarkupIsTemplateText:
+    # 7000 table rows (42,000 HTML tags) around one link.
+    ROWS = '<tr><td class="c">x</td></tr>\n' * 3500
+    PAGE = ROWS + '<a href="/x.jsp">link</a>' + ROWS
+
+    def test_only_the_dependency_tag_becomes_a_node(self):
+        doc = parse_jsp(self.PAGE, "/rows.jsp")
+        assert len(doc.nodes) <= 3
+        assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT, NodeKind.HTML_ELEMENT,
+                                 NodeKind.TEMPLATE_TEXT]
+        assert doc.nodes[1].attribute_value("href") == "/x.jsp"
+        check_span_coverage(doc)
+
+    def test_markup_costs_no_tracked_objects(self):
+        # About 6 here: the document, its node list and three nodes. At one
+        # node per tag, this page held 42,000 tracked objects.
+        _, grown = tracked_objects_left_by(self.PAGE)
+        assert grown <= 100, f"{grown} tracked objects"
+
+    def test_a_plain_tag_is_still_scanned(self):
+        doc = parse_jsp('<div title="<% x %>">t</div>', "/p.jsp")
+        assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
+        with pytest.raises(DuplicateAttribute):
+            parse_jsp("<td a=1 A=2>", "/p.jsp")
+        with pytest.raises(MalformedAttribute):
+            parse_jsp('<td title="x>', "/p.jsp")
+
+    def test_dependency_tags_match_case_insensitively(self):
+        doc = parse_jsp('<A HREF="/a.jsp"><Form action="/f"></FORM></a>', "/p.jsp")
+        assert [n.name for n in doc.nodes] == ["A", "Form", ""]
+        assert doc.text_of(doc.nodes[2]) == "</FORM></a>"
+
+    def test_html_node_names_are_the_extractors_html_tags(self):
+        html_rows = {name for kind, name in TAG_TABLE if kind is NodeKind.HTML_ELEMENT}
+        assert jsp_parser._HTML_NODE_NAMES == html_rows
+
+
+class _EveryName:
+    """An HTML-name set that holds every name: a node per HTML tag."""
+
+    def __contains__(self, name: str) -> bool:
+        return True
+
+
+HANDLERS = {"c:if": "org.example.IfTag", "c:url": "org.example.UrlTag"}
+
+# Tags spliced into generated pages, so both shapes meet the dependency
+# tags and what the translation reports on.
+SPLICED_BITS = ['<a href="/x.jsp">', "</a>", "<A HREF='${u}'>", "<a>",
+                '<a href="<%= u %>" class=c>', '<form action="/f" method="delete">',
+                '<FORM ACTION="/g" METHOD=post>', "<form>", "</form>", "<a href=",
+                '<form action="/h', '<jsp:useBean id="b" />', '<jsp:getProperty name="b" />']
+
+
+def both_steps(source: str, page_path: str = "/gen.jsp"):
+    """The translation and extraction of a page, or its parse error."""
+    try:
+        doc = parse_jsp(source, page_path)
+    except JspParseError as exc:
+        return type(exc), str(exc), exc.offset
+    translation, extraction = [], []
+    unit = translate_page(doc, HANDLERS, translation)
+    refs = extract_url_refs(doc, extraction)
+    return unit, translation, refs, extraction
+
+
+class TestNodePerTagShapeAgrees:
+    CASES = 3000
+
+    def test_both_shapes_translate_and_extract_alike(self, monkeypatch, fixture_webapp):
+        rng = random.Random(0x7A6)
+        pages = []
+        for k in range(self.CASES):
+            parts = [generate_adversarial_page(rng) if k % 2 else generate_page(rng)[0]
+                     for _ in range(2)]
+            for _ in range(rng.randint(0, 4)):
+                parts.insert(rng.randrange(len(parts) + 1), rng.choice(SPLICED_BITS))
+            pages.append(("/gen.jsp", "".join(parts)))
+        pages += [("/" + p.relative_to(fixture_webapp).as_posix(), p.read_text("utf-8"))
+                  for p in sorted(fixture_webapp.rglob("*.jsp"))]
+        kept = [both_steps(source, path) for path, source in pages]
+        monkeypatch.setattr(jsp_parser, "_HTML_NODE_NAMES", _EveryName())
+        assert kinds_of(parse_jsp("<p>x</p>", "/p.jsp")) == [NodeKind.HTML_ELEMENT,
+                                                             NodeKind.TEMPLATE_TEXT,
+                                                             NodeKind.HTML_ELEMENT]
+        for (path, source), got in zip(pages, kept):
+            assert got == both_steps(source, path), source
+        # Both outcomes, refs and diagnostics of each step occur.
+        units = [got for got in kept if not isinstance(got[0], type)]
+        assert len(units) < len(kept)
+        assert all(any(got[i] for got in units) for i in (1, 2, 3))
 
 
 class TestRandomizedProperties:

@@ -69,8 +69,9 @@ def test_unterminated_tags_parse_in_linear_time(tag, count):
 
 def test_unclosed_actions_before_a_large_page_cost_little():
     # Folding each unclosed action used to copy every node after it, twice:
-    # 400 of them doubled the parse time of this page.
-    page = '<p class="c">x</p>' * 7000
+    # 400 of them doubled the parse time of a page of 21,000 nodes. A plain
+    # HTML tag is template text, so the rows are links: two nodes each.
+    page = '<a href="c">x</a>' * 10_500
     prefixed = '<c:if test="x">' * 400 + page
 
     def timed(source: str) -> float:
