@@ -5,21 +5,35 @@ covers the page source exactly. As in a container's translation, markup that
 is not JSP is template text: an HTML tag becomes a node of its own only when
 it carries a dependency (an ``a`` or ``form`` open tag, flat, with no
 children). Every other HTML open tag and every HTML close tag stays part of
-the surrounding text run, though it is still scanned as a tag, so its
+the surrounding text run, though it is still read as a tag, so its
 attribute errors are raised and a ``<%`` inside one of its quoted values
 opens nothing. Prefixed action elements such as ``jsp:include`` or ``c:if``
 are nested when their close tag is found and folded flat otherwise. No EL
 evaluation and no tag-library loading happen here: the node list is the
 shared input for the servlet translator and the URL-reference extractor.
 
-Scanning takes time linear in the page size on any input. One compiled regex
-finds each "<" that opens something, so a stray "<" is skipped in C, and one
-compiled regex tokenizes each tag attribute. A tag with no ">" is scanned to
-EOF and then read as text; each attribute-name start such a scan passes is
-memoised with the keys that follow it, so the scan from the next "<" stops
-at the first memoised start instead of running to EOF again, while still
-raising for a duplicate name as a full scan would. A close tag is not looked
-for past the page's last ">".
+Scanning takes time linear in the page size on any input. Most plain markup
+is skipped in C: before each search for a "<" that opens something, one
+compiled regex (``_TEXT_RUN_RE``) consumes a run of text with no "<", "<"s
+that open nothing, plain close tags such as ``</td >`` and plain open tags
+with at most one attribute. Those are the tags that cannot raise: with one
+attribute no name can repeat, and the regex takes a tag only up to the ">"
+it ends with, with its quotes closed, so it never scans to EOF and needs no
+memo. A tag with two attributes, a bad quote or no ">", and every ``a``,
+``form``, prefixed or ``<%`` tag, is read tag by tag as below, with the same
+errors and offsets. The run is bounded to 256 tokens because the regex
+engine keeps backtrack state for each repetition of a group: unbounded, one
+run over a link-free megabyte raised the peak RSS by 76 MB, which
+tracemalloc does not see. A run that stops at the bound costs one more
+step of the loop.
+
+Tag by tag, one compiled regex finds each "<" that opens something, so a
+stray "<" is skipped in C, and one compiled regex tokenizes each tag
+attribute. A tag with no ">" is scanned to EOF and then read as text; each
+attribute-name start such a scan passes is memoised with the keys that
+follow it, so the scan from the next "<" stops at the first memoised start
+instead of running to EOF again, while still raising for a duplicate name as
+a full scan would. A close tag is not looked for past the page's last ">".
 """
 
 from __future__ import annotations
@@ -141,6 +155,20 @@ _DIRECTIVE_ATTR_RE = re.compile(
 # other HTML open tag, and every HTML close tag ("/a" is never in here), is
 # template text.
 _HTML_NODE_NAMES = frozenset({"a", "form"})
+
+# A run of template text (see the module docstring). Each token ends where
+# the tag-by-tag path would end it. A space, "/" or ">" must follow a tag
+# name, so the engine cannot cut "tdc:if" short to "td" and take it as plain.
+_TEXT_RUN_RE = re.compile(r"""(?:
+    [^<]+                               # text
+  | <(?!%|/?[A-Za-z_])                  # a "<" that opens nothing
+  | </[A-Za-z_][\w.\-]*\s*>             # a plain close tag
+  | <(?!(?i:""" + "|".join(map(re.escape, sorted(_HTML_NODE_NAMES))) + r""")(?![\w.\-]))
+    [A-Za-z_][\w.\-]*                   # a plain open tag, not a node in any case,
+    (?:\s+[^\s=/>]+\s*(?:=\s*          # with at most one attribute as _ATTR_RE reads it
+        (?:"[^"]*"|'[^']*'|(?!["'])[^\s>/]*(?:/(?!>)[^\s>/]*)*))?)?
+    \s*/?>
+){0,256}""", re.VERBOSE)
 
 
 def _classify_element(name: str) -> NodeKind:
@@ -337,7 +365,8 @@ class _Parser:
             if end > run_start:
                 nodes.append(JspNode(kind=NodeKind.TEMPLATE_TEXT, span=(run_start, end)))
 
-        while (m := _LT_RE.search(src, self.pos)) is not None:
+        # Each search starts past the run of plain markup at pos.
+        while (m := _LT_RE.search(src, _TEXT_RUN_RE.match(src, self.pos).end())) is not None:
             lt = m.start()
             opener = m.lastindex
             delimited = _DELIMITED.get(opener)

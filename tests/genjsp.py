@@ -142,3 +142,27 @@ def generate_adversarial_page(rng: random.Random) -> str:
         # Tags with unique names, as in a page of unterminated tags.
         parts.append(rng.choice(last) if rng.random() < 0.6 else f" <t{k} w{k}")
     return "".join(parts)
+
+
+# Bits of tag soup: plain tags the parser skips as one text run, and the
+# near misses it must not skip there: the dependency tags in any case, names
+# that a colon or one more character turns into another tag, two attributes
+# that may repeat a name, bad quotes, scripting delimiters, a "<" that
+# opens nothing, non-ASCII names and whitespace.
+SOUP_BITS = ["<td>", "<TD class='c'>", '<td title="<% x %>">', "<tr>", "</td>", "</tr >",
+             "</td\x0b>", "<br/>", "<br />", "<img src=x/y/>", "<p x=1>", "<p x=1 X=2>",
+             "<p x=1 y=2>", "<p\x0bx>", "<p x=>", "<p x= >", "<p x='>'>", '<p x="a"y>',
+             "<p / >", "<p =x>", "<td:>", "<té>", "<tdé a=é>", "<é>", "<_x.y-z>",
+             "<format>", "<form1>", "<abbr>", "<A_b>", "<a-b>", "<a", "<A ", "<A>",
+             "<a href='/x'>", "<Form action=/f>", "<form", "</a>", "</FORM>", "<a:b>",
+             "<a:b", "<tdc:if", "<tdc:if test='t'>", "</tdc:if>", "</td:", "</td:if>",
+             "<c:if>", "</c:if>", "<jsp:include page='/i.jsp'/>", "<td", "<tr", "</td",
+             "</", "<", " <", "<%", "%>", "<%= e %>", "<%-- c --%>", "<%@ page x='1' %>",
+             " a", " A", " a=1", " b='v'", ' c="w"', " a='x", ' b="y', '<td title="x>',
+             "=", '"', "'", "/", "/>", ">", " ", "\n", "\x0b", "\u00a0", "x", "é",
+             "\u212a", "text "]
+
+
+def generate_tag_soup(rng: random.Random) -> str:
+    """One to twelve tag-soup bits; most pages hold a dozen tags or fewer."""
+    return "".join(rng.choice(SOUP_BITS) for _ in range(rng.randint(1, 12)))

@@ -1,10 +1,15 @@
-"""Parser tests: kinds, spans, errors, the randomized span/count suites, and
-the node-per-tag shape that the translation and extraction do not depend on."""
+"""Parser tests: kinds, spans, errors, the randomized span/count suites, the
+node-per-tag shape that the translation and extraction do not depend on, and
+the text run that must skip only what the tag-by-tag path reads as text."""
 
 from __future__ import annotations
 
 import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,7 @@ from jspkdm import (
     parse_jsp,
     translate_page,
 )
+from .fuzz_text_run import NO_TEXT_RUN, disagreements, parse_outcome, tag_soup
 from .genjsp import generate_adversarial_page, generate_page
 from .oracles import check_span_coverage, delimiter_scan, scan_tag_attrs_oracle
 
@@ -282,6 +288,43 @@ class TestAllocation:
         assert grown <= 1.2 * nodes, f"{grown} tracked objects for {nodes} nodes"
 
 
+# Parses a link-free page of about 1 MB and prints how far the parse raised
+# the process's peak resident set (VmHWM), in MB.
+PEAK_GROWTH_CHILD = """
+from jspkdm import parse_jsp
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+page = '<tr><td class="c">x</td></tr>\\n' * 35_000
+before = peak_kb()
+parse_jsp(page, "/rows.jsp")
+print((peak_kb() - before) / 1024)
+"""
+
+
+def has_vmhwm() -> bool:
+    try:
+        with open("/proc/self/status") as fh:
+            return any(line.startswith("VmHWM:") for line in fh)
+    except OSError:
+        return False
+
+
+class TestPeakMemory:
+    @pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
+    def test_a_link_free_megabyte_leaves_the_peak_flat(self):
+        # The regex engine's backtrack state is not seen by tracemalloc, so
+        # the peak is read in a child of its own. A run bounded to 256 tokens
+        # grows it by about 0 MB; an unbounded repeat over this page, by 76.
+        src = str(Path(jsp_parser.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", PEAK_GROWTH_CHILD], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert float(out) < 8, f"the parse raised the peak RSS by {float(out):.1f} MB"
+
+
 class TestPlainMarkupIsTemplateText:
     # 7000 table rows (42,000 HTML tags) around one link.
     ROWS = '<tr><td class="c">x</td></tr>\n' * 3500
@@ -363,6 +406,8 @@ class TestNodePerTagShapeAgrees:
         pages += [("/" + p.relative_to(fixture_webapp).as_posix(), p.read_text("utf-8"))
                   for p in sorted(fixture_webapp.rglob("*.jsp"))]
         kept = [both_steps(source, path) for path, source in pages]
+        # Every "<" takes the tag-by-tag path, where the set is looked up.
+        monkeypatch.setattr(jsp_parser, "_TEXT_RUN_RE", NO_TEXT_RUN)
         monkeypatch.setattr(jsp_parser, "_HTML_NODE_NAMES", _EveryName())
         assert kinds_of(parse_jsp("<p>x</p>", "/p.jsp")) == [NodeKind.HTML_ELEMENT,
                                                              NodeKind.TEMPLATE_TEXT,
@@ -397,22 +442,19 @@ class TestRandomizedProperties:
             assert again == doc
 
 
-def parse_outcome(source: str):
-    """The node list, or the (type, message, offset) of the parse error."""
-    try:
-        return parse_jsp(source, "/gen.jsp").nodes
-    except JspParseError as exc:
-        return type(exc), str(exc), exc.offset
+def generated_pages(count: int = 10_000) -> list[str]:
+    """Seeded ``genjsp`` pages, three in four of them adversarial."""
+    rng = random.Random(0x5CA7)
+    return [generate_adversarial_page(rng) if k % 4 else generate_page(rng)[0]
+            for k in range(count)]
 
 
 class TestScannerAgreesWithOracle:
-    CASES = 10_000
-
     def test_10k_pages_agree_with_the_character_loop(self, monkeypatch):
-        rng = random.Random(0x5CA7)
-        pages = [generate_adversarial_page(rng) if k % 4 else generate_page(rng)[0]
-                 for k in range(self.CASES)]
+        pages = generated_pages()
         fast = [parse_outcome(page) for page in pages]
+        # The oracle side scans every tag, plain ones included.
+        monkeypatch.setattr(jsp_parser, "_TEXT_RUN_RE", NO_TEXT_RUN)
         monkeypatch.setattr(
             jsp_parser._Parser, "_scan_tag_attrs",
             lambda parser, pos, tag_start: scan_tag_attrs_oracle(
@@ -423,3 +465,42 @@ class TestScannerAgreesWithOracle:
         kinds = {got[0] if isinstance(got, tuple) else list for got in fast}
         assert kinds == {list, DuplicateAttribute, MalformedAttribute,
                          UnterminatedScriptlet}
+
+
+class TestTextRunAgreesWithTagByTag:
+    """The text-run regex skips only what the tag-by-tag path reads as
+    template text, up to the same offset: with the regex patched to match
+    only the empty string, every page parses to the same outcome."""
+
+    def test_generated_pages(self):
+        assert disagreements(generated_pages()) == []
+
+    def test_100k_tag_soup_pages(self):
+        pages = tag_soup(100_000, seed=0x50_0B)
+        assert disagreements(pages) == []
+        # Each outcome occurs, and about half the pages start with a tag that
+        # the run skips.
+        kinds = {got[0] if isinstance(got, tuple) else list
+                 for got in map(parse_outcome, pages[:2000])}
+        assert kinds == {list, DuplicateAttribute, MalformedAttribute,
+                         UnterminatedScriptlet}
+        skipped = sum("<" in page[:jsp_parser._TEXT_RUN_RE.match(page).end()]
+                      for page in pages[:2000])
+        assert skipped > 800
+
+    def test_runs_longer_than_the_bound(self):
+        # A row is six tokens; a run stops after 256 and the next one goes on.
+        rows = '<tr><td class="c">x</td></tr>\n'
+        tails = ['<a href="/x.jsp">l</a>', '<c:if test="t">y</c:if>', "</c:if>",
+                 "<p x=1 X=2>", '<td title="x>', '<t a="v" ', "<% open", "<", ""]
+        pages = [rows * count + tail for count in (42, 43, 100) for tail in tails]
+        pages += ["<b>" * count + tail for count in (255, 256, 257, 512, 513)
+                  for tail in tails]
+        pages += [f'<c:if test="t">{rows * 100}<a href="/x.jsp">{rows * 100}</c:if>']
+        assert jsp_parser._TEXT_RUN_RE.match(rows * 100).end() < len(rows * 100)
+        assert disagreements(pages) == []
+
+    def test_dependency_tags_end_a_run_in_any_case(self):
+        for name in jsp_parser._HTML_NODE_NAMES:
+            for tag in (name, name.upper(), name.title()):
+                assert jsp_parser._TEXT_RUN_RE.match(f"<td><{tag} x=1>").end() == 4

@@ -57,7 +57,8 @@ def test_parse_8000_unterminated_tags():
 
 # Close tags are cheaper per tag, so it takes more of them for the quadratic
 # search to show.
-@pytest.mark.parametrize("tag, count", [("<t{} ", 8000), ("</t{} ", 64_000)])
+@pytest.mark.parametrize("tag, count", [("<t{} ", 8000), ("</t{} ", 64_000),
+                                        ('<t{0} a{0}="v" ', 8000), ("</t{}  ", 64_000)])
 def test_unterminated_tags_parse_in_linear_time(tag, count):
     small, large = unterminated_tags(count, tag), unterminated_tags(2 * count, tag)
     # Best of five alternating runs each, so one slow spell does not count.
@@ -65,6 +66,17 @@ def test_unterminated_tags_parse_in_linear_time(tag, count):
     small_s, large_s = min(r[0] for r in runs), min(r[1] for r in runs)
     assert large_s < 3 * small_s, (
         f"{small_s:.3f} s for {count} tags, {large_s:.3f} s for twice as many")
+
+
+def test_link_free_rows_parse_in_linear_time():
+    # Plain markup is skipped in runs of the text-run regex; a run that
+    # rescanned what an earlier one consumed would grow faster than the page.
+    row = '<tr><td class="c">x</td></tr>\n'
+    small, large = row * 10_000, row * 20_000
+    runs = [(parse_seconds(small), parse_seconds(large)) for _ in range(5)]
+    small_s, large_s = min(r[0] for r in runs), min(r[1] for r in runs)
+    assert large_s < 3 * small_s, (
+        f"{small_s:.3f} s for 10,000 rows, {large_s:.3f} s for twice as many")
 
 
 def test_unclosed_actions_before_a_large_page_cost_little():
