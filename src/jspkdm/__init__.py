@@ -45,7 +45,6 @@ from .jsp_parser import (
     UnterminatedScriptlet,
     elements_of,
     parse_jsp,
-    parse_jsp_file,
 )
 from .pipeline import (
     DependencyGraph,
@@ -80,7 +79,7 @@ __all__ = [
     "UrlRef", "WebAppInventory", "XmlSyntaxError",
     "add_method_call", "build_lookup_table", "classify_tag", "deserialize_model",
     "discover_model", "elements_of", "emit_dot", "extract_url_refs",
-    "find_class_unit", "mangle_class_name", "parse_jsp", "parse_jsp_file",
+    "find_class_unit", "mangle_class_name", "parse_jsp",
     "parse_web_xml", "render_servlet_source", "resolve_url", "run_pipeline",
     "scan_webapp", "scan_webservlet_annotations", "serialize_model",
     "translate_page", "write_outputs",

@@ -41,23 +41,19 @@ class UrlMappingTable:
 
     A valid pattern is its own lookup key, so :func:`resolve_url` builds the
     patterns that could match a path and looks each one up in ``index``.
+    ``decls`` holds the first declaration of each servlet name.
     :func:`build_lookup_table` builds tables; do not change ``entries``,
     ``index`` or ``decls`` otherwise.
     """
 
     entries: list[tuple[str, str]] = field(default_factory=list, init=False)
     index: dict[str, int] = field(default_factory=dict, init=False)
-    decls: list[ServletDecl] = field(default_factory=list)
+    decls: dict[str, ServletDecl] = field(default_factory=dict, init=False)
     context_path: str = ""
-
-    def __post_init__(self) -> None:
-        self._decls_by_name: dict[str, ServletDecl] = {}
-        for decl in self.decls:
-            self._decls_by_name.setdefault(decl.servlet_name, decl)
 
     def decl_for(self, servlet_name: str) -> ServletDecl | None:
         """The first declaration of ``servlet_name``."""
-        return self._decls_by_name.get(servlet_name)
+        return self.decls.get(servlet_name)
 
 
 class ResolvedKind(str, Enum):
@@ -284,7 +280,9 @@ def build_lookup_table(decls: list[ServletDecl],
     dropped with diagnostics. On a pattern collision the web.xml mapping wins
     over an annotation one; the shadowed mapping is recorded.
     """
-    table = UrlMappingTable(context_path=context_path, decls=list(decls))
+    table = UrlMappingTable(context_path=context_path)
+    for decl in decls:
+        table.decls.setdefault(decl.servlet_name, decl)
     for pattern, servlet_name in mappings:
         decl = table.decl_for(servlet_name)
         if decl is None:

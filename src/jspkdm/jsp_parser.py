@@ -1,39 +1,27 @@
 """Tag-level parser for JSP pages.
 
 Produces a :class:`JspDocument`: an ordered, span-annotated node list that
-covers the page source exactly. As in a container's translation, markup that
-is not JSP is template text: an HTML tag becomes a node of its own only when
-it carries a dependency (an ``a`` or ``form`` open tag, flat, with no
-children). Every other HTML open tag and every HTML close tag stays part of
-the surrounding text run, though it is still read as a tag, so its
-attribute errors are raised and a ``<%`` inside one of its quoted values
-opens nothing. Prefixed action elements such as ``jsp:include`` or ``c:if``
-are nested when their close tag is found and folded flat otherwise. No EL
-evaluation and no tag-library loading happen here: the node list is the
-shared input for the servlet translator and the URL-reference extractor.
+covers the page source exactly. As in Jasper's translation, markup that is
+not JSP is template text and is never tokenized: the parser reads on to the
+next ``<%``, prefixed open tag (``<c:if``) or prefixed close tag
+(``</c:if``), or ``a``/``form`` open tag, the HTML tags that carry a
+dependency. Those become nodes, ``a`` and ``form`` flat with no children;
+every other HTML tag, and every HTML close tag, stays part of the
+surrounding text run, so a ``<%`` or a prefixed tag inside one of its
+attribute values opens an element, as Jasper reads it. Prefixed action
+elements such as ``jsp:include`` or ``c:if`` are nested when their close tag
+is found and folded flat otherwise. No EL evaluation and no tag-library
+loading happen here: the node list is the shared input for the servlet
+translator and the URL-reference extractor.
 
-Scanning takes time linear in the page size on any input. Most plain markup
-is skipped in C: before each search for a "<" that opens something, one
-compiled regex (``_TEXT_RUN_RE``) consumes a run of text with no "<", "<"s
-that open nothing, plain close tags such as ``</td >`` and plain open tags
-with at most one attribute. Those are the tags that cannot raise: with one
-attribute no name can repeat, and the regex takes a tag only up to the ">"
-it ends with, with its quotes closed, so it never scans to EOF and needs no
-memo. A tag with two attributes, a bad quote or no ">", and every ``a``,
-``form``, prefixed or ``<%`` tag, is read tag by tag as below, with the same
-errors and offsets. The run is bounded to 256 tokens because the regex
-engine keeps backtrack state for each repetition of a group: unbounded, one
-run over a link-free megabyte raised the peak RSS by 76 MB, which
-tracemalloc does not see. A run that stops at the bound costs one more
-step of the loop.
-
-Tag by tag, one compiled regex finds each "<" that opens something, so a
-stray "<" is skipped in C, and one compiled regex tokenizes each tag
-attribute. A tag with no ">" is scanned to EOF and then read as text; each
-attribute-name start such a scan passes is memoised with the keys that
-follow it, so the scan from the next "<" stops at the first memoised start
-instead of running to EOF again, while still raising for a duplicate name as
-a full scan would. A close tag is not looked for past the page's last ">".
+Scanning takes time linear in the page size on any input. One compiled
+regex finds each "<" that opens something, so template text is skipped in
+C, and one compiled regex tokenizes each tag attribute. A tag with no ">" is
+scanned to EOF and then read as text; each attribute-name start such a scan
+passes is memoised with the keys that follow it, so the scan from the next
+"<" stops at the first memoised start instead of running to EOF again, while
+still raising for a duplicate name as a full scan would. A close tag is not
+looked for past the page's last ">".
 """
 
 from __future__ import annotations
@@ -125,17 +113,25 @@ def normalize_page_path(path: str) -> str:
     return path
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][\w.\-]*(?::[\w.\-]+)?")
+# The node names of the HTML tags that become nodes, lower-cased: those that
+# carry a dependency (dependency_extractor.TAG_TABLE's HtmlElement rows). Any
+# other HTML tag, and every HTML close tag, is template text.
+_HTML_NODE_NAMES = frozenset({"a", "form"})
+
+_PREFIXED_NAME = r"[A-Za-z_][\w.\-]*:[\w.\-]+"
 # One attribute: whitespace, then optionally a name, an "=" value and the
 # tag's end (group 5). An unquoted value (group 4) that starts with a quote
 # means the quote is never closed; an empty one at EOF means EOF came right
 # after "=".
 _ATTR_RE = re.compile(r"""\s*(?:([^\s=/>]+)\s*(?:=\s*(?:"([^"]*)"|'([^']*)'"""
                       r"""|([^\s>/]*(?:/(?!>)[^\s>/]*)*)))?\s*(/?>)?)?""")
-# Every "<" that opens something; lastindex names the opener, and the last
-# two groups capture the name of a close tag or of an element.
-_LT_RE = re.compile(r"<(?:(%--)|(%@)|(%=)|(%!)|(%)|/(" + _NAME_RE.pattern + ")|("
-                    + _NAME_RE.pattern + "))")
+# Every "<" that opens a node; lastindex names the opener, and the last two
+# groups capture the name of a prefixed close tag or of an element: a
+# prefixed name, or an _HTML_NODE_NAMES name in any case that no name
+# character follows.
+_LT_RE = re.compile(
+    r"<(?:(%--)|(%@)|(%=)|(%!)|(%)|/(" + _PREFIXED_NAME + ")|(" + _PREFIXED_NAME
+    + "|(?i:" + "|".join(map(re.escape, sorted(_HTML_NODE_NAMES))) + r")(?![\w.\-])))")
 # _LT_RE group -> the arguments of _Parser._parse_delimited.
 _DELIMITED = {
     1: (4, "--%>", NodeKind.COMMENT, "JSP comment"),
@@ -148,27 +144,6 @@ _CLOSE_OPENER = 6
 _DIRECTIVE_NAME_RE = re.compile(r"\s*([A-Za-z][\w.\-]*)")
 _DIRECTIVE_ATTR_RE = re.compile(
     r"([^\s=]+)\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s%>]+))")
-
-
-# The node names of the HTML tags that become nodes, lower-cased: those that
-# carry a dependency (dependency_extractor.TAG_TABLE's HtmlElement rows). Any
-# other HTML open tag, and every HTML close tag ("/a" is never in here), is
-# template text.
-_HTML_NODE_NAMES = frozenset({"a", "form"})
-
-# A run of template text (see the module docstring). Each token ends where
-# the tag-by-tag path would end it. A space, "/" or ">" must follow a tag
-# name, so the engine cannot cut "tdc:if" short to "td" and take it as plain.
-_TEXT_RUN_RE = re.compile(r"""(?:
-    [^<]+                               # text
-  | <(?!%|/?[A-Za-z_])                  # a "<" that opens nothing
-  | </[A-Za-z_][\w.\-]*\s*>             # a plain close tag
-  | <(?!(?i:""" + "|".join(map(re.escape, sorted(_HTML_NODE_NAMES))) + r""")(?![\w.\-]))
-    [A-Za-z_][\w.\-]*                   # a plain open tag, not a node in any case,
-    (?:\s+[^\s=/>]+\s*(?:=\s*          # with at most one attribute as _ATTR_RE reads it
-        (?:"[^"]*"|'[^']*'|(?!["'])[^\s>/]*(?:/(?!>)[^\s>/]*)*))?)?
-    \s*/?>
-){0,256}""", re.VERBOSE)
 
 
 def _classify_element(name: str) -> NodeKind:
@@ -317,9 +292,8 @@ class _Parser:
     def _parse_element(self, nodes: list[JspNode], flush_text: Callable[[int], None],
                        start: int, name: str, name_end: int) -> bool:
         """Append the element opened at ``start`` to ``nodes``, after the text
-        before it; False, appending nothing, when what is there is template
-        text: no tag, or a plain HTML tag (scanned all the same, so an
-        attribute error is raised and a quoted ``<%`` is skipped as for any tag).
+        before it; False, appending nothing, when no ">" ends the tag, so what
+        is there is template text.
 
         A prefixed action that is not self-closing nests: what follows is
         parsed into ``nodes`` as well and moved into its children once the
@@ -334,9 +308,6 @@ class _Parser:
             self.pos = start + 1
             return False
         attrs, tag_end, self_closing = scanned
-        if ":" not in name and name.lower() not in _HTML_NODE_NAMES:
-            self.pos = tag_end
-            return False
         flush_text(start)
         node = JspNode(kind=_classify_element(name), name=name, attributes=tuple(attrs),
                        span=(start, tag_end))
@@ -365,8 +336,7 @@ class _Parser:
             if end > run_start:
                 nodes.append(JspNode(kind=NodeKind.TEMPLATE_TEXT, span=(run_start, end)))
 
-        # Each search starts past the run of plain markup at pos.
-        while (m := _LT_RE.search(src, _TEXT_RUN_RE.match(src, self.pos).end())) is not None:
+        while (m := _LT_RE.search(src, self.pos)) is not None:
             lt = m.start()
             opener = m.lastindex
             delimited = _DELIMITED.get(opener)
@@ -384,8 +354,6 @@ class _Parser:
                     continue
                 name = m.group(opener)
                 self.pos = gt + 1
-                if ":" not in name and "/" + name.lower() not in _HTML_NODE_NAMES:
-                    continue  # a plain HTML close tag: part of the template text
                 flush_text(lt)
                 if until_close is not None and name == until_close:
                     self._close_span = (lt, gt + 1)
@@ -393,7 +361,7 @@ class _Parser:
                 nodes.append(JspNode(kind=_classify_element(name), name="/" + name,
                                      span=(lt, gt + 1)))
             elif not self._parse_element(nodes, flush_text, lt, m.group(opener), m.end()):
-                continue  # no tag, or a plain HTML tag: part of the template text
+                continue  # no tag: part of the template text
             run_start = self.pos
 
         self.pos = n
@@ -414,12 +382,6 @@ def parse_jsp(source: str, page_path: str) -> JspDocument:
     page_path = normalize_page_path(page_path)
     nodes = _Parser(source, page_path)._parse_nodes([])
     return JspDocument(page_path=page_path, nodes=nodes, source=source)
-
-
-def parse_jsp_file(path, page_path: str, encoding: str = "utf-8") -> JspDocument:
-    """Read a ``.jsp``/``.jspf`` file and parse it; encoding is overridable."""
-    with open(path, "r", encoding=encoding) as fh:
-        return parse_jsp(fh.read(), page_path)
 
 
 def iter_nodes(nodes: Sequence[JspNode]) -> Iterator[JspNode]:

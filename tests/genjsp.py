@@ -1,14 +1,17 @@
 """Seeded random JSP page generator for the property suites.
 
 Pages are built fragment by fragment with known expected counts, constrained
-so the independent delimiter-scan oracle agrees with the parser: no scripting
-delimiters inside attribute values, no "%>" inside embedded Java, no quotes
-in generated Java snippets.
+so the independent delimiter-scan oracle agrees with the parser: scripting
+delimiters only inside the attribute values of plain HTML tags, which are
+template text, no "%>" inside embedded Java, no quotes in generated Java
+snippets.
 """
 
 from __future__ import annotations
 
 import random
+
+from jspkdm import JspParseError, parse_jsp
 
 WORDS = ["alpha", "beta", "gamma", "delta", "rows", "value", "total", "item",
          "page", "menu", "web", "zone", "list", "data", "42", "x1"]
@@ -52,14 +55,33 @@ def _attrs(rng: random.Random, dynamic_ok: bool = False) -> str:
     return "".join(parts)
 
 
-def _html(rng: random.Random) -> str:
+# (opener, closer, counts key) of the scripting elements and JSP comment.
+SCRIPTING = [("<%", "%>", "Scriptlet"), ("<%=", "%>", "Expression"),
+             ("<%!", "%>", "Declaration"), ("<%--", "--%>", "Comment")]
+
+
+def _scripted_attr(rng: random.Random, counts: dict[str, int]) -> str:
+    """An attribute whose value holds a scripting element or JSP comment,
+    quoted or not; Jasper reads it as an element of its own."""
+    opener, closer, kind = rng.choice(SCRIPTING)
+    counts[kind] += 1
+    body = (" " + rng.choice(WORDS) + " ") if kind == "Comment" else _java(rng)
+    quote = rng.choice(['"', "'", ""])
+    before = rng.choice(["", rng.choice(WORDS)])
+    return f" {rng.choice(ATTR_NAMES)}={quote}{before}{opener}{body}{closer}{quote}"
+
+
+def _html(rng: random.Random, counts: dict[str, int] | None = None) -> str:
+    """A plain HTML tag; given ``counts``, an open tag may also carry a
+    scripting element in an attribute value, counted there."""
     tag = rng.choice(HTML_TAGS)
     style = rng.random()
-    if style < 0.4:
-        return f"<{tag}{_attrs(rng)}>"
-    if style < 0.7:
-        return f"</{tag}>"
-    return f"<{tag}{_attrs(rng)} />"
+    if style < 0.4 or style >= 0.7:
+        attrs = _attrs(rng)
+        if counts is not None and rng.random() < 0.7:
+            attrs += _scripted_attr(rng, counts)
+        return f"<{tag}{attrs}>" if style < 0.4 else f"<{tag}{attrs} />"
+    return f"</{tag}>"
 
 
 def _emit_action(rng: random.Random) -> str:
@@ -77,8 +99,11 @@ def _directive(rng: random.Random) -> str:
 
 
 def generate_page(rng: random.Random, *, allow_nesting: bool = True,
-                  size: int | None = None) -> tuple[str, dict[str, int]]:
-    """A random page plus the expected scripting-region counts."""
+                  size: int | None = None, scripted_attrs: bool = False
+                  ) -> tuple[str, dict[str, int]]:
+    """A random page plus the expected scripting-region counts. With
+    ``scripted_attrs``, plain tags may hold scripting elements in their
+    attribute values."""
     counts = {"Scriptlet": 0, "Declaration": 0, "Expression": 0, "Comment": 0}
     parts: list[str] = []
 
@@ -106,7 +131,7 @@ def generate_page(rng: random.Random, *, allow_nesting: bool = True,
         if k == 7:
             return f'<c:url value="/{rng.choice(WORDS)}.css" />'
         if k in (8, 9):
-            return _html(rng)
+            return _html(rng, counts if scripted_attrs else None)
         return _text(rng)
 
     for _ in range(rng.randint(0, 14) if size is None else size):
@@ -121,12 +146,13 @@ def random_page_path(rng: random.Random) -> str:
 
 
 # Pieces of tag tails that stress the attribute tokenizer: stray characters,
-# both quote kinds, non-ASCII whitespace, "=" at EOF, and names that repeat
-# in another case.
+# both quote kinds, non-ASCII whitespace, "=" at EOF, names that repeat in
+# another case, and tags whose attributes are read (prefixed, "a", "form").
 TAIL_BITS = ["<", "<", ">", "/", "/>", "=", '"', "'", "\x0b", "\u00a0", " ", "\n",
              "a", "A", " a", " A", " b", " B", "x=", " a='", ' b="', "' ", '" ',
-             "<y", "<y a ", "<x q='<y a ' a", "<c:if", "</c:if>", "</c:if",
-             "<c:if test='t'>", "<td w=1", "=v", "/x", "${e}", "<%= e %>", "<%", "%>"]
+             "<c:y", "<c:y a ", "<a q='<c:y a ' a", "<c:if", "</c:if>", "</c:if",
+             "<c:if test='t'>", "<form w=1", "<td w=1", "=v", "/x", "${e}", "<%= e %>",
+             "<%", "%>"]
 OPEN_BITS = [bit for bit in TAIL_BITS if ">" not in bit]
 
 
@@ -140,15 +166,15 @@ def generate_adversarial_page(rng: random.Random) -> str:
     last = TAIL_BITS if rng.random() < 0.2 else OPEN_BITS
     for k in range(rng.randint(1, 24)):
         # Tags with unique names, as in a page of unterminated tags.
-        parts.append(rng.choice(last) if rng.random() < 0.6 else f" <t{k} w{k}")
+        parts.append(rng.choice(last) if rng.random() < 0.6 else f" <c:t{k} w{k}")
     return "".join(parts)
 
 
-# Bits of tag soup: plain tags the parser skips as one text run, and the
-# near misses it must not skip there: the dependency tags in any case, names
-# that a colon or one more character turns into another tag, two attributes
-# that may repeat a name, bad quotes, scripting delimiters, a "<" that
-# opens nothing, non-ASCII names and whitespace.
+# Bits of tag soup: plain tags, which are template text, and the tags whose
+# attributes the parser reads next to their near misses: the dependency tags
+# in any case, names that a colon or one more character turns into another
+# tag, attributes that may repeat a name, bad quotes, scripting delimiters,
+# a "<" that opens nothing, non-ASCII names and whitespace.
 SOUP_BITS = ["<td>", "<TD class='c'>", '<td title="<% x %>">', "<tr>", "</td>", "</tr >",
              "</td\x0b>", "<br/>", "<br />", "<img src=x/y/>", "<p x=1>", "<p x=1 X=2>",
              "<p x=1 y=2>", "<p\x0bx>", "<p x=>", "<p x= >", "<p x='>'>", '<p x="a"y>',
@@ -166,3 +192,23 @@ SOUP_BITS = ["<td>", "<TD class='c'>", '<td title="<% x %>">', "<tr>", "</td>", 
 def generate_tag_soup(rng: random.Random) -> str:
     """One to twelve tag-soup bits; most pages hold a dozen tags or fewer."""
     return "".join(rng.choice(SOUP_BITS) for _ in range(rng.randint(1, 12)))
+
+
+def tag_soup(count: int, seed: int) -> list[str]:
+    rng = random.Random(seed)
+    return [generate_tag_soup(rng) for _ in range(count)]
+
+
+def generated_pages(count: int = 10_000) -> list[str]:
+    """Seeded ``generate_page`` pages, three in four of them adversarial."""
+    rng = random.Random(0x5CA7)
+    return [generate_adversarial_page(rng) if k % 4 else generate_page(rng)[0]
+            for k in range(count)]
+
+
+def parse_outcome(source: str):
+    """The node list, or the (type, message, offset) of the parse error."""
+    try:
+        return parse_jsp(source, "/gen.jsp").nodes
+    except JspParseError as exc:
+        return type(exc), str(exc), exc.offset

@@ -181,7 +181,7 @@ class TestBuildLookupTable:
 
     def test_empty_inputs(self):
         table = build_lookup_table([], [])
-        assert table.entries == [] and table.decls == []
+        assert table.entries == [] and table.decls == {}
 
     def test_dangling_mapping_dropped(self):
         diagnostics = []

@@ -1,12 +1,13 @@
 """Parser tests: kinds, spans, errors, the randomized span/count suites, the
-node-per-tag shape that the translation and extraction do not depend on, and
-the text run that must skip only what the tag-by-tag path reads as text."""
+tag scanner against its character-loop oracle, and template text read as
+Jasper reads it."""
 
 from __future__ import annotations
 
 import gc
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,19 +18,20 @@ from jspkdm import (
     TAG_TABLE,
     DuplicateAttribute,
     JspNode,
-    JspParseError,
     MalformedAttribute,
     NodeKind,
+    StatementKind,
     UnterminatedScriptlet,
     elements_of,
     extract_url_refs,
     jsp_parser,
     parse_jsp,
+    render_servlet_source,
     translate_page,
 )
-from .fuzz_text_run import NO_TEXT_RUN, disagreements, parse_outcome, tag_soup
-from .genjsp import generate_adversarial_page, generate_page
-from .oracles import check_span_coverage, delimiter_scan, scan_tag_attrs_oracle
+from .fuzz_tag_scan import disagreements
+from .genjsp import generate_page, generated_pages, parse_outcome, tag_soup
+from .oracles import check_span_coverage, delimiter_scan
 
 
 def kinds_of(doc):
@@ -132,15 +134,6 @@ class TestBasicKinds:
         assert parse_jsp("", "powers.jsp").page_path == "/powers.jsp"
         assert parse_jsp("", "//a//b.jsp").page_path == "/a/b.jsp"
 
-    def test_parse_file_with_encoding_override(self, tmp_path):
-        from jspkdm import parse_jsp_file
-        page = tmp_path / "latin.jsp"
-        page.write_bytes("<p>café</p>".encode("latin-1"))
-        doc = parse_jsp_file(page, "/latin.jsp", encoding="latin-1")
-        assert "café" in doc.source
-        with pytest.raises(UnicodeDecodeError):
-            parse_jsp_file(page, "/latin.jsp")
-
 
 class TestAttributes:
     def test_quote_styles(self):
@@ -178,24 +171,26 @@ class TestAttributes:
         assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
 
     def test_unterminated_tags_after_an_eof_scan_are_text(self):
-        doc = parse_jsp("<a b <c d <e f= <g 'h' <i j=", "/p.jsp")
-        assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
+        for source in ("<a b <c d <e f= <g 'h' <i j=",
+                       "<a b <c:c d <form f= <c:g 'h' <A j="):
+            doc = parse_jsp(source, "/p.jsp")
+            assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
 
     def test_duplicate_found_by_a_scan_reaching_an_eof_scan(self):
-        # The "<x" scan reaches EOF; the "<y" scan inside its quoted value
+        # The "<a" scan reaches EOF; the "<c:y" scan inside its quoted value
         # then meets the last "a" again and must still raise.
         with pytest.raises(DuplicateAttribute) as info:
-            parse_jsp("<x q='<y a ' a", "/p.jsp")
+            parse_jsp("<a q='<c:y a ' a", "/p.jsp")
         assert info.value.offset == 6
         assert "duplicate attribute 'a'" in str(info.value)
         with pytest.raises(DuplicateAttribute, match="'a'"):
-            parse_jsp("<p q='<r A ' a", "/p.jsp")
+            parse_jsp("<c:p q='<c:r A ' a", "/p.jsp")
 
     def test_eof_after_equals_skips_the_duplicate_check(self):
-        doc = parse_jsp("<x a a=", "/p.jsp")
+        doc = parse_jsp("<c:x a a=", "/p.jsp")
         assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
         with pytest.raises(DuplicateAttribute):
-            parse_jsp("<x a a", "/p.jsp")
+            parse_jsp("<c:x a a", "/p.jsp")
 
     def test_unicode_whitespace_separates_attributes(self):
         doc = parse_jsp("<a a=1\u00a0b='2'\x0bc>", "/p.jsp")
@@ -316,8 +311,9 @@ class TestPeakMemory:
     @pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
     def test_a_link_free_megabyte_leaves_the_peak_flat(self):
         # The regex engine's backtrack state is not seen by tracemalloc, so
-        # the peak is read in a child of its own. A run bounded to 256 tokens
-        # grows it by about 0 MB; an unbounded repeat over this page, by 76.
+        # the peak is read in a child of its own. Searching for the next "<"
+        # that opens a node grows it by about 0 MB; a regex that repeated a
+        # group once per plain tag over this page grew it by 76.
         src = str(Path(jsp_parser.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", PEAK_GROWTH_CHILD], env=env,
@@ -344,13 +340,32 @@ class TestPlainMarkupIsTemplateText:
         _, grown = tracked_objects_left_by(self.PAGE)
         assert grown <= 100, f"{grown} tracked objects"
 
-    def test_a_plain_tag_is_still_scanned(self):
-        doc = parse_jsp('<div title="<% x %>">t</div>', "/p.jsp")
-        assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
-        with pytest.raises(DuplicateAttribute):
-            parse_jsp("<td a=1 A=2>", "/p.jsp")
-        with pytest.raises(MalformedAttribute):
-            parse_jsp('<td title="x>', "/p.jsp")
+    def test_scriptlets_inside_a_plain_tag_keep_the_braces_balanced(self):
+        doc = parse_jsp("<option <% if (sel) { %>selected<% } %>>", "/p.jsp")
+        unit = translate_page(doc)
+        assert [s.text for s in unit.service_body
+                if s.kind is StatementKind.INLINE_CODE] == [" if (sel) { ", " } "]
+        code = re.sub(r'"(?:\\.|[^"\\])*"', '""', render_servlet_source(unit))
+        assert code.count("{") == code.count("}")
+
+    def test_expression_inside_a_plain_attribute_is_emitted(self):
+        unit = translate_page(parse_jsp('<input value="<%= q %>">', "/p.jsp"))
+        assert [s.kind for s in unit.service_body] == [
+            StatementKind.TEMPLATE_EMIT, StatementKind.EXPRESSION_EMIT,
+            StatementKind.TEMPLATE_EMIT]
+
+    def test_tags_inside_a_plain_attribute_are_references(self):
+        refs = extract_url_refs(parse_jsp('<img src="<c:url value=\'/logo.png\'/>">',
+                                          "/p.jsp"))
+        assert [(r.tag_kind, r.raw_url) for r in refs] == [("c:url", "/logo.png")]
+        refs = extract_url_refs(parse_jsp("<div title=\"<a href='/x'>\">", "/p.jsp"))
+        assert [(r.tag_kind, r.raw_url) for r in refs] == [("a-href", "/x")]
+
+    def test_plain_tag_attributes_are_not_checked(self):
+        for source in ("<td a=1 A=2>", '<td title="x>'):
+            doc = parse_jsp(source, "/p.jsp")
+            assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
+            assert doc.text_of(doc.nodes[0]) == source
 
     def test_dependency_tags_match_case_insensitively(self):
         doc = parse_jsp('<A HREF="/a.jsp"><Form action="/f"></FORM></a>', "/p.jsp")
@@ -362,145 +377,60 @@ class TestPlainMarkupIsTemplateText:
         assert jsp_parser._HTML_NODE_NAMES == html_rows
 
 
-class _EveryName:
-    """An HTML-name set that holds every name: a node per HTML tag."""
-
-    def __contains__(self, name: str) -> bool:
-        return True
-
-
-HANDLERS = {"c:if": "org.example.IfTag", "c:url": "org.example.UrlTag"}
-
-# Tags spliced into generated pages, so both shapes meet the dependency
-# tags and what the translation reports on.
-SPLICED_BITS = ['<a href="/x.jsp">', "</a>", "<A HREF='${u}'>", "<a>",
-                '<a href="<%= u %>" class=c>', '<form action="/f" method="delete">',
-                '<FORM ACTION="/g" METHOD=post>', "<form>", "</form>", "<a href=",
-                '<form action="/h', '<jsp:useBean id="b" />', '<jsp:getProperty name="b" />']
-
-
-def both_steps(source: str, page_path: str = "/gen.jsp"):
-    """The translation and extraction of a page, or its parse error."""
-    try:
-        doc = parse_jsp(source, page_path)
-    except JspParseError as exc:
-        return type(exc), str(exc), exc.offset
-    translation, extraction = [], []
-    unit = translate_page(doc, HANDLERS, translation)
-    refs = extract_url_refs(doc, extraction)
-    return unit, translation, refs, extraction
-
-
-class TestNodePerTagShapeAgrees:
-    CASES = 3000
-
-    def test_both_shapes_translate_and_extract_alike(self, monkeypatch, fixture_webapp):
-        rng = random.Random(0x7A6)
-        pages = []
-        for k in range(self.CASES):
-            parts = [generate_adversarial_page(rng) if k % 2 else generate_page(rng)[0]
-                     for _ in range(2)]
-            for _ in range(rng.randint(0, 4)):
-                parts.insert(rng.randrange(len(parts) + 1), rng.choice(SPLICED_BITS))
-            pages.append(("/gen.jsp", "".join(parts)))
-        pages += [("/" + p.relative_to(fixture_webapp).as_posix(), p.read_text("utf-8"))
-                  for p in sorted(fixture_webapp.rglob("*.jsp"))]
-        kept = [both_steps(source, path) for path, source in pages]
-        # Every "<" takes the tag-by-tag path, where the set is looked up.
-        monkeypatch.setattr(jsp_parser, "_TEXT_RUN_RE", NO_TEXT_RUN)
-        monkeypatch.setattr(jsp_parser, "_HTML_NODE_NAMES", _EveryName())
-        assert kinds_of(parse_jsp("<p>x</p>", "/p.jsp")) == [NodeKind.HTML_ELEMENT,
-                                                             NodeKind.TEMPLATE_TEXT,
-                                                             NodeKind.HTML_ELEMENT]
-        for (path, source), got in zip(pages, kept):
-            assert got == both_steps(source, path), source
-        # Both outcomes, refs and diagnostics of each step occur.
-        units = [got for got in kept if not isinstance(got[0], type)]
-        assert len(units) < len(kept)
-        assert all(any(got[i] for got in units) for i in (1, 2, 3))
-
-
 class TestRandomizedProperties:
     CASES = 300
 
-    def test_span_coverage_counts_and_determinism(self):
+    def check_pages(self, scripted_attrs: bool) -> list[str]:
         rng = random.Random(0xC0DE)
+        sources = []
         for _ in range(self.CASES):
-            source, expected = generate_page(rng)
+            source, expected = generate_page(rng, scripted_attrs=scripted_attrs)
             doc = parse_jsp(source, "/gen.jsp")
             check_span_coverage(doc)
-            # kind counts equal the brute-force delimiter scan
+            # scripting spans equal the brute-force delimiter scan's
             oracle = delimiter_scan(source)
             for kind, name in ((NodeKind.SCRIPTLET, "Scriptlet"),
                                (NodeKind.DECLARATION, "Declaration"),
                                (NodeKind.EXPRESSION, "Expression"),
                                (NodeKind.COMMENT, "Comment")):
-                got = len(elements_of(doc, {kind}))
-                assert got == len(oracle[name]) == expected[name], (kind, source)
+                spans = [node.span for node in elements_of(doc, {kind})]
+                assert spans == oracle[name], (kind, source)
+                assert len(spans) == expected[name], (kind, source)
             # determinism: same bytes, structurally identical documents
             again = parse_jsp(source, "/gen.jsp")
             assert again == doc
+            sources.append(source)
+        return sources
+
+    def test_span_coverage_counts_and_determinism(self):
+        self.check_pages(scripted_attrs=False)
+
+    def test_scripting_inside_plain_tag_attributes(self):
+        # As in Jasper, a plain tag is template text, so a scripting element
+        # in one of its attribute values, quoted or not, is an element.
+        sources = self.check_pages(scripted_attrs=True)
+        scripted = sum(bool(re.search(r"""=["']?\w*<%""", source)) for source in sources)
+        assert scripted > self.CASES // 4
 
 
-def generated_pages(count: int = 10_000) -> list[str]:
-    """Seeded ``genjsp`` pages, three in four of them adversarial."""
-    rng = random.Random(0x5CA7)
-    return [generate_adversarial_page(rng) if k % 4 else generate_page(rng)[0]
-            for k in range(count)]
+OUTCOMES = {list, DuplicateAttribute, MalformedAttribute, UnterminatedScriptlet}
+
+
+def outcome_kinds(pages) -> set:
+    return {got[0] if isinstance(got, tuple) else list for got in map(parse_outcome, pages)}
 
 
 class TestScannerAgreesWithOracle:
-    def test_10k_pages_agree_with_the_character_loop(self, monkeypatch):
+    """The tag scanner and its EOF memo parse every page as the character-loop
+    oracle, which scans each tag on its own, does; every outcome occurs, so
+    each path of the scanner is compared."""
+
+    def test_10k_pages_agree_with_the_character_loop(self):
         pages = generated_pages()
-        fast = [parse_outcome(page) for page in pages]
-        # The oracle side scans every tag, plain ones included.
-        monkeypatch.setattr(jsp_parser, "_TEXT_RUN_RE", NO_TEXT_RUN)
-        monkeypatch.setattr(
-            jsp_parser._Parser, "_scan_tag_attrs",
-            lambda parser, pos, tag_start: scan_tag_attrs_oracle(
-                parser.source, pos, tag_start, parser.page_path))
-        for page, got in zip(pages, fast):
-            assert got == parse_outcome(page), page
-        # Every outcome occurs, so each path of the scanner is compared.
-        kinds = {got[0] if isinstance(got, tuple) else list for got in fast}
-        assert kinds == {list, DuplicateAttribute, MalformedAttribute,
-                         UnterminatedScriptlet}
+        assert disagreements(pages) == []
+        assert outcome_kinds(pages) == OUTCOMES
 
-
-class TestTextRunAgreesWithTagByTag:
-    """The text-run regex skips only what the tag-by-tag path reads as
-    template text, up to the same offset: with the regex patched to match
-    only the empty string, every page parses to the same outcome."""
-
-    def test_generated_pages(self):
-        assert disagreements(generated_pages()) == []
-
-    def test_100k_tag_soup_pages(self):
+    def test_100k_tag_soup_pages_agree_with_the_character_loop(self):
         pages = tag_soup(100_000, seed=0x50_0B)
         assert disagreements(pages) == []
-        # Each outcome occurs, and about half the pages start with a tag that
-        # the run skips.
-        kinds = {got[0] if isinstance(got, tuple) else list
-                 for got in map(parse_outcome, pages[:2000])}
-        assert kinds == {list, DuplicateAttribute, MalformedAttribute,
-                         UnterminatedScriptlet}
-        skipped = sum("<" in page[:jsp_parser._TEXT_RUN_RE.match(page).end()]
-                      for page in pages[:2000])
-        assert skipped > 800
-
-    def test_runs_longer_than_the_bound(self):
-        # A row is six tokens; a run stops after 256 and the next one goes on.
-        rows = '<tr><td class="c">x</td></tr>\n'
-        tails = ['<a href="/x.jsp">l</a>', '<c:if test="t">y</c:if>', "</c:if>",
-                 "<p x=1 X=2>", '<td title="x>', '<t a="v" ', "<% open", "<", ""]
-        pages = [rows * count + tail for count in (42, 43, 100) for tail in tails]
-        pages += ["<b>" * count + tail for count in (255, 256, 257, 512, 513)
-                  for tail in tails]
-        pages += [f'<c:if test="t">{rows * 100}<a href="/x.jsp">{rows * 100}</c:if>']
-        assert jsp_parser._TEXT_RUN_RE.match(rows * 100).end() < len(rows * 100)
-        assert disagreements(pages) == []
-
-    def test_dependency_tags_end_a_run_in_any_case(self):
-        for name in jsp_parser._HTML_NODE_NAMES:
-            for tag in (name, name.upper(), name.title()):
-                assert jsp_parser._TEXT_RUN_RE.match(f"<td><{tag} x=1>").end() == 4
+        assert outcome_kinds(pages[:2000]) == OUTCOMES

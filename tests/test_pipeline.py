@@ -390,6 +390,9 @@ class TestRunPipeline:
         assert result.report["pages_failed"] == ["/latin1.jsp"]
         assert result.report["pages_parsed"] == 5
         assert model_edge_set(result.model) == FIXTURE_MODEL_EDGES
+        # Read with the encoding it was written in, it parses.
+        result = run_pipeline(scan_webapp(fixture_webapp), PipelineConfig(encoding="latin-1"))
+        assert result.diagnostics == [] and result.report["pages_parsed"] == 6
 
     def test_file_gone_after_the_scan_is_named_by_its_webapp_path(self, fixture_webapp,
                                                                   tmp_path):

@@ -37,7 +37,7 @@ from jspkdm import (
 from jspkdm.jsp_parser import iter_nodes
 
 
-def unterminated_tags(count: int, tag: str = "<t{} ") -> str:
+def unterminated_tags(count: int, tag: str = "<c:t{} ") -> str:
     """``count`` tags with no ">" after any of them (8000 make about 55 KB)."""
     return "".join(tag.format(m) for m in range(count))
 
@@ -50,15 +50,20 @@ def parse_seconds(source: str) -> float:
     return elapsed
 
 
-def test_parse_8000_unterminated_tags():
-    elapsed = parse_seconds(unterminated_tags(8000))
+# Each tag is one whose attributes the parser reads, a prefixed action or an
+# "a" tag, and one is a plain tag, which is template text and never scanned.
+# Each "<a" is the value of the attribute before it, so no name repeats.
+@pytest.mark.parametrize("tag", ["<c:t{} ", "<a x{}=", "<t{} "])
+def test_parse_8000_unterminated_tags(tag):
+    elapsed = parse_seconds(unterminated_tags(8000, tag))
     assert elapsed < 1.0, f"8000 unterminated tags took {elapsed:.2f} s"
 
 
 # Close tags are cheaper per tag, so it takes more of them for the quadratic
 # search to show.
-@pytest.mark.parametrize("tag, count", [("<t{} ", 8000), ("</t{} ", 64_000),
-                                        ('<t{0} a{0}="v" ', 8000), ("</t{}  ", 64_000)])
+@pytest.mark.parametrize("tag, count", [("<c:t{} ", 8000), ("</c:t{} ", 64_000),
+                                        ('<c:t{0} a{0}="v" ', 8000), ("</c:t{}  ", 64_000),
+                                        ("<a x{}=", 8000), ("<t{} ", 8000)])
 def test_unterminated_tags_parse_in_linear_time(tag, count):
     small, large = unterminated_tags(count, tag), unterminated_tags(2 * count, tag)
     # Best of five alternating runs each, so one slow spell does not count.
@@ -69,8 +74,9 @@ def test_unterminated_tags_parse_in_linear_time(tag, count):
 
 
 def test_link_free_rows_parse_in_linear_time():
-    # Plain markup is skipped in runs of the text-run regex; a run that
-    # rescanned what an earlier one consumed would grow faster than the page.
+    # Plain markup is template text, skipped by the search for the next "<"
+    # that opens a node; a search that rescanned it would grow faster than
+    # the page.
     row = '<tr><td class="c">x</td></tr>\n'
     small, large = row * 10_000, row * 20_000
     runs = [(parse_seconds(small), parse_seconds(large)) for _ in range(5)]
