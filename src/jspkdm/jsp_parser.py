@@ -4,7 +4,7 @@ Produces a :class:`JspDocument`: an ordered, span-annotated node list that
 covers the page source exactly. As in Jasper's translation, markup that is
 not JSP is template text and is never tokenized: the parser reads on to the
 next ``<%``, prefixed open tag (``<c:if``) or prefixed close tag
-(``</c:if``), or ``a``/``form`` open tag, the HTML tags that carry a
+(``</c:if>``), or ``a``/``form`` open tag, the HTML tags that carry a
 dependency. Those become nodes, ``a`` and ``form`` flat with no children;
 every other HTML tag, and every HTML close tag, stays part of the
 surrounding text run, so a ``<%`` or a prefixed tag inside one of its
@@ -20,8 +20,9 @@ C, and one compiled regex tokenizes each tag attribute. A tag with no ">" is
 scanned to EOF and then read as text; each attribute-name start such a scan
 passes is memoised with the keys that follow it, so the scan from the next
 "<" stops at the first memoised start instead of running to EOF again, while
-still raising for a duplicate name as a full scan would. A close tag is not
-looked for past the page's last ">".
+still raising for a duplicate name as a full scan would. A prefixed close tag
+is its name and optional whitespace up to ">", as Jasper ends it; one that
+does not close the innermost open action is template text.
 """
 
 from __future__ import annotations
@@ -126,11 +127,11 @@ _PREFIXED_NAME = r"[A-Za-z_][\w.\-]*:[\w.\-]+"
 _ATTR_RE = re.compile(r"""\s*(?:([^\s=/>]+)\s*(?:=\s*(?:"([^"]*)"|'([^']*)'"""
                       r"""|([^\s>/]*(?:/(?!>)[^\s>/]*)*)))?\s*(/?>)?)?""")
 # Every "<" that opens a node; lastindex names the opener, and the last two
-# groups capture the name of a prefixed close tag or of an element: a
-# prefixed name, or an _HTML_NODE_NAMES name in any case that no name
-# character follows.
+# groups capture the name of a prefixed close tag, which whitespace and ">"
+# end, or of an element: a prefixed name, or an _HTML_NODE_NAMES name in any
+# case that no name character follows.
 _LT_RE = re.compile(
-    r"<(?:(%--)|(%@)|(%=)|(%!)|(%)|/(" + _PREFIXED_NAME + ")|(" + _PREFIXED_NAME
+    r"<(?:(%--)|(%@)|(%=)|(%!)|(%)|/(" + _PREFIXED_NAME + r")\s*>|(" + _PREFIXED_NAME
     + "|(?i:" + "|".join(map(re.escape, sorted(_HTML_NODE_NAMES))) + r")(?![\w.\-])))")
 # _LT_RE group -> the arguments of _Parser._parse_delimited.
 _DELIMITED = {
@@ -164,8 +165,6 @@ class _Parser:
         self.page_path = page_path
         self.pos = 0
         self._close_span: Span | None = None
-        # A close tag needs a ">" after its name, and none follows this one.
-        self._last_gt = source.rfind(">")
         # Attribute-name start -> (index of each key, attributes, index here)
         # for every name that a tag scan reaching EOF passed; see
         # _scan_tag_attrs.
@@ -347,19 +346,12 @@ class _Parser:
                 flush_text(lt)
                 nodes.append(self._parse_directive(lt))
             elif opener == _CLOSE_OPENER:
-                name_end = m.end()
-                gt = src.find(">", name_end) if name_end <= self._last_gt else -1
-                if gt < 0:
-                    self.pos = lt + 1
-                    continue
-                name = m.group(opener)
-                self.pos = gt + 1
+                self.pos = m.end()
+                if m.group(opener) != until_close:
+                    continue  # closes nothing open: part of the template text
                 flush_text(lt)
-                if until_close is not None and name == until_close:
-                    self._close_span = (lt, gt + 1)
-                    return nodes
-                nodes.append(JspNode(kind=_classify_element(name), name="/" + name,
-                                     span=(lt, gt + 1)))
+                self._close_span = (lt, self.pos)
+                return nodes
             elif not self._parse_element(nodes, flush_text, lt, m.group(opener), m.end()):
                 continue  # no tag: part of the template text
             run_start = self.pos

@@ -323,7 +323,7 @@ def run_pipeline(inventory: WebAppInventory,
                 graph.add_edge(page, target.class_name, ref.tag_kind, NODE_CLASS)
             elif target.kind is ResolvedKind.INTERNAL_PAGE:
                 target_unit = find_class_unit(model_index, target.page_path)
-                if target_unit is None or caller is None:
+                if target_unit is None:
                     graph.unresolved.append(
                         (page, ref.raw_url, "target-page-not-in-model"))
                     continue

@@ -2,20 +2,20 @@
 
 Follows the classic container translation rules: scriptlets and expressions
 become code in the request-serving method, declarations become class members,
-bean actions become instantiations and accessor calls, and everything else is
-written to the response verbatim. The resulting :class:`ServletUnit` is what
-the code model is discovered from; rendering it to Java-looking source is a
-side product for inspection.
+bean actions and known custom tags become instantiations and calls, and all
+the rest of the page is template text, written to the response verbatim. The
+resulting :class:`ServletUnit` is what the code model is discovered from;
+rendering it to Java-looking source is a side product for inspection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .diagnostics import Diagnostic, emit
-from .jsp_parser import JspDocument, JspNode, NodeKind, Span
+from .jsp_parser import JspDocument, JspNode, NodeKind, Span, iter_nodes
 
 
 class StatementKind(str, Enum):
@@ -123,20 +123,6 @@ class _Translator:
             CodeStatement(StatementKind.TEMPLATE_EMIT, text, origin_span=span))
         pending.clear()
 
-    def _statement(self, stmt: CodeStatement) -> None:
-        self.flush()
-        self.unit.service_body.append(stmt)
-
-    def _emit_element(self, node: JspNode) -> None:
-        if node.inner_span is None:
-            self._emit(*node.span)
-            return
-        start, end = node.span
-        inner_start, inner_end = node.inner_span
-        self._emit(start, inner_start)
-        self.walk(node.children)
-        self._emit(inner_end, end)
-
     def _code_of(self, node: JspNode) -> str:
         start, end = node.inner_span
         return self.doc.source[start:end]
@@ -147,67 +133,84 @@ class _Translator:
 
     # -- node dispatch --------------------------------------------------------
 
-    def walk(self, nodes: Sequence[JspNode]) -> None:
-        for node in nodes:
+    def walk(self) -> None:
+        """Translate the page in one document-order loop over its nodes, with
+        no recursion. Template text is what no code covers: a cursor moves over
+        the source and skips only the scripting elements, JSP comments and the
+        open and close tags of actions that become statements. A stack holds
+        the close tag of each such action until the walk is past its children."""
+        pos = 0
+        closes: list[Span] = []
+        for node in iter_nodes(self.doc.nodes):
             kind = node.kind
-            if kind is NodeKind.COMMENT:
-                continue  # never reaches the client
-            if kind is NodeKind.TEMPLATE_TEXT:
-                self._emit(*node.span)
-            elif kind is NodeKind.SCRIPTLET:
-                self._statement(CodeStatement(
-                    StatementKind.INLINE_CODE, self._code_of(node), origin_span=node.span))
+            if kind is NodeKind.TEMPLATE_TEXT or kind is NodeKind.HTML_ELEMENT:
+                continue  # template text, and the a and form tags in it
+            if kind is NodeKind.DIRECTIVE:
+                self._directive(node)
+                continue
+            start, end = node.span
+            while closes and closes[-1][0] <= start:
+                self._emit(pos, closes[-1][0])
+                pos = closes.pop()[1]
+            stmt = None  # and stays None for a JSP comment: it never reaches the client
+            if kind is NodeKind.SCRIPTLET:
+                stmt = CodeStatement(StatementKind.INLINE_CODE, self._code_of(node),
+                                     origin_span=node.span)
             elif kind is NodeKind.EXPRESSION:
-                self._statement(CodeStatement(
-                    StatementKind.EXPRESSION_EMIT, self._code_of(node), origin_span=node.span))
+                stmt = CodeStatement(StatementKind.EXPRESSION_EMIT, self._code_of(node),
+                                     origin_span=node.span)
             elif kind is NodeKind.DECLARATION:
                 self.unit.declarations.append(CodeStatement(
                     StatementKind.INLINE_CODE, self._code_of(node).strip(),
                     origin_span=node.span))
-            elif kind is NodeKind.DIRECTIVE:
-                self._directive(node)
-            elif kind is NodeKind.STANDARD_ACTION:
-                self._standard_action(node)
-            elif kind is NodeKind.CUSTOM_ACTION:
-                self._custom_action(node)
-            else:  # HtmlElement: an a or form tag, a node only for the extractor
-                # and, like all markup, template text
-                self._emit(*node.span)
+            elif kind is NodeKind.STANDARD_ACTION or kind is NodeKind.CUSTOM_ACTION:
+                stmt = (self._standard_action(node) if kind is NodeKind.STANDARD_ACTION
+                        else self._custom_action(node))
+                if stmt is None:
+                    continue  # template text
+                if node.inner_span is not None:
+                    end = node.inner_span[0]
+                    closes.append((node.inner_span[1], node.span[1]))
+            self._emit(pos, start)
+            pos = end
+            if stmt is not None:
+                self.flush()
+                self.unit.service_body.append(stmt)
+        for close_start, close_end in reversed(closes):
+            self._emit(pos, close_start)
+            pos = close_end
+        self._emit(pos, len(self.doc.source))
 
     def _directive(self, node: JspNode) -> None:
-        if node.name == "page":
+        if node.name in ("page", "jsp:directive.page"):
             imports = node.attribute_value("import")
             if imports:
                 for imp in imports.split(","):
                     imp = imp.strip()
                     if imp and imp not in self.unit.imports:
                         self.unit.imports.append(imp)
-        self._emit_element(node)
 
-    def _standard_action(self, node: JspNode) -> None:
+    def _standard_action(self, node: JspNode) -> CodeStatement | None:
+        """The statement of a bean action; None for template text."""
         name = node.name
         if name == "jsp:useBean":
             bean_id = node.attribute_value("id")
             bean_class = node.attribute_value("class")
             if not bean_class:
                 self._diag("jsp:useBean without class attribute", node)
-                self._emit_element(node)
-                return
+                return None
             metadata = {"bean": bean_id or "", "class": bean_class}
             scope = node.attribute_value("scope")
             if scope:
                 metadata["scope"] = scope
-            self._statement(CodeStatement(
-                StatementKind.BEAN_INSTANTIATION, self.doc.text_of(node),
-                metadata=metadata, origin_span=node.span))
-            self.walk(node.children)
-        elif name in ("jsp:getProperty", "jsp:setProperty"):
+            return CodeStatement(StatementKind.BEAN_INSTANTIATION, self.doc.text_of(node),
+                                 metadata=metadata, origin_span=node.span)
+        if name in ("jsp:getProperty", "jsp:setProperty"):
             bean = node.attribute_value("name")
             prop = node.attribute_value("property")
             if not bean or not prop:
                 self._diag(f"{name} missing name/property attribute", node)
-                self._emit_element(node)
-                return
+                return None
             if name == "jsp:getProperty":
                 metadata = {"bean": bean, "property": prop,
                             "method": "get" + _capitalized(prop)}
@@ -223,28 +226,24 @@ class _Translator:
                 if param is not None:
                     metadata["param"] = param
                 stmt_kind = StatementKind.PROPERTY_SET
-            self._statement(CodeStatement(
-                stmt_kind, self.doc.text_of(node), metadata=metadata,
-                origin_span=node.span))
-            self.walk(node.children)
-        else:
-            # jsp:include, jsp:forward, jsp:param, ... : emitted verbatim and
-            # codified later by the dependency extraction pass.
-            self._emit_element(node)
+            return CodeStatement(stmt_kind, self.doc.text_of(node), metadata=metadata,
+                                 origin_span=node.span)
+        # jsp:include, jsp:forward, jsp:param, ... : template text, codified
+        # later by the dependency extraction pass.
+        return None
 
-    def _custom_action(self, node: JspNode) -> None:
+    def _custom_action(self, node: JspNode) -> CodeStatement | None:
+        """The call of the tag's known handler; None for template text."""
         handler = self.known_tag_handlers.get(node.name)
         if handler is None:
-            self._emit_element(node)
-            return
+            return None
         methods = ["setAttribute"] * len(node.attributes) + ["doStartTag", "doEndTag"]
-        self._statement(CodeStatement(
+        return CodeStatement(
             StatementKind.TAG_HANDLER_CALL, self.doc.text_of(node),
             metadata={"tag": node.name, "handler": handler,
                       "methods": methods,
                       "attributes": [name for name, _ in node.attributes]},
-            origin_span=node.span))
-        self.walk(node.children)
+            origin_span=node.span)
 
 
 def translate_page(doc: JspDocument, known_tag_handlers: Mapping[str, str] | None = None,
@@ -258,7 +257,7 @@ def translate_page(doc: JspDocument, known_tag_handlers: Mapping[str, str] | Non
     unit = ServletUnit(class_name=mangle_class_name(doc.page_path),
                        source_page=doc.page_path)
     translator = _Translator(doc, known_tag_handlers or {}, unit, diagnostics)
-    translator.walk(doc.nodes)
+    translator.walk()
     translator.flush()
     return unit
 

@@ -174,7 +174,9 @@ def generate_adversarial_page(rng: random.Random) -> str:
 # attributes the parser reads next to their near misses: the dependency tags
 # in any case, names that a colon or one more character turns into another
 # tag, attributes that may repeat a name, bad quotes, scripting delimiters,
-# a "<" that opens nothing, non-ASCII names and whitespace.
+# a "<" that opens nothing, non-ASCII names and whitespace; and, for the
+# translator, close tags that do and do not end, declarations, the XML page
+# directive and the bean actions with and without the attributes they need.
 SOUP_BITS = ["<td>", "<TD class='c'>", '<td title="<% x %>">', "<tr>", "</td>", "</tr >",
              "</td\x0b>", "<br/>", "<br />", "<img src=x/y/>", "<p x=1>", "<p x=1 X=2>",
              "<p x=1 y=2>", "<p\x0bx>", "<p x=>", "<p x= >", "<p x='>'>", '<p x="a"y>',
@@ -186,7 +188,11 @@ SOUP_BITS = ["<td>", "<TD class='c'>", '<td title="<% x %>">', "<tr>", "</td>", 
              "</", "<", " <", "<%", "%>", "<%= e %>", "<%-- c --%>", "<%@ page x='1' %>",
              " a", " A", " a=1", " b='v'", ' c="w"', " a='x", ' b="y', '<td title="x>',
              "=", '"', "'", "/", "/>", ">", " ", "\n", "\x0b", "\u00a0", "x", "é",
-             "\u212a", "text "]
+             "\u212a", "text ", "</c:if >", "</c:if x>", "<jsp:useBean id='b' class='B'>",
+             "<jsp:useBean id='b'/>", "</jsp:useBean>", "<jsp:getProperty name='b' property='p'/>",
+             "<jsp:getProperty name='b'/>", "<jsp:setProperty name='b' property='*'>",
+             "<jsp:setProperty property='p'>", "</jsp:setProperty>",
+             "<jsp:directive.page import='java.util.List'/>", "<%! int d; %>"]
 
 
 def generate_tag_soup(rng: random.Random) -> str:
@@ -197,6 +203,28 @@ def generate_tag_soup(rng: random.Random) -> str:
 def tag_soup(count: int, seed: int) -> list[str]:
     rng = random.Random(seed)
     return [generate_tag_soup(rng) for _ in range(count)]
+
+
+# Open and close tags of the nested actions: custom tags, which may have a
+# handler, the bean actions with and without the attributes that make them
+# statements, and actions that are always template text.
+NEST_TAGS = [('<c:if test="t">', "</c:if>"), ("<x:y>", "</x:y>"),
+             ('<jsp:useBean id="b" class="B">', "</jsp:useBean>"),
+             ('<jsp:useBean id="b">', "</jsp:useBean>"),
+             ('<jsp:setProperty name="b" property="p">', "</jsp:setProperty>"),
+             ('<jsp:getProperty name="b">', "</jsp:getProperty>"),
+             ('<jsp:directive.page import="a.B">', "</jsp:directive.page>"),
+             ("<jsp:param name='n'>", "</jsp:param>")]
+
+
+def generate_nest(rng: random.Random, depth: int, closed: bool) -> str:
+    """``depth`` actions each inside the last, with generated fragments
+    between the tags; unclosed, the close tags are left out."""
+    tags = [rng.choice(NEST_TAGS) for _ in range(depth)]
+    parts = [generate_page(rng, size=rng.randint(0, 2))[0] + open_tag for open_tag, _ in tags]
+    parts += [generate_page(rng, size=rng.randint(0, 2))[0] + (close_tag if closed else "")
+              for _, close_tag in reversed(tags)]
+    return "".join(parts)
 
 
 def generated_pages(count: int = 10_000) -> list[str]:

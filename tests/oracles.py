@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import re
 
-from jspkdm import (CodeStatement, DuplicateAttribute, MalformedAttribute, ServletUnit,
-                    StatementKind, mangle_class_name)
+from jspkdm import (CodeStatement, DuplicateAttribute, MalformedAttribute, NodeKind,
+                    ServletUnit, StatementKind, mangle_class_name)
+from jspkdm.diagnostics import emit
 from jspkdm.servlet_translator import _Translator
 
 # -- scripting-region delimiter scan --------------------------------------------
@@ -197,6 +198,151 @@ def translate_with_text_buffer(doc, known_tag_handlers=None) -> ServletUnit:
     unit = ServletUnit(class_name=mangle_class_name(doc.page_path),
                        source_page=doc.page_path)
     translator = _TextBufferTranslator(doc, known_tag_handlers or {}, unit, None)
+    translator.walk()
+    translator.flush()
+    return unit
+
+
+# -- recursive translation ------------------------------------------------------------
+
+
+class RecursiveTranslator:
+    """The recursive reference for ``translate_page``: ``walk`` descends into
+    each element's children through ``_emit_element`` and the action handlers,
+    which append their own statements, and every piece of template text is
+    sliced on its own and joined at the next statement. It must agree with
+    the package's one loop statement for statement, below the depth where
+    its own recursion fails (about 300 levels under pytest)."""
+
+    def __init__(self, doc, known_tag_handlers, unit, diagnostics):
+        self.doc = doc
+        self.known_tag_handlers = known_tag_handlers
+        self.unit = unit
+        self.diagnostics = diagnostics
+        self._texts: list[tuple[str, tuple[int, int]]] = []
+
+    def _emit(self, start: int, end: int) -> None:
+        if start < end:
+            self._texts.append((self.doc.source[start:end], (start, end)))
+
+    def flush(self) -> None:
+        if self._texts:
+            self.unit.service_body.append(CodeStatement(
+                StatementKind.TEMPLATE_EMIT, "".join(t for t, _ in self._texts),
+                origin_span=(self._texts[0][1][0], self._texts[-1][1][1])))
+            self._texts.clear()
+
+    def _statement(self, stmt) -> None:
+        self.flush()
+        self.unit.service_body.append(stmt)
+
+    def _emit_element(self, node) -> None:
+        if node.inner_span is None:
+            self._emit(*node.span)
+            return
+        self._emit(node.span[0], node.inner_span[0])
+        self.walk(node.children)
+        self._emit(node.inner_span[1], node.span[1])
+
+    def _code_of(self, node) -> str:
+        return self.doc.source[node.inner_span[0]:node.inner_span[1]]
+
+    def _diag(self, message: str, node) -> None:
+        emit(self.diagnostics, "translation", message,
+             f"{self.doc.page_path}@{node.span[0]}")
+
+    def walk(self, nodes) -> None:
+        for node in nodes:
+            kind = node.kind
+            if kind is NodeKind.COMMENT:
+                continue
+            if kind is NodeKind.SCRIPTLET:
+                self._statement(CodeStatement(
+                    StatementKind.INLINE_CODE, self._code_of(node), origin_span=node.span))
+            elif kind is NodeKind.EXPRESSION:
+                self._statement(CodeStatement(
+                    StatementKind.EXPRESSION_EMIT, self._code_of(node), origin_span=node.span))
+            elif kind is NodeKind.DECLARATION:
+                self.unit.declarations.append(CodeStatement(
+                    StatementKind.INLINE_CODE, self._code_of(node).strip(),
+                    origin_span=node.span))
+            elif kind is NodeKind.DIRECTIVE:
+                self._directive(node)
+            elif kind is NodeKind.STANDARD_ACTION:
+                self._standard_action(node)
+            elif kind is NodeKind.CUSTOM_ACTION:
+                self._custom_action(node)
+            else:  # template text, a and form tags
+                self._emit(*node.span)
+
+    def _directive(self, node) -> None:
+        # The page directive in either syntax: <%@ page %> or <jsp:directive.page/>.
+        if node.name in ("page", "jsp:directive.page"):
+            for imp in (node.attribute_value("import") or "").split(","):
+                imp = imp.strip()
+                if imp and imp not in self.unit.imports:
+                    self.unit.imports.append(imp)
+        self._emit_element(node)
+
+    def _standard_action(self, node) -> None:
+        name = node.name
+        if name == "jsp:useBean":
+            bean_class = node.attribute_value("class")
+            if not bean_class:
+                self._diag("jsp:useBean without class attribute", node)
+                self._emit_element(node)
+                return
+            metadata = {"bean": node.attribute_value("id") or "", "class": bean_class}
+            if node.attribute_value("scope"):
+                metadata["scope"] = node.attribute_value("scope")
+            self._statement(CodeStatement(
+                StatementKind.BEAN_INSTANTIATION, self.doc.text_of(node),
+                metadata=metadata, origin_span=node.span))
+            self.walk(node.children)
+        elif name in ("jsp:getProperty", "jsp:setProperty"):
+            bean = node.attribute_value("name")
+            prop = node.attribute_value("property")
+            if not bean or not prop:
+                self._diag(f"{name} missing name/property attribute", node)
+                self._emit_element(node)
+                return
+            metadata = {"bean": bean, "property": prop}
+            if name == "jsp:getProperty":
+                metadata["method"] = "get" + prop[:1].upper() + prop[1:]
+                stmt_kind = StatementKind.PROPERTY_GET
+            else:
+                if prop != "*":
+                    metadata["method"] = "set" + prop[:1].upper() + prop[1:]
+                for key in ("value", "param"):
+                    if node.attribute_value(key) is not None:
+                        metadata[key] = node.attribute_value(key)
+                stmt_kind = StatementKind.PROPERTY_SET
+            self._statement(CodeStatement(stmt_kind, self.doc.text_of(node),
+                                          metadata=metadata, origin_span=node.span))
+            self.walk(node.children)
+        else:
+            self._emit_element(node)
+
+    def _custom_action(self, node) -> None:
+        handler = self.known_tag_handlers.get(node.name)
+        if handler is None:
+            self._emit_element(node)
+            return
+        self._statement(CodeStatement(
+            StatementKind.TAG_HANDLER_CALL, self.doc.text_of(node),
+            metadata={"tag": node.name, "handler": handler,
+                      "methods": ["setAttribute"] * len(node.attributes)
+                      + ["doStartTag", "doEndTag"],
+                      "attributes": [name for name, _ in node.attributes]},
+            origin_span=node.span))
+        self.walk(node.children)
+
+
+def translate_recursively(doc, known_tag_handlers=None, diagnostics=None) -> ServletUnit:
+    """``translate_page`` by the recursive reference."""
+    unit = ServletUnit(class_name=mangle_class_name(doc.page_path),
+                       source_page=doc.page_path)
+    translator = RecursiveTranslator(doc, known_tag_handlers or {}, unit, diagnostics)
     translator.walk(doc.nodes)
     translator.flush()
     return unit

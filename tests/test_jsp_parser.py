@@ -130,6 +130,25 @@ class TestBasicKinds:
         assert doc.nodes[0].children == ()
         check_span_coverage(doc)
 
+    def test_close_tag_ends_at_whitespace_and_gt(self):
+        # As Jasper reads it, "</c:if" followed by anything else is no close
+        # tag, so the scriptlet after it stays code.
+        unit = translate_page(parse_jsp('<c:if test="t">x</c:if <% int i; %>>', "/p.jsp"))
+        assert [(s.kind, s.text) for s in unit.service_body] == [
+            (StatementKind.TEMPLATE_EMIT, '<c:if test="t">x</c:if '),
+            (StatementKind.INLINE_CODE, " int i; "),
+            (StatementKind.TEMPLATE_EMIT, ">")]
+        doc = parse_jsp('<c:if test="t">x</c:if\n >y', "/p.jsp")
+        assert [doc.text_of(n) for n in doc.nodes] == ['<c:if test="t">x</c:if\n >', "y"]
+
+    def test_close_tag_that_closes_nothing_open_is_text(self):
+        doc = parse_jsp('a</c:if><c:if test="t">b</c:when></c:if>c</x:y >', "/p.jsp")
+        assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT, NodeKind.CUSTOM_ACTION,
+                                 NodeKind.TEMPLATE_TEXT]
+        assert [doc.text_of(n) for n in doc.nodes[1].children] == ["b</c:when>"]
+        assert doc.text_of(doc.nodes[2]) == "c</x:y >"
+        check_span_coverage(doc)
+
     def test_page_path_normalized(self):
         assert parse_jsp("", "powers.jsp").page_path == "/powers.jsp"
         assert parse_jsp("", "//a//b.jsp").page_path == "/a/b.jsp"

@@ -330,7 +330,7 @@ class TestRunPipeline:
         def fail_on_x(translator, node):
             if node.name == "x:fail":
                 raise RuntimeError("no handler")
-            custom_action(translator, node)
+            return custom_action(translator, node)
 
         monkeypatch.setattr(_Translator, "_custom_action", fail_on_x)
         docs: list[weakref.ref] = []

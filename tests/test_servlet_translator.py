@@ -5,10 +5,13 @@ from __future__ import annotations
 import random
 import re
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from jspkdm import (
+    JspDocument,
+    JspNode,
     JspParseError,
     NodeKind,
     StatementKind,
@@ -19,7 +22,9 @@ from jspkdm import (
     translate_page,
 )
 from jspkdm.servlet_translator import escape_java_string
-from .genjsp import generate_adversarial_page, generate_page, random_page_path
+from .fuzz_translate import HANDLERS, MAX_NEST, disagreements, nests
+from .genjsp import (generate_adversarial_page, generate_page, generated_pages,
+                     random_page_path, tag_soup)
 from .oracles import (
     emit_literals,
     strip_scripting_regions,
@@ -117,6 +122,14 @@ class TestRuleMapping:
     def test_page_directive_imports_collected(self):
         unit = translate('<%@ page import="java.util.*, java.io.File" %>')
         assert unit.imports == ["java.util.*", "java.io.File"]
+
+    def test_xml_page_directive_imports_collected(self):
+        source = ('<jsp:directive.page import="java.util.List, java.io.File"/>'
+                  '<%@ page import="java.io.File" %><jsp:directive.include import="x.Y"/>')
+        unit = translate(source)
+        assert unit.imports == ["java.util.List", "java.io.File"]
+        assert [(s.kind, s.text) for s in unit.service_body] == [
+            (StatementKind.TEMPLATE_EMIT, source)]
 
     def test_known_tag_handler_call(self):
         handlers = {"c:redirect": "org.apache.taglibs.standard.tag.rt.core.RedirectTag"}
@@ -330,3 +343,94 @@ class TestRunBuffer:
         assert "".join(s.text for s in unit.service_body) == source
         # A (text, span) pair per node and a slice per tag cost about 16x.
         assert peak < 3 * len(source), f"peak {peak / len(source):.1f}x the page"
+
+
+class TestOneLoopAgreesWithRecursion:
+    """The translator's one loop gives the statements, declarations, imports
+    and diagnostics of the recursive reference, page for page, with and
+    without known tag handlers."""
+
+    def test_10k_generated_pages_agree(self):
+        assert disagreements(generated_pages()) == []
+
+    def test_tag_soup_pages_agree_and_reach_every_rule(self):
+        pages = tag_soup(20_000, seed=0x7A65)
+        assert disagreements(pages) == []
+        kinds, diagnostics, imports, declarations = set(), set(), set(), 0
+        for page in pages[:5000]:
+            try:
+                doc = parse_jsp(page, "/gen.jsp")
+            except JspParseError:
+                continue
+            found = []
+            unit = translate_page(doc, HANDLERS, found)
+            kinds.update(s.kind for s in unit.service_body)
+            diagnostics.update(d.message for d in found)
+            imports.update(unit.imports)
+            declarations += len(unit.declarations)
+        assert kinds == set(StatementKind)
+        assert diagnostics == {"jsp:useBean without class attribute",
+                               "jsp:getProperty missing name/property attribute",
+                               "jsp:setProperty missing name/property attribute"}
+        assert imports == {"java.util.List"}  # from the XML page directive
+        assert declarations > 0
+
+    def test_nests_up_to_300_levels_agree(self):
+        depths = [*range(21), *range(40, MAX_NEST + 1, 20)]
+        assert disagreements(nests(0x4E57, depths)) == []
+
+
+def custom_tag_chain(tags: list[tuple[str, str]], known_tag_handlers=None):
+    """The source and translation of a page of the closed custom tags
+    ``tags``, each inside the last and each open tag followed by an "x". Its
+    node chain is built by hand, not parsed."""
+    source = "".join(open_tag + "x" for open_tag, _ in tags) \
+        + "".join(close_tag for _, close_tag in reversed(tags))
+    opened = []
+    pos = 0
+    for open_tag, _ in tags:
+        opened.append((pos, pos + len(open_tag)))
+        pos += len(open_tag) + 1
+    node = None
+    for (start, tag_end), (open_tag, close_tag) in zip(reversed(opened), reversed(tags)):
+        text = JspNode(NodeKind.TEMPLATE_TEXT, span=(tag_end, tag_end + 1))
+        close_start = pos
+        pos += len(close_tag)
+        node = JspNode(NodeKind.CUSTOM_ACTION, open_tag[1:-1], span=(start, pos),
+                       inner_span=(tag_end, close_start),
+                       children=(text,) if node is None else (text, node))
+    doc = JspDocument("/deep.jsp", [node], source)
+    return source, translate_page(doc, known_tag_handlers)
+
+
+class TestDeepPages:
+    """The translator holds one stack entry per open action, and no frame."""
+
+    def test_490_level_nest_translates(self):
+        depth = 490
+        source = '<c:if test="t">x' * depth + "</c:if>" * depth
+        # The parser still recurses, two frames a level: in a thread of its
+        # own it starts from an empty stack, as under the command line.
+        with ThreadPoolExecutor(1) as pool:
+            doc = pool.submit(parse_jsp, source, "/deep.jsp").result(timeout=60)
+        unit = translate_page(doc, {"c:if": "org.example.IfTag"})
+        assert [(s.kind, s.origin_span) for s in unit.service_body[0::2]] == [
+            (StatementKind.TAG_HANDLER_CALL, (16 * level, len(source) - 7 * level))
+            for level in range(depth)]
+        assert [(s.kind, s.text) for s in unit.service_body[1::2]] \
+            == [(StatementKind.TEMPLATE_EMIT, "x")] * depth
+        assert [s.text for s in translate_page(doc).service_body] == [source]
+
+    def test_5000_deep_node_chain_translates(self):
+        outer, inner = 4990, 10
+        tags = [("<x:y>", "</x:y>")] * outer + [("<c:if>", "</c:if>")] * inner
+        source, unit = custom_tag_chain(tags)
+        assert [s.text for s in unit.service_body] == [source]
+        source, unit = custom_tag_chain(tags, {"c:if": "org.example.IfTag"})
+        got = [(s.kind, s.text) for s in unit.service_body]
+        calls = [(StatementKind.TAG_HANDLER_CALL, "<c:if>x" * level + "</c:if>" * level)
+                 for level in range(inner, 0, -1)]
+        assert got[0] == (StatementKind.TEMPLATE_EMIT, "<x:y>x" * outer)
+        assert got[1::2] == calls
+        assert got[2:-1:2] == [(StatementKind.TEMPLATE_EMIT, "x")] * (inner - 1)
+        assert got[-1] == (StatementKind.TEMPLATE_EMIT, "x" + "</x:y>" * outer)
