@@ -2,24 +2,27 @@
 
 Ten tag/attribute pairs carry page-to-page dependencies: form actions,
 include/forward actions and directives, error pages, anchors, and the JSTL
-redirect/url tags. Extraction is total: tags with a missing or empty target
-attribute become diagnostics, never references.
+redirect/url tags. HTML tags are template text, as in Jasper, read from the
+text runs by the parser's tag scanner. Extraction is total: a tag without a
+target URL, or that cannot be read, becomes a diagnostic, never a reference.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .diagnostics import Diagnostic, emit
-from .jsp_parser import JspDocument, JspNode, NodeKind, Span, iter_nodes
+from .jsp_parser import (_PREFIXED_NAME, JspDocument, JspNode, JspParseError, NodeKind, Span,
+                         _Parser, iter_nodes)
 
-# (tag kind, designated attribute), keyed by node kind and name. HTML tag and
-# attribute names match case-insensitively, JSP and prefixed names exactly.
-# The parser makes nodes of only the HTML tags named here
-# (jsp_parser._HTML_NODE_NAMES, pinned equal by the parser tests).
+# (tag kind, designated attribute), keyed by node kind and name. HTML tags are
+# template text, keyed by the lower-cased name: their tag and attribute names
+# match in any case, JSP and prefixed names exactly.
 TAG_TABLE: dict[tuple[NodeKind, str], tuple[str, str]] = {
-    (NodeKind.HTML_ELEMENT, "form"): ("form", "action"),
-    (NodeKind.HTML_ELEMENT, "a"): ("a-href", "href"),
+    (NodeKind.TEMPLATE_TEXT, "form"): ("form", "action"),
+    (NodeKind.TEMPLATE_TEXT, "a"): ("a-href", "href"),
     (NodeKind.STANDARD_ACTION, "jsp:include"): ("jsp:include", "page"),
     (NodeKind.STANDARD_ACTION, "jsp:forward"): ("jsp:forward", "page"),
     (NodeKind.DIRECTIVE, "include"): ("include-directive", "file"),
@@ -37,6 +40,14 @@ _OPTIONAL_ATTR_KINDS = frozenset({"page-directive-errorPage",
 
 _FORM_METHODS = frozenset({"get", "post", "put"})
 
+# The open tag of an HTML row, in any case, that no name character follows.
+_HTML_OPEN_RE = re.compile(
+    "<(" + "|".join(name for kind, name in TAG_TABLE if kind is NodeKind.TEMPLATE_TEXT)
+    + r")(?![\w.\-:])", re.IGNORECASE)
+
+# A value is request-time when it holds EL, a scripting element or a JSP tag.
+_DYNAMIC_RE = re.compile(r"\$\{|<%|</?" + _PREFIXED_NAME)
+
 
 @dataclass(frozen=True)
 class UrlRef:
@@ -51,45 +62,54 @@ class UrlRef:
 
 
 def _is_dynamic(url: str) -> bool:
-    return "<%=" in url or "${" in url
+    return _DYNAMIC_RE.search(url) is not None
 
 
 def classify_tag(node: JspNode) -> tuple[str, str] | None:
     """The (tag kind, attribute) pair for a dependency-bearing node, if any."""
-    name = node.name
-    if node.kind is NodeKind.HTML_ELEMENT:
-        name = name.lower()
-    return TAG_TABLE.get((node.kind, name))
+    return TAG_TABLE.get((node.kind, node.name))
+
+
+def _dependency_tags(doc: JspDocument, diagnostics: list[Diagnostic] | None
+                     ) -> Iterator[tuple[str, Span, tuple[str, str], dict[str, str]]]:
+    """(name as written, span, table row, attributes) of each dependency tag
+    in document order. HTML attribute names are lower-cased; an HTML tag
+    that cannot be read is template text."""
+    scanner = _Parser(doc.source, doc.page_path)  # one EOF memo for the page
+    read_to = 0  # the end of the last HTML tag read; an opener before it is inside it
+    for node in iter_nodes(doc.nodes):
+        if node.kind is not NodeKind.TEMPLATE_TEXT:
+            if (row := classify_tag(node)) is not None:
+                yield node.name, node.span, row, dict(node.attributes)
+            continue
+        for m in _HTML_OPEN_RE.finditer(doc.source, *node.span):
+            try:
+                scanned = m.start() >= read_to and scanner._scan_tag_attrs(m.end(), m.start())
+            except JspParseError as exc:
+                emit(diagnostics, "extraction", f"<{m[1]}> is template text: {exc}",
+                     f"{doc.page_path}@{m.start()}")
+                continue
+            if scanned:
+                attrs, read_to, _ = scanned
+                row = TAG_TABLE[NodeKind.TEMPLATE_TEXT, m[1].lower()]
+                yield m[1], (m.start(), read_to), row, {k.lower(): v for k, v in attrs}
 
 
 def extract_url_refs(doc: JspDocument,
                      diagnostics: list[Diagnostic] | None = None) -> list[UrlRef]:
     """Every URL reference of the page, in document order."""
     refs: list[UrlRef] = []
-    for node in iter_nodes(doc.nodes):
-        pair = classify_tag(node)
-        if pair is None:
-            continue
-        tag_kind, attribute = pair
-        url = node.attribute_value(attribute,
-                                   case_insensitive=node.kind is NodeKind.HTML_ELEMENT)
+    for name, span, (tag_kind, attribute), attrs in _dependency_tags(doc, diagnostics):
+        url = attrs.get(attribute)
         if not url:
             if tag_kind not in _OPTIONAL_ATTR_KINDS:
-                emit(diagnostics, "extraction",
-                     f"<{node.name}> without {attribute} attribute",
-                     f"{doc.page_path}@{node.span[0]}")
+                emit(diagnostics, "extraction", f"<{name}> without {attribute} attribute",
+                     f"{doc.page_path}@{span[0]}")
             continue
         if tag_kind == "form":
-            method = node.attribute_value("method", case_insensitive=True)
+            method = attrs.get("method")
             if method and method.lower() not in _FORM_METHODS:
                 emit(diagnostics, "extraction", f"unsupported form method {method!r}",
-                     f"{doc.page_path}@{node.span[0]}")
-        refs.append(UrlRef(
-            source_page=doc.page_path,
-            tag_kind=tag_kind,
-            attribute=attribute,
-            raw_url=url,
-            dynamic=_is_dynamic(url),
-            span=node.span,
-        ))
+                     f"{doc.page_path}@{span[0]}")
+        refs.append(UrlRef(doc.page_path, tag_kind, attribute, url, _is_dynamic(url), span))
     return refs

@@ -41,13 +41,16 @@ class UrlMappingTable:
 
     A valid pattern is its own lookup key, so :func:`resolve_url` builds the
     patterns that could match a path and looks each one up in ``index``.
+    ``prefix_lengths`` holds the length of each prefix pattern's path part
+    ("/a/*" has 2), longest first, so only those prefixes of a path are built.
     ``decls`` holds the first declaration of each servlet name.
     :func:`build_lookup_table` builds tables; do not change ``entries``,
-    ``index`` or ``decls`` otherwise.
+    ``index``, ``prefix_lengths`` or ``decls`` otherwise.
     """
 
     entries: list[tuple[str, str]] = field(default_factory=list, init=False)
     index: dict[str, int] = field(default_factory=dict, init=False)
+    prefix_lengths: list[int] = field(default_factory=list, init=False)
     decls: dict[str, ServletDecl] = field(default_factory=dict, init=False)
     context_path: str = ""
 
@@ -310,6 +313,9 @@ def build_lookup_table(decls: list[ServletDecl],
             emit(diagnostics, "mapping",
                  f"pattern {pattern!r} already mapped to {current_name!r}; "
                  f"{servlet_name!r} shadowed")
+    # Of the valid patterns, only the prefix patterns end in "/*".
+    table.prefix_lengths = sorted({len(p) - 2 for p in table.index if p.endswith("/*")},
+                                  reverse=True)
     return table
 
 
@@ -382,13 +388,12 @@ def resolve_url(table: UrlMappingTable, ref: UrlRef, source_page: str,
         path = path[len(ctx):] or "/"
     # Look up the patterns that could match, in precedence order, so the
     # first hit wins: the path itself as an exact pattern, the prefixes from
-    # the longest ("/a/b/*", "/a/*", then "/*"), the last segment's
+    # the longest ("/a/b/*", "/a/*", then "/*") that end at a "/" or at the
+    # path's end and that some prefix pattern has, the last segment's
     # extension, then the default "/". A path with a "*" is no exact pattern.
     probes = [path] if path != "/" and "*" not in path else []
-    cut = len(path)
-    while cut >= 0:
-        probes.append(path[:cut] + "/*")
-        cut = path.rfind("/", 0, cut)
+    probes += [path[:cut] + "/*" for cut in table.prefix_lengths
+               if cut == len(path) or path[cut:cut + 1] == "/"]
     dot = path.rfind(".")
     if dot > path.rfind("/"):
         probes.append("*" + path[dot:])

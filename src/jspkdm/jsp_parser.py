@@ -4,15 +4,12 @@ Produces a :class:`JspDocument`: an ordered, span-annotated node list that
 covers the page source exactly. As in Jasper's translation, markup that is
 not JSP is template text and is never tokenized: the parser reads on to the
 next ``<%``, prefixed open tag (``<c:if``) or prefixed close tag
-(``</c:if>``), or ``a``/``form`` open tag, the HTML tags that carry a
-dependency. Those become nodes, ``a`` and ``form`` flat with no children;
-every other HTML tag, and every HTML close tag, stays part of the
-surrounding text run, so a ``<%`` or a prefixed tag inside one of its
-attribute values opens an element, as Jasper reads it. Prefixed action
-elements such as ``jsp:include`` or ``c:if`` are nested when their close tag
-is found and folded flat otherwise. No EL evaluation and no tag-library
-loading happen here: the node list is the shared input for the servlet
-translator and the URL-reference extractor.
+(``</c:if>``). Every HTML tag is part of a text run, so a ``<%`` or a
+prefixed tag inside one of its attribute values opens an element, as Jasper
+reads it. Prefixed action elements such as ``jsp:include`` or ``c:if`` are
+nested when their close tag is found and folded flat otherwise. No EL
+evaluation and no tag-library loading happen here: the node list is the
+shared input for the servlet translator and the URL-reference extractor.
 
 Scanning takes time linear in the page size on any input. One compiled
 regex finds each "<" that opens something, so template text is skipped in
@@ -43,7 +40,6 @@ class NodeKind(str, Enum):
     DIRECTIVE = "Directive"
     STANDARD_ACTION = "StandardAction"
     CUSTOM_ACTION = "CustomAction"
-    HTML_ELEMENT = "HtmlElement"
     COMMENT = "Comment"
 
 
@@ -70,11 +66,11 @@ class DuplicateAttribute(JspParseError):
 
 @dataclass(slots=True)
 class JspNode:
-    """One node of a page: a text run, a JSP element, or an ``a``/``form``
-    tag. Slotted, with tuples that default to the shared ``()``: a page makes
-    one node per JSP element, and most nodes have no attributes and no
-    children. Attributes are ``(name, value)`` string pairs, which the
-    collector untracks; no text is copied out of the source."""
+    """One node of a page: a text run or a JSP element. Slotted, with tuples
+    that default to the shared ``()``: a page makes one node per JSP element,
+    and most nodes have no attributes and no children. Attributes are
+    ``(name, value)`` string pairs, which the collector untracks; no text is
+    copied out of the source."""
 
     kind: NodeKind
     name: str = ""
@@ -85,11 +81,8 @@ class JspNode:
     # scripting element's or JSP comment's text; None for other nodes.
     inner_span: Span | None = None
 
-    def attribute_value(self, name: str, case_insensitive: bool = False) -> str | None:
-        for key, value in self.attributes:
-            if key == name or case_insensitive and key.lower() == name.lower():
-                return value
-        return None
+    def attribute_value(self, name: str) -> str | None:
+        return dict(self.attributes).get(name)
 
 
 @dataclass
@@ -114,11 +107,6 @@ def normalize_page_path(path: str) -> str:
     return path
 
 
-# The node names of the HTML tags that become nodes, lower-cased: those that
-# carry a dependency (dependency_extractor.TAG_TABLE's HtmlElement rows). Any
-# other HTML tag, and every HTML close tag, is template text.
-_HTML_NODE_NAMES = frozenset({"a", "form"})
-
 _PREFIXED_NAME = r"[A-Za-z_][\w.\-]*:[\w.\-]+"
 # One attribute: whitespace, then optionally a name, an "=" value and the
 # tag's end (group 5). An unquoted value (group 4) that starts with a quote
@@ -126,13 +114,10 @@ _PREFIXED_NAME = r"[A-Za-z_][\w.\-]*:[\w.\-]+"
 # after "=".
 _ATTR_RE = re.compile(r"""\s*(?:([^\s=/>]+)\s*(?:=\s*(?:"([^"]*)"|'([^']*)'"""
                       r"""|([^\s>/]*(?:/(?!>)[^\s>/]*)*)))?\s*(/?>)?)?""")
-# Every "<" that opens a node; lastindex names the opener, and the last two
-# groups capture the name of a prefixed close tag, which whitespace and ">"
-# end, or of an element: a prefixed name, or an _HTML_NODE_NAMES name in any
-# case that no name character follows.
+# Every "<" that opens a node; lastindex names the opener. The last two groups
+# capture the name of a close tag, which whitespace and ">" end, or element.
 _LT_RE = re.compile(
-    r"<(?:(%--)|(%@)|(%=)|(%!)|(%)|/(" + _PREFIXED_NAME + r")\s*>|(" + _PREFIXED_NAME
-    + "|(?i:" + "|".join(map(re.escape, sorted(_HTML_NODE_NAMES))) + r")(?![\w.\-])))")
+    r"<(?:(%--)|(%@)|(%=)|(%!)|(%)|/(" + _PREFIXED_NAME + r")\s*>|(" + _PREFIXED_NAME + "))")
 # _LT_RE group -> the arguments of _Parser._parse_delimited.
 _DELIMITED = {
     1: (4, "--%>", NodeKind.COMMENT, "JSP comment"),
@@ -148,8 +133,6 @@ _DIRECTIVE_ATTR_RE = re.compile(
 
 
 def _classify_element(name: str) -> NodeKind:
-    if ":" not in name:
-        return NodeKind.HTML_ELEMENT
     if name.startswith("jsp:directive."):
         return NodeKind.DIRECTIVE
     if name.startswith("jsp:"):
@@ -312,7 +295,7 @@ class _Parser:
                        span=(start, tag_end))
         nodes.append(node)
         self.pos = tag_end
-        if ":" not in name or self_closing:
+        if self_closing:
             return True
         first_child = len(nodes)
         self._parse_nodes(nodes, until_close=name)

@@ -2,10 +2,11 @@
 
 Follows the classic container translation rules: scriptlets and expressions
 become code in the request-serving method, declarations become class members,
-bean actions and known custom tags become instantiations and calls, and all
-the rest of the page is template text, written to the response verbatim. The
-resulting :class:`ServletUnit` is what the code model is discovered from;
-rendering it to Java-looking source is a side product for inspection.
+bean actions and known custom tags become instantiations and calls (their
+text is the open tag), and all the rest of the page, HTML tags included, is
+template text, written to the response verbatim. The resulting
+:class:`ServletUnit` is what the code model is discovered from; rendering it
+to Java-looking source is a side product for inspection.
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ class _Translator:
         # everything emitted verbatim is a slice of the page, so adjacent
         # emits merge into one run and the text is sliced once, at flush.
         self._pending: list[list[int]] = []
+        self._imports: set[str] = set()  # unit.imports, for lookups
 
     # -- emit buffering -----------------------------------------------------
 
@@ -127,6 +129,12 @@ class _Translator:
         start, end = node.inner_span
         return self.doc.source[start:end]
 
+    def _open_tag(self, node: JspNode) -> str:
+        """An action's open tag: its statement's text, which holds none of
+        the children, so a nest of actions holds each byte once."""
+        end = node.span[1] if node.inner_span is None else node.inner_span[0]
+        return self.doc.source[node.span[0]:end]
+
     def _diag(self, message: str, node: JspNode) -> None:
         emit(self.diagnostics, "translation", message,
              f"{self.doc.page_path}@{node.span[0]}")
@@ -143,8 +151,8 @@ class _Translator:
         closes: list[Span] = []
         for node in iter_nodes(self.doc.nodes):
             kind = node.kind
-            if kind is NodeKind.TEMPLATE_TEXT or kind is NodeKind.HTML_ELEMENT:
-                continue  # template text, and the a and form tags in it
+            if kind is NodeKind.TEMPLATE_TEXT:
+                continue
             if kind is NodeKind.DIRECTIVE:
                 self._directive(node)
                 continue
@@ -187,7 +195,8 @@ class _Translator:
             if imports:
                 for imp in imports.split(","):
                     imp = imp.strip()
-                    if imp and imp not in self.unit.imports:
+                    if imp and imp not in self._imports:
+                        self._imports.add(imp)
                         self.unit.imports.append(imp)
 
     def _standard_action(self, node: JspNode) -> CodeStatement | None:
@@ -203,7 +212,7 @@ class _Translator:
             scope = node.attribute_value("scope")
             if scope:
                 metadata["scope"] = scope
-            return CodeStatement(StatementKind.BEAN_INSTANTIATION, self.doc.text_of(node),
+            return CodeStatement(StatementKind.BEAN_INSTANTIATION, self._open_tag(node),
                                  metadata=metadata, origin_span=node.span)
         if name in ("jsp:getProperty", "jsp:setProperty"):
             bean = node.attribute_value("name")
@@ -226,7 +235,7 @@ class _Translator:
                 if param is not None:
                     metadata["param"] = param
                 stmt_kind = StatementKind.PROPERTY_SET
-            return CodeStatement(stmt_kind, self.doc.text_of(node), metadata=metadata,
+            return CodeStatement(stmt_kind, self._open_tag(node), metadata=metadata,
                                  origin_span=node.span)
         # jsp:include, jsp:forward, jsp:param, ... : template text, codified
         # later by the dependency extraction pass.
@@ -239,7 +248,7 @@ class _Translator:
             return None
         methods = ["setAttribute"] * len(node.attributes) + ["doStartTag", "doEndTag"]
         return CodeStatement(
-            StatementKind.TAG_HANDLER_CALL, self.doc.text_of(node),
+            StatementKind.TAG_HANDLER_CALL, self._open_tag(node),
             metadata={"tag": node.name, "handler": handler,
                       "methods": methods,
                       "attributes": [name for name, _ in node.attributes]},

@@ -1,7 +1,9 @@
-"""Differential check of the parser's tag scanner, with its EOF memo,
-against the character-loop oracle ``oracles.scan_tag_attrs_oracle``, which
-scans every tag on its own. Each page must parse to the same node list, or
-fail with the same error type, message and offset.
+"""Differential check of the tag scanner, with its EOF memo, against the
+character-loop oracle ``oracles.scan_tag_attrs_oracle``, which scans every
+tag on its own. The parser reads the prefixed tags with it and the extractor
+the ``a`` and ``form`` tags, so each page must parse and extract to the same
+node list, references and extraction diagnostics, or fail with the same
+error type, message and offset.
 
 The tier-1 suite runs this on the generated pages and on tag-soup pages. It
 needs only the standard library, so it also runs as a script under any

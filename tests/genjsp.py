@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from jspkdm import JspParseError, parse_jsp
+from jspkdm import JspParseError, extract_url_refs, parse_jsp
 
 WORDS = ["alpha", "beta", "gamma", "delta", "rows", "value", "total", "item",
          "page", "menu", "web", "zone", "list", "data", "42", "x1"]
@@ -171,8 +171,8 @@ def generate_adversarial_page(rng: random.Random) -> str:
 
 
 # Bits of tag soup: plain tags, which are template text, and the tags whose
-# attributes the parser reads next to their near misses: the dependency tags
-# in any case, names that a colon or one more character turns into another
+# attributes are read next to their near misses: the a and form tags, which
+# the extractor reads, in any case and with a form method or two, names that a colon or one more character turns into another
 # tag, attributes that may repeat a name, bad quotes, scripting delimiters,
 # a "<" that opens nothing, non-ASCII names and whitespace; and, for the
 # translator, close tags that do and do not end, declarations, the XML page
@@ -192,7 +192,8 @@ SOUP_BITS = ["<td>", "<TD class='c'>", '<td title="<% x %>">', "<tr>", "</td>", 
              "<jsp:useBean id='b'/>", "</jsp:useBean>", "<jsp:getProperty name='b' property='p'/>",
              "<jsp:getProperty name='b'/>", "<jsp:setProperty name='b' property='*'>",
              "<jsp:setProperty property='p'>", "</jsp:setProperty>",
-             "<jsp:directive.page import='java.util.List'/>", "<%! int d; %>"]
+             "<jsp:directive.page import='java.util.List'/>", "<%! int d; %>",
+             "<FORM action='/f'", " method=DELETE", " Method='post'"]
 
 
 def generate_tag_soup(rng: random.Random) -> str:
@@ -235,8 +236,11 @@ def generated_pages(count: int = 10_000) -> list[str]:
 
 
 def parse_outcome(source: str):
-    """The node list, or the (type, message, offset) of the parse error."""
+    """The node list, URL references and extraction diagnostics as a list, or
+    the (type, message, offset) of the parse error."""
     try:
-        return parse_jsp(source, "/gen.jsp").nodes
+        doc = parse_jsp(source, "/gen.jsp")
     except JspParseError as exc:
         return type(exc), str(exc), exc.offset
+    diagnostics: list = []
+    return [doc.nodes, extract_url_refs(doc, diagnostics), diagnostics]

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import re
 
-from jspkdm import (CodeStatement, DuplicateAttribute, MalformedAttribute, NodeKind,
-                    ServletUnit, StatementKind, mangle_class_name)
-from jspkdm.diagnostics import emit
+from jspkdm import (TAG_TABLE, CodeStatement, DuplicateAttribute, JspNode, JspParseError,
+                    MalformedAttribute, NodeKind, ServletUnit, StatementKind, UrlRef,
+                    mangle_class_name)
+from jspkdm.diagnostics import Diagnostic, emit
+from jspkdm.jsp_parser import (_CLOSE_OPENER, _DELIMITED, _DIRECTIVE_OPENER, _PREFIXED_NAME,
+                               _Parser, iter_nodes, normalize_page_path)
 from jspkdm.servlet_translator import _Translator
 
 # -- scripting-region delimiter scan --------------------------------------------
@@ -210,7 +213,8 @@ class RecursiveTranslator:
     """The recursive reference for ``translate_page``: ``walk`` descends into
     each element's children through ``_emit_element`` and the action handlers,
     which append their own statements, and every piece of template text is
-    sliced on its own and joined at the next statement. It must agree with
+    sliced on its own and joined at the next statement. An action's statement
+    text is its open tag. It must agree with
     the package's one loop statement for statement, below the depth where
     its own recursion fails (about 300 levels under pytest)."""
 
@@ -246,6 +250,11 @@ class RecursiveTranslator:
 
     def _code_of(self, node) -> str:
         return self.doc.source[node.inner_span[0]:node.inner_span[1]]
+
+    def _open_tag(self, node) -> str:
+        if node.inner_span is None:
+            return self.doc.text_of(node)
+        return self.doc.source[node.span[0]:node.inner_span[0]]
 
     def _diag(self, message: str, node) -> None:
         emit(self.diagnostics, "translation", message,
@@ -296,7 +305,7 @@ class RecursiveTranslator:
             if node.attribute_value("scope"):
                 metadata["scope"] = node.attribute_value("scope")
             self._statement(CodeStatement(
-                StatementKind.BEAN_INSTANTIATION, self.doc.text_of(node),
+                StatementKind.BEAN_INSTANTIATION, self._open_tag(node),
                 metadata=metadata, origin_span=node.span))
             self.walk(node.children)
         elif name in ("jsp:getProperty", "jsp:setProperty"):
@@ -317,7 +326,7 @@ class RecursiveTranslator:
                     if node.attribute_value(key) is not None:
                         metadata[key] = node.attribute_value(key)
                 stmt_kind = StatementKind.PROPERTY_SET
-            self._statement(CodeStatement(stmt_kind, self.doc.text_of(node),
+            self._statement(CodeStatement(stmt_kind, self._open_tag(node),
                                           metadata=metadata, origin_span=node.span))
             self.walk(node.children)
         else:
@@ -329,7 +338,7 @@ class RecursiveTranslator:
             self._emit_element(node)
             return
         self._statement(CodeStatement(
-            StatementKind.TAG_HANDLER_CALL, self.doc.text_of(node),
+            StatementKind.TAG_HANDLER_CALL, self._open_tag(node),
             metadata={"tag": node.name, "handler": handler,
                       "methods": ["setAttribute"] * len(node.attributes)
                       + ["doStartTag", "doEndTag"],
@@ -346,6 +355,126 @@ def translate_recursively(doc, known_tag_handlers=None, diagnostics=None) -> Ser
     translator.walk(doc.nodes)
     translator.flush()
     return unit
+
+
+# -- the a and form tags as nodes ------------------------------------------------------
+
+# The parser's search regex with the a and form open tags added back, in any
+# case and with no name character after them.
+_LT_WITH_HTML_RE = re.compile(
+    r"<(?:(%--)|(%@)|(%=)|(%!)|(%)|/(" + _PREFIXED_NAME + r")\s*>|(" + _PREFIXED_NAME
+    + r"|(?i:a|form)(?![\w.\-])))")
+
+
+class HtmlNodeParser(_Parser):
+    """The reference for finding the ``a`` and ``form`` tags in template text:
+    the parser as it was when its search regex also found those tags, and
+    each became a flat node of its own, here of kind TEMPLATE_TEXT with the
+    tag's name and attributes. Nothing inside such a tag is parsed. One rule
+    is new: a tag whose attributes cannot be tokenized is text, recorded in
+    ``unread`` with its error, where it used to fail the page. ``html_spans``
+    lists the spans of the tags read, also when the parse fails later."""
+
+    def __init__(self, source: str, page_path: str):
+        super().__init__(source, page_path)
+        self.html_spans: list[tuple[int, int]] = []
+        self.unread: list[tuple[int, str, JspParseError]] = []
+
+    def _parse_element(self, nodes, flush_text, start, name, name_end) -> bool:
+        if ":" in name:
+            return super()._parse_element(nodes, flush_text, start, name, name_end)
+        try:
+            scanned = self._scan_tag_attrs(name_end, start)
+        except (MalformedAttribute, DuplicateAttribute) as exc:
+            self.unread.append((start, name, exc))
+            scanned = None
+        if scanned is None:
+            self.pos = start + 1
+            return False
+        attrs, tag_end, _ = scanned
+        flush_text(start)
+        nodes.append(JspNode(NodeKind.TEMPLATE_TEXT, name, tuple(attrs), span=(start, tag_end)))
+        self.html_spans.append((start, tag_end))
+        self.pos = tag_end
+        return True
+
+    def _parse_nodes(self, nodes, until_close=None):
+        # jsp_parser._Parser._parse_nodes with _LT_WITH_HTML_RE.
+        src = self.source
+        n = len(src)
+        run_start = self.pos
+        self._close_span = None
+
+        def flush_text(end: int) -> None:
+            if end > run_start:
+                nodes.append(JspNode(kind=NodeKind.TEMPLATE_TEXT, span=(run_start, end)))
+
+        while (m := _LT_WITH_HTML_RE.search(src, self.pos)) is not None:
+            lt = m.start()
+            opener = m.lastindex
+            delimited = _DELIMITED.get(opener)
+            if delimited is not None:
+                flush_text(lt)
+                nodes.append(self._parse_delimited(lt, *delimited))
+            elif opener == _DIRECTIVE_OPENER:
+                flush_text(lt)
+                nodes.append(self._parse_directive(lt))
+            elif opener == _CLOSE_OPENER:
+                self.pos = m.end()
+                if m.group(opener) != until_close:
+                    continue
+                flush_text(lt)
+                self._close_span = (lt, self.pos)
+                return nodes
+            elif not self._parse_element(nodes, flush_text, lt, m.group(opener), m.end()):
+                continue
+            run_start = self.pos
+
+        self.pos = n
+        flush_text(n)
+        self._close_span = None
+        return nodes
+
+
+_REQUEST_TIME_RE = re.compile(r"\$\{|<%|</?" + _PREFIXED_NAME)
+
+
+def extract_with_html_nodes(source: str, page_path: str = "/gen.jsp"):
+    """``(html_spans, outcome)`` of the page by :class:`HtmlNodeParser` and
+    the extractor as it read those nodes: the outcome is the parse error's
+    (type, message, offset), or ``[refs, diagnostics]``, with the diagnostics
+    in document order."""
+    page_path = normalize_page_path(page_path)
+    parser = HtmlNodeParser(source, page_path)
+    try:
+        nodes = parser._parse_nodes([])
+    except JspParseError as exc:
+        return parser.html_spans, (type(exc), str(exc), exc.offset)
+    refs: list[UrlRef] = []
+    found: list[tuple[int, str]] = [(start, f"<{name}> is template text: {exc}")
+                                    for start, name, exc in parser.unread]
+    for node in iter_nodes(nodes):
+        html = node.kind is NodeKind.TEMPLATE_TEXT
+        if html and not node.name:
+            continue
+        row = TAG_TABLE.get((node.kind, node.name.lower() if html else node.name))
+        if row is None:
+            continue
+        tag_kind, attribute = row
+        values = {key.lower() if html else key: value for key, value in node.attributes}
+        url = values.get(attribute)
+        if not url:
+            if not tag_kind.endswith("errorPage"):
+                found.append((node.span[0], f"<{node.name}> without {attribute} attribute"))
+            continue
+        method = values.get("method") if tag_kind == "form" else None
+        if method and method.lower() not in ("get", "post", "put"):
+            found.append((node.span[0], f"unsupported form method {method!r}"))
+        refs.append(UrlRef(page_path, tag_kind, attribute, url,
+                           _REQUEST_TIME_RE.search(url) is not None, node.span))
+    diagnostics = [Diagnostic("extraction", message, f"{page_path}@{start}")
+                   for start, message in sorted(found, key=lambda item: item[0])]
+    return parser.html_spans, [refs, diagnostics]
 
 
 # -- tag attribute scan --------------------------------------------------------------

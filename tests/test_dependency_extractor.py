@@ -1,12 +1,15 @@
-"""Extractor tests: the ten tag/attribute pairs, ordering, dynamic flags."""
+"""Extractor tests: the ten tag/attribute pairs, ordering, dynamic flags,
+and the a and form tags read out of template text."""
 
 from __future__ import annotations
 
 from collections import Counter
 
-from jspkdm import NodeKind, classify_tag, extract_url_refs, parse_jsp
+from jspkdm import TAG_TABLE, NodeKind, classify_tag, extract_url_refs, parse_jsp
 from jspkdm.jsp_parser import JspNode
 from .conftest import TABLE2_PAIRS
+from .fuzz_extract import compare
+from .genjsp import generated_pages, tag_soup
 from .oracles import regex_table2_scan
 
 
@@ -15,11 +18,12 @@ def refs_of(source: str, diagnostics=None):
 
 
 class TestClassifyTag:
-    def test_html_names_case_insensitive(self):
-        node = JspNode(kind=NodeKind.HTML_ELEMENT, name="A")
-        assert classify_tag(node) == ("a-href", "href")
-        node = JspNode(kind=NodeKind.HTML_ELEMENT, name="FoRm")
-        assert classify_tag(node) == ("form", "action")
+    def test_html_rows_are_keyed_by_template_text(self):
+        # The parser makes no node of an HTML tag: the extractor finds the
+        # HTML rows' tags in the template text runs.
+        html_rows = {name for kind, name in TAG_TABLE if kind is NodeKind.TEMPLATE_TEXT}
+        assert html_rows == {"a", "form"}
+        assert classify_tag(JspNode(kind=NodeKind.TEMPLATE_TEXT)) is None
 
     def test_jsp_forward(self):
         node = JspNode(kind=NodeKind.STANDARD_ACTION, name="jsp:forward")
@@ -27,7 +31,6 @@ class TestClassifyTag:
 
     def test_absent_from_table(self):
         assert classify_tag(JspNode(kind=NodeKind.CUSTOM_ACTION, name="c:import")) is None
-        assert classify_tag(JspNode(kind=NodeKind.HTML_ELEMENT, name="/a")) is None
         # case-sensitive for prefixed names
         assert classify_tag(JspNode(kind=NodeKind.CUSTOM_ACTION, name="C:URL")) is None
 
@@ -107,6 +110,93 @@ class TestExtraction:
         doc = parse_jsp('<a href="/x">x</a>', "/dir/page.jsp")
         (ref,) = extract_url_refs(doc)
         assert ref.source_page == "/dir/page.jsp"
+
+    def test_a_value_that_holds_a_jsp_element_is_dynamic(self):
+        # The c:url inside the form action is a reference of its own, and the
+        # action's value is only known at request time.
+        refs = refs_of('<form action="<c:url value=\'/f.jsp\'/>">'
+                       '<a href="/x<% if (c) { %>?y<% } %>">'
+                       '<a href="/z</c:if>">')
+        assert [(r.tag_kind, r.raw_url, r.dynamic) for r in refs] == [
+            ("form", "<c:url value='/f.jsp'/>", True),
+            ("c:url", "/f.jsp", False),
+            ("a-href", "/x<% if (c) { %>?y<% } %>", True),
+            ("a-href", "/z</c:if>", True)]
+        assert [r.span[0] for r in refs] == [0, 14, 39, 75]
+
+
+class TestHtmlTagsInTemplateText:
+    def test_tag_and_attribute_names_match_in_any_case(self):
+        diagnostics = []
+        refs = refs_of('<A HREF="/a.jsp"><Form action="/f"></FORM></a><A name=x>',
+                       diagnostics)
+        assert [(r.tag_kind, r.raw_url, r.span) for r in refs] == [
+            ("a-href", "/a.jsp", (0, 17)), ("form", "/f", (17, 35))]
+        # The diagnostic names the tag as written.
+        assert [(d.message, d.location) for d in diagnostics] == [
+            ("<A> without href attribute", "/p.jsp@46")]
+
+    def test_only_the_tag_name_opens_a_tag(self):
+        for source in ('<abbr href="/x">', '<a-b href="/x">', '<formx action="/x">',
+                       '<a.b href="/x">', '</a href="/x">', '<a: href="/x">', "x a href=/x"):
+            assert refs_of(source) == [], source
+        refs = refs_of('<a\nhref="/x"><a/><form\taction=/f/>')
+        assert [r.raw_url for r in refs] == ["/x", "/f"]
+
+    def test_a_tag_inside_a_tag_read_is_an_attribute_value(self):
+        refs = refs_of("<a title=\"<a href='/in'>\" href=\"/out\"><a href=/next>")
+        assert [r.raw_url for r in refs] == ["/out", "/next"]
+
+    def test_a_tag_is_read_over_the_jsp_elements_in_it(self):
+        refs = refs_of('<a href="<%= u %>" title="<c:out value=\'t\'/>"><a href=/n>')
+        assert [(r.tag_kind, r.raw_url) for r in refs] == [("a-href", "<%= u %>"),
+                                                           ("a-href", "/n")]
+        assert refs[0].span == (0, 46)
+
+    def test_a_tag_inside_a_jsp_element_is_not_read(self):
+        source = ("<%-- <a href='/c'> --%><% String s = \"<a href='/s'>\"; %>"
+                  "<c:if test=\"<a href='/t'>\"><a href=/in></c:if>")
+        assert [r.raw_url for r in refs_of(source)] == ["/in"]
+
+    def test_an_unreadable_tag_is_template_text_and_a_diagnostic(self):
+        # Each tag the scanner cannot read is text, so the search for the
+        # next tag goes on inside it.
+        diagnostics = []
+        refs = refs_of('<a href="x><form action=/a ACTION=/b><a href=/ok>', diagnostics)
+        assert [(r.raw_url, r.span) for r in refs] == [("/ok", (37, 49))]
+        assert [(d.category, d.message, d.location) for d in diagnostics] == [
+            ("extraction", "<a> is template text: /p.jsp@8: unclosed quote", "/p.jsp@0"),
+            ("extraction", "<form> is template text: /p.jsp@11: duplicate attribute "
+             "'ACTION'", "/p.jsp@11")]
+
+    def test_an_unterminated_tag_is_template_text(self):
+        diagnostics = []
+        assert refs_of('<p><a href="/x" <form action=/f', diagnostics) == []
+        assert diagnostics == []
+
+
+class TestExtractionAgreesWithHtmlNodes:
+    """The extractor, reading the a and form tags out of template text, gives
+    the references and diagnostics of the reference whose parser made a node
+    of each such tag, on every page where no JSP element lies inside one."""
+
+    def test_10k_generated_pages_agree(self):
+        bad, compared = compare(generated_pages())
+        assert bad == []
+        assert len(compared) > 9000
+
+    def test_20k_tag_soup_pages_agree(self):
+        bad, compared = compare(tag_soup(20_000, seed=0xE7))
+        assert bad == []
+        assert len(compared) > 18_000
+        kinds = Counter(ref.tag_kind for got in compared if isinstance(got, list)
+                        for ref in got[0])
+        assert kinds["a-href"] > 500 and kinds["form"] > 500
+        messages = " ".join(d.message for got in compared if isinstance(got, list)
+                            for d in got[1])
+        for part in ("without href", "without action", "unsupported form method",
+                     "unclosed quote", "duplicate attribute"):
+            assert part in messages, part
 
 
 class TestTable2Coverage:

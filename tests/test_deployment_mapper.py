@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -234,6 +235,29 @@ class TestResolveUrl:
         target = resolve_url(table, make_ref("/do"), "/index.jsp")
         assert target.kind is ResolvedKind.INTERNAL_SERVLET_CLASS
         assert target.class_name == "com.example.DoServlet"
+
+    def test_a_long_href_resolves_in_little_memory(self):
+        # Only the prefixes as long as some prefix pattern's path are built:
+        # building every "/a/.../*" prefix of this 80 KB path first peaked at
+        # 1.6 GB with an empty table.
+        href = "/a" * 40_000
+        cases = [([], None, []),
+                 ([("/*", "/all.jsp"), ("/a/a/*", "/p.jsp"), ("/b/*", "/b.jsp"),
+                   ("/a/a/b/*", "/ab.jsp"), (href[:-2] + "/b/*", "/long.jsp")],
+                  "/p.jsp", ["pattern '/a/a/*' wins over ['/*']"])]
+        for patterns, page, messages in cases:
+            table = table_of(patterns)
+            diagnostics = []
+            tracemalloc.start()
+            try:
+                target = resolve_url(table, make_ref(href), "/index.jsp",
+                                     diagnostics=diagnostics)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert target.page_path == page
+            assert [d.message for d in diagnostics] == messages
+            assert peak < 5_000_000, f"peak {peak / 1e6:.1f} MB"
 
     def test_precedence_examples(self):
         table = table_of([("/a/*", "/x.jsp"), ("/a/b/*", "/y.jsp"),

@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from jspkdm import (
-    TAG_TABLE,
     DuplicateAttribute,
     JspNode,
     MalformedAttribute,
@@ -93,8 +92,8 @@ class TestBasicKinds:
         doc = parse_jsp('<c:redirect url="/x.jsp" /><FORM ACTION="/y">', "/p.jsp")
         assert doc.nodes[0].kind is NodeKind.CUSTOM_ACTION
         assert doc.nodes[0].name == "c:redirect"
-        assert doc.nodes[1].kind is NodeKind.HTML_ELEMENT
-        assert doc.nodes[1].name == "FORM"
+        assert doc.nodes[1].kind is NodeKind.TEMPLATE_TEXT
+        assert doc.text_of(doc.nodes[1]) == '<FORM ACTION="/y">'
 
     def test_jsp_comment_vs_html_comment(self):
         doc = parse_jsp("<%-- hidden --%><!-- shown -->", "/p.jsp")
@@ -156,29 +155,29 @@ class TestBasicKinds:
 
 class TestAttributes:
     def test_quote_styles(self):
-        doc = parse_jsp("<a a=\"one\" b='two' c=three>", "/p.jsp")
+        doc = parse_jsp("<c:a a=\"one\" b='two' c=three>", "/p.jsp")
         node = doc.nodes[0]
         assert node.attribute_value("a") == "one"
         assert node.attribute_value("b") == "two"
         assert node.attribute_value("c") == "three"
 
     def test_boolean_attribute(self):
-        doc = parse_jsp("<form novalidate>", "/p.jsp")
+        doc = parse_jsp("<c:form novalidate>", "/p.jsp")
         assert doc.nodes[0].attribute_value("novalidate") == ""
 
     def test_expression_inside_quoted_value(self):
-        doc = parse_jsp('<a href="<%= base %>/x.jsp">', "/p.jsp")
-        assert doc.nodes[0].attribute_value("href") == "<%= base %>/x.jsp"
+        doc = parse_jsp('<c:url value="<%= base %>/x.jsp">', "/p.jsp")
+        assert doc.nodes[0].attribute_value("value") == "<%= base %>/x.jsp"
 
     def test_duplicate_attribute_is_an_error(self):
         with pytest.raises(DuplicateAttribute):
-            parse_jsp('<form action="/a" ACTION="/b">', "/p.jsp")
+            parse_jsp('<c:form action="/a" ACTION="/b">', "/p.jsp")
         with pytest.raises(DuplicateAttribute):
             parse_jsp('<%@ page import="a" import="b" %>', "/p.jsp")
 
     def test_unclosed_quote_is_an_error(self):
         with pytest.raises(MalformedAttribute):
-            parse_jsp('<form action="/a>', "/p.jsp")
+            parse_jsp('<c:form action="/a>', "/p.jsp")
 
     def test_unterminated_scriptlet_is_an_error(self):
         for source in ("<% int i = 0;", "<%= i", "<%! int i;", "<%-- gone"):
@@ -186,7 +185,7 @@ class TestAttributes:
                 parse_jsp(source, "/p.jsp")
 
     def test_unterminated_tag_at_eof_is_text(self):
-        doc = parse_jsp("x <form action=/a", "/p.jsp")
+        doc = parse_jsp("x <c:form action=/a", "/p.jsp")
         assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
 
     def test_unterminated_tags_after_an_eof_scan_are_text(self):
@@ -212,13 +211,13 @@ class TestAttributes:
             parse_jsp("<c:x a a", "/p.jsp")
 
     def test_unicode_whitespace_separates_attributes(self):
-        doc = parse_jsp("<a a=1\u00a0b='2'\x0bc>", "/p.jsp")
+        doc = parse_jsp("<c:a a=1\u00a0b='2'\x0bc>", "/p.jsp")
         assert doc.nodes[0].attributes == (("a", "1"), ("b", "2"), ("c", ""))
 
     def test_empty_unquoted_value(self):
-        doc = parse_jsp("<c:x a= /><form b=>", "/p.jsp")
+        doc = parse_jsp("<c:x a= /><c:f b=>", "/p.jsp")
         assert [(n.name, n.attributes) for n in doc.nodes] == [("c:x", (("a", ""),)),
-                                                               ("form", (("b", ""),))]
+                                                               ("c:f", (("b", ""),))]
 
 
 class TestPowersPage:
@@ -233,7 +232,7 @@ class TestPowersPage:
         assert kinds.count(NodeKind.EXPRESSION) == self.EXPECTED_EXPRESSIONS
         assert kinds.count(NodeKind.DECLARATION) == 0
         rest = set(kinds) - {NodeKind.SCRIPTLET, NodeKind.EXPRESSION}
-        assert rest <= {NodeKind.TEMPLATE_TEXT, NodeKind.HTML_ELEMENT}
+        assert rest <= {NodeKind.TEMPLATE_TEXT}
         spans = delimiter_scan(powers_page)
         assert len(spans["Scriptlet"]) == self.EXPECTED_SCRIPTLETS
         assert len(spans["Expression"]) == self.EXPECTED_EXPRESSIONS
@@ -288,14 +287,14 @@ def tracked_objects_left_by(source: str):
 class TestAllocation:
     def test_a_node_costs_at_most_1_2_tracked_objects(self):
         # This page costs 1.07 tracked objects a node: one per node and a
-        # children tuple per closed action. It is built from tags that
-        # become nodes; a plain HTML tag is template text. Attributes are
-        # tuples of strings, which the collector untracks; as NamedTuple
-        # records they kept two tracked objects each, 1.5 a node here. Nodes
-        # that each carry two lists of their own, empty or not, cost 3.2.
-        page = ('<a class="c">x</a><form>y<c:if test="a">y<a>z</a></c:if><% s %>'
+        # children tuple per closed action. It is built from JSP elements,
+        # which become nodes; HTML is template text. Attributes are tuples of
+        # strings, which the collector untracks; as NamedTuple records they
+        # kept two tracked objects each, 1.5 a node here. Nodes that each
+        # carry two lists of their own, empty or not, cost 3.2.
+        page = ('<x:a class="c"/>x</a><x:form/>y<c:if test="a">y<x:a/>z</a></c:if><% s %>'
                 '<%= e %><%-- c --%><jsp:include page="/i.jsp" />'
-                '<a href="/x.jsp">l</a><br>') * 2000
+                '<x:a href="/x.jsp"/>l</a><br>') * 2000
         doc, grown = tracked_objects_left_by(page)
         nodes = sum(1 for _ in jsp_parser.iter_nodes(doc.nodes))
         assert nodes == 28_000
@@ -345,16 +344,16 @@ class TestPlainMarkupIsTemplateText:
     ROWS = '<tr><td class="c">x</td></tr>\n' * 3500
     PAGE = ROWS + '<a href="/x.jsp">link</a>' + ROWS
 
-    def test_only_the_dependency_tag_becomes_a_node(self):
+    def test_html_is_one_text_node_and_the_link_a_reference(self):
         doc = parse_jsp(self.PAGE, "/rows.jsp")
-        assert len(doc.nodes) <= 3
-        assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT, NodeKind.HTML_ELEMENT,
-                                 NodeKind.TEMPLATE_TEXT]
-        assert doc.nodes[1].attribute_value("href") == "/x.jsp"
+        assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
         check_span_coverage(doc)
+        (ref,) = extract_url_refs(doc)
+        assert (ref.tag_kind, ref.raw_url) == ("a-href", "/x.jsp")
+        assert doc.source[ref.span[0]:ref.span[1]] == '<a href="/x.jsp">'
 
     def test_markup_costs_no_tracked_objects(self):
-        # About 6 here: the document, its node list and three nodes. At one
+        # About 4 here: the document, its node list and one node. At one
         # node per tag, this page held 42,000 tracked objects.
         _, grown = tracked_objects_left_by(self.PAGE)
         assert grown <= 100, f"{grown} tracked objects"
@@ -386,14 +385,23 @@ class TestPlainMarkupIsTemplateText:
             assert kinds_of(doc) == [NodeKind.TEMPLATE_TEXT]
             assert doc.text_of(doc.nodes[0]) == source
 
-    def test_dependency_tags_match_case_insensitively(self):
-        doc = parse_jsp('<A HREF="/a.jsp"><Form action="/f"></FORM></a>', "/p.jsp")
-        assert [n.name for n in doc.nodes] == ["A", "Form", ""]
-        assert doc.text_of(doc.nodes[2]) == "</FORM></a>"
+    def test_scripting_between_link_attributes_keeps_the_braces_balanced(self):
+        # An a tag is template text too, so the scriptlets between its
+        # attributes are code, and the extractor reads the tag over them.
+        doc = parse_jsp('<a href="/x.jsp" <% if (c) { %>class="y"<% } %>>', "/p.jsp")
+        unit = translate_page(doc)
+        assert [s.text for s in unit.service_body
+                if s.kind is StatementKind.INLINE_CODE] == [" if (c) { ", " } "]
+        code = re.sub(r'"(?:\\.|[^"\\])*"', '""', render_servlet_source(unit))
+        assert code.count("{") == code.count("}")
+        assert [r.raw_url for r in extract_url_refs(doc)] == ["/x.jsp"]
 
-    def test_html_node_names_are_the_extractors_html_tags(self):
-        html_rows = {name for kind, name in TAG_TABLE if kind is NodeKind.HTML_ELEMENT}
-        assert jsp_parser._HTML_NODE_NAMES == html_rows
+    def test_expression_in_a_link_is_emitted(self):
+        unit = translate_page(parse_jsp('<a href="<%= u %>">x</a>', "/p.jsp"))
+        assert [(s.kind, s.text) for s in unit.service_body] == [
+            (StatementKind.TEMPLATE_EMIT, '<a href="'),
+            (StatementKind.EXPRESSION_EMIT, " u "),
+            (StatementKind.TEMPLATE_EMIT, '">x</a>')]
 
 
 class TestRandomizedProperties:
@@ -433,23 +441,42 @@ class TestRandomizedProperties:
 
 
 OUTCOMES = {list, DuplicateAttribute, MalformedAttribute, UnterminatedScriptlet}
+# What the extractor makes of an a or form tag: a reference of either kind,
+# or a diagnostic: no URL, a bad form method, or a tag it cannot read.
+HTML_REFS = {"a-href", "form"}
+HTML_DIAGNOSTICS = {"without", "unsupported form method", "unclosed quote",
+                    "duplicate attribute"}
 
 
 def outcome_kinds(pages) -> set:
     return {got[0] if isinstance(got, tuple) else list for got in map(parse_outcome, pages)}
 
 
+def html_tag_outcomes(pages) -> set:
+    reached = set()
+    for got in map(parse_outcome, pages):
+        if isinstance(got, list):
+            _, refs, diagnostics = got
+            reached.update(ref.tag_kind for ref in refs if ref.tag_kind in HTML_REFS)
+            reached.update(kind for d in diagnostics for kind in HTML_DIAGNOSTICS
+                           if kind in d.message)
+    return reached
+
+
 class TestScannerAgreesWithOracle:
-    """The tag scanner and its EOF memo parse every page as the character-loop
-    oracle, which scans each tag on its own, does; every outcome occurs, so
-    each path of the scanner is compared."""
+    """The tag scanner and its EOF memo parse and extract every page as the
+    character-loop oracle, which scans each tag on its own, does; every
+    outcome occurs, and the extractor reads a and form tags with it, so each
+    path of the scanner is compared."""
 
     def test_10k_pages_agree_with_the_character_loop(self):
         pages = generated_pages()
         assert disagreements(pages) == []
         assert outcome_kinds(pages) == OUTCOMES
+        assert html_tag_outcomes(pages) >= HTML_DIAGNOSTICS - {"unsupported form method"}
 
     def test_100k_tag_soup_pages_agree_with_the_character_loop(self):
         pages = tag_soup(100_000, seed=0x50_0B)
         assert disagreements(pages) == []
         assert outcome_kinds(pages[:2000]) == OUTCOMES
+        assert html_tag_outcomes(pages[:20_000]) == HTML_REFS | HTML_DIAGNOSTICS

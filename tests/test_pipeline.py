@@ -253,6 +253,20 @@ class TestRunPipeline:
         assert result.report["duplicate_refs"] == 1
         assert len(result.graph.edges) == 1
 
+    def test_unreadable_link_leaves_its_page_modelled(self, tmp_path):
+        # HTML is template text: a link the tag scanner cannot read costs a
+        # diagnostic, not the page.
+        root = make_two_page_app(tmp_path / "app")
+        (root / "c.jsp").write_text('<a href="x>link <jsp:forward page=\'/b\'/>',
+                                    encoding="utf-8")
+        result = run_pipeline(scan_webapp(root))
+        assert result.report["pages_failed"] == []
+        assert {c.source_page for c in result.model.class_units} == {
+            "/a.jsp", "/b.jsp", "/c.jsp"}
+        assert [(d.category, d.location) for d in result.diagnostics] == [
+            ("extraction", "/c.jsp@0")]
+        assert ("/c.jsp", "/b.jsp", "jsp:forward") in model_edge_set(result.model)
+
     def test_parse_failure_is_isolated(self, fixture_webapp):
         clean = run_pipeline(scan_webapp(fixture_webapp))
         (fixture_webapp / "powers.jsp").write_text("<% broken", encoding="utf-8")

@@ -31,6 +31,7 @@ from jspkdm import (
     UrlRef,
     add_method_call,
     build_lookup_table,
+    extract_url_refs,
     parse_jsp,
     resolve_url,
 )
@@ -50,10 +51,19 @@ def parse_seconds(source: str) -> float:
     return elapsed
 
 
-# Each tag is one whose attributes the parser reads, a prefixed action or an
-# "a" tag, and one is a plain tag, which is template text and never scanned.
-# Each "<a" is the value of the attribute before it, so no name repeats.
-@pytest.mark.parametrize("tag", ["<c:t{} ", "<a x{}=", "<t{} "])
+def extract_seconds(source: str) -> float:
+    doc = parse_jsp(source, "/open.jsp")
+    start = time.perf_counter()
+    diagnostics = []
+    refs = extract_url_refs(doc, diagnostics)
+    elapsed = time.perf_counter() - start
+    assert refs == diagnostics == []
+    return elapsed
+
+
+# One tag is a prefixed action, whose attributes the parser reads, and one is
+# a plain tag, which is template text and never scanned.
+@pytest.mark.parametrize("tag", ["<c:t{} ", "<t{} "])
 def test_parse_8000_unterminated_tags(tag):
     elapsed = parse_seconds(unterminated_tags(8000, tag))
     assert elapsed < 1.0, f"8000 unterminated tags took {elapsed:.2f} s"
@@ -63,7 +73,7 @@ def test_parse_8000_unterminated_tags(tag):
 # search to show.
 @pytest.mark.parametrize("tag, count", [("<c:t{} ", 8000), ("</c:t{} ", 64_000),
                                         ('<c:t{0} a{0}="v" ', 8000), ("</c:t{}  ", 64_000),
-                                        ("<a x{}=", 8000), ("<t{} ", 8000)])
+                                        ("<t{} ", 8000)])
 def test_unterminated_tags_parse_in_linear_time(tag, count):
     small, large = unterminated_tags(count, tag), unterminated_tags(2 * count, tag)
     # Best of five alternating runs each, so one slow spell does not count.
@@ -71,6 +81,18 @@ def test_unterminated_tags_parse_in_linear_time(tag, count):
     small_s, large_s = min(r[0] for r in runs), min(r[1] for r in runs)
     assert large_s < 3 * small_s, (
         f"{small_s:.3f} s for {count} tags, {large_s:.3f} s for twice as many")
+
+
+# The extractor reads the attributes of each "a" tag in the template text, with
+# one EOF memo for the page. Each "<a" is the value of the attribute before
+# it, so no name repeats.
+def test_8000_unterminated_links_extract_in_linear_time():
+    small, large = unterminated_tags(8000, "<a x{}="), unterminated_tags(16_000, "<a x{}=")
+    runs = [(extract_seconds(small), extract_seconds(large)) for _ in range(5)]
+    small_s, large_s = min(r[0] for r in runs), min(r[1] for r in runs)
+    assert small_s < 1.0, f"8000 unterminated links took {small_s:.2f} s"
+    assert large_s < 3 * small_s, (
+        f"{small_s:.3f} s for 8000 links, {large_s:.3f} s for twice as many")
 
 
 def test_link_free_rows_parse_in_linear_time():
@@ -87,9 +109,9 @@ def test_link_free_rows_parse_in_linear_time():
 
 def test_unclosed_actions_before_a_large_page_cost_little():
     # Folding each unclosed action used to copy every node after it, twice:
-    # 400 of them doubled the parse time of a page of 21,000 nodes. A plain
-    # HTML tag is template text, so the rows are links: two nodes each.
-    page = '<a href="c">x</a>' * 10_500
+    # 400 of them doubled the parse time of a page of 21,000 nodes. HTML is
+    # template text, so each row is a JSP element and a text run.
+    page = '<c:url value="c"/>x' * 10_500
     prefixed = '<c:if test="x">' * 400 + page
 
     def timed(source: str) -> float:
