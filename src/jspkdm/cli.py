@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 from .pipeline import (
     FORMATS,
@@ -94,9 +93,9 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             settings = _checked(json.load(fh))
     flags = vars(args)
-    for f in fields(PipelineConfig):
-        if flags.get(f.name) is not None:
-            settings[f.name] = flags[f.name]
+    for name in vars(PipelineConfig()):
+        if flags.get(name) is not None:
+            settings[name] = flags[name]
     return PipelineConfig(**settings)
 
 

@@ -10,10 +10,10 @@ lossless round trip) and a simplified XMI dialect (see docs/MODEL_FORMATS.md).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import BinaryIO, Iterable, Iterator
 
+from ._records import Value, fields_repr
 from .jsp_parser import Span, normalize_page_path
 from .servlet_translator import (
     DESTROY_METHOD,
@@ -28,44 +28,75 @@ class DuplicateClassName(ValueError):
     """Two units mangled to the same class name; signals a pipeline bug."""
 
 
-@dataclass(frozen=True)
-class CodeRelationship:
-    """A class-to-class relationship, equal to another with the same
-    (from, to, kind); classes compare by identity."""
+class CodeRelationship(Value):
+    """A class-to-class relationship: immutable and slotted, equal to another
+    with the same (from, to, kind) and hashed on them, whatever the label;
+    classes compare by identity."""
 
-    from_class: "ClassUnit"
-    to_class: "ClassUnit"
-    kind: str
-    label: str = field(default="newCall", compare=False)
+    __slots__ = ("from_class", "to_class", "kind", "label")
+
+    def __init__(self, from_class: ClassUnit, to_class: ClassUnit, kind: str,
+                 label: str = "newCall"):
+        object.__setattr__(self, "from_class", from_class)
+        object.__setattr__(self, "to_class", to_class)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.from_class, self.to_class, self.kind)
+                == (other.from_class, other.to_class, other.kind))
+
+    def __hash__(self) -> int:
+        return hash((self.from_class, self.to_class, self.kind))
 
 
-@dataclass(eq=False, slots=True)
 class CodeElement:
     """A statement-level element. Slotted, with ``relationships`` defaulting
     to the shared ``()``: only injected "newCall" elements carry one."""
 
-    name: str
-    kind: str
-    origin_span: Span | None = None
-    relationships: tuple[CodeRelationship, ...] = ()
+    __slots__ = ("name", "kind", "origin_span", "relationships")
+
+    def __init__(self, name: str, kind: str, origin_span: Span | None = None,
+                 relationships: tuple[CodeRelationship, ...] = ()):
+        self.name = name
+        self.kind = kind
+        self.origin_span = origin_span
+        self.relationships = relationships
+
+    __repr__ = fields_repr
 
 
-@dataclass(eq=False)
+# The model's units and the model itself compare by identity. A list that is
+# not given starts empty.
+
+
 class BlockUnit:
-    elements: list[CodeElement] = field(default_factory=list)
+    def __init__(self, elements: list[CodeElement] | None = None):
+        self.elements = [] if elements is None else elements
+
+    __repr__ = fields_repr
 
 
-@dataclass(eq=False)
 class MethodUnit:
-    name: str
-    block: BlockUnit = field(default_factory=BlockUnit)
+    def __init__(self, name: str, block: BlockUnit | None = None):
+        self.name = name
+        self.block = BlockUnit() if block is None else block
+
+    __repr__ = fields_repr
 
 
-@dataclass(eq=False)
 class ClassUnit:
-    name: str
-    source_page: str | None = None
-    code_elements: list[MethodUnit] = field(default_factory=list)
+    def __init__(self, name: str, source_page: str | None = None,
+                 code_elements: list[MethodUnit] | None = None):
+        self.name = name
+        self.source_page = source_page
+        self.code_elements = [] if code_elements is None else code_elements
+
+    def __repr__(self) -> str:
+        # Not its methods: their relationships lead back to their classes.
+        return f"ClassUnit(name={self.name!r}, source_page={self.source_page!r})"
 
     def method(self, name: str) -> MethodUnit | None:
         for m in self.code_elements:
@@ -74,24 +105,32 @@ class ClassUnit:
         return None
 
 
-@dataclass(eq=False)
 class PackageUnit:
-    name: str
-    class_units: list[ClassUnit] = field(default_factory=list)
+    def __init__(self, name: str, class_units: list[ClassUnit] | None = None):
+        self.name = name
+        self.class_units = [] if class_units is None else class_units
+
+    __repr__ = fields_repr
 
 
-@dataclass
 class MutationReport:
-    status: str  # "added" | "duplicate" | "error"
-    reason: str = ""
+    def __init__(self, status: str, reason: str = ""):
+        self.status = status  # "added" | "duplicate" | "error"
+        self.reason = reason
+
+    __repr__ = fields_repr
 
 
-@dataclass(eq=False)
 class KdmModel:
-    name: str
-    packages: list[PackageUnit] = field(default_factory=list)
-    class_units: list[ClassUnit] = field(default_factory=list)
-    relationships: list[CodeRelationship] = field(default_factory=list)
+    def __init__(self, name: str, packages: list[PackageUnit] | None = None,
+                 class_units: list[ClassUnit] | None = None,
+                 relationships: list[CodeRelationship] | None = None):
+        self.name = name
+        self.packages = [] if packages is None else packages
+        self.class_units = [] if class_units is None else class_units
+        self.relationships = [] if relationships is None else relationships
+
+    __repr__ = fields_repr
 
     def to_dict(self) -> dict:
         """The model as plain data; its JSON serialization is exactly

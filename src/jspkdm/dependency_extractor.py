@@ -10,9 +10,9 @@ target URL, or that cannot be read, becomes a diagnostic, never a reference.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
+from ._records import Value
 from .diagnostics import Diagnostic, emit
 from .jsp_parser import (_PREFIXED_NAME, JspDocument, JspNode, JspParseError, NodeKind, Span,
                          _Parser, iter_nodes)
@@ -40,25 +40,45 @@ _OPTIONAL_ATTR_KINDS = frozenset({"page-directive-errorPage",
 
 _FORM_METHODS = frozenset({"get", "post", "put"})
 
-# The open tag of an HTML row, in any case, that no name character follows.
+# The open tag of an HTML row, in any case, that no name character follows,
+# or the start of an HTML comment (no group).
 _HTML_OPEN_RE = re.compile(
-    "<(" + "|".join(name for kind, name in TAG_TABLE if kind is NodeKind.TEMPLATE_TEXT)
+    "<!--|<(" + "|".join(name for kind, name in TAG_TABLE if kind is NodeKind.TEMPLATE_TEXT)
     + r")(?![\w.\-:])", re.IGNORECASE)
+
+# The end of an HTML comment: "-->", or "--!>" as HTML also reads it.
+_COMMENT_END_RE = re.compile("--!?>")
 
 # A value is request-time when it holds EL, a scripting element or a JSP tag.
 _DYNAMIC_RE = re.compile(r"\$\{|<%|</?" + _PREFIXED_NAME)
 
 
-@dataclass(frozen=True)
-class UrlRef:
-    """One URL occurrence in a dependency-bearing tag."""
+class UrlRef(Value):
+    """One URL occurrence in a dependency-bearing tag. Immutable, slotted,
+    and equal to another with the same fields."""
 
-    source_page: str
-    tag_kind: str
-    attribute: str
-    raw_url: str
-    dynamic: bool = False
-    span: Span = (0, 0)
+    __slots__ = ("source_page", "tag_kind", "attribute", "raw_url", "dynamic", "span")
+
+    def __init__(self, source_page: str, tag_kind: str, attribute: str, raw_url: str,
+                 dynamic: bool = False, span: Span = (0, 0)):
+        object.__setattr__(self, "source_page", source_page)
+        object.__setattr__(self, "tag_kind", tag_kind)
+        object.__setattr__(self, "attribute", attribute)
+        object.__setattr__(self, "raw_url", raw_url)
+        object.__setattr__(self, "dynamic", dynamic)
+        object.__setattr__(self, "span", span)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source_page, self.tag_kind, self.attribute, self.raw_url,
+                 self.dynamic, self.span)
+                == (other.source_page, other.tag_kind, other.attribute, other.raw_url,
+                    other.dynamic, other.span))
+
+    def __hash__(self) -> int:
+        return hash((self.source_page, self.tag_kind, self.attribute, self.raw_url,
+                     self.dynamic, self.span))
 
 
 def _is_dynamic(url: str) -> bool:
@@ -74,17 +94,42 @@ def _dependency_tags(doc: JspDocument, diagnostics: list[Diagnostic] | None
                      ) -> Iterator[tuple[str, Span, tuple[str, str], dict[str, str]]]:
     """(name as written, span, table row, attributes) of each dependency tag
     in document order. HTML attribute names are lower-cased; an HTML tag
-    that cannot be read is template text."""
-    scanner = _Parser(doc.source, doc.page_path)  # one EOF memo for the page
+    that cannot be read is template text.
+
+    An HTML comment hides the HTML tags in it from the browser, so none is
+    read from ``<!--`` to the next ``-->`` or ``--!>`` within the text; as
+    in HTML, ``<!-->`` and ``<!--->`` are empty comments. The comment may span
+    several text runs; a JSP element inside it still runs, as in Jasper, and
+    is read as any other.
+    """
+    src = doc.source
+    scanner = _Parser(src, doc.page_path)  # one EOF memo for the page
     read_to = 0  # the end of the last HTML tag read; an opener before it is inside it
+    in_comment = False
     for node in iter_nodes(doc.nodes):
         if node.kind is not NodeKind.TEMPLATE_TEXT:
             if (row := classify_tag(node)) is not None:
                 yield node.name, node.span, row, dict(node.attributes)
             continue
-        for m in _HTML_OPEN_RE.finditer(doc.source, *node.span):
+        pos, end = node.span
+        while pos < end:
+            if in_comment:
+                close = _COMMENT_END_RE.search(src, pos, end)
+                if close is None:
+                    break
+                pos, in_comment = close.end(), False
+            m = _HTML_OPEN_RE.search(src, pos, end)
+            if m is None:
+                break
+            pos = m.end()
+            if m.start() < read_to:
+                continue
+            if m[1] is None:
+                # The "-->" may start inside the "<!--", as in "<!-->".
+                pos, in_comment = m.start() + 2, True
+                continue
             try:
-                scanned = m.start() >= read_to and scanner._scan_tag_attrs(m.end(), m.start())
+                scanned = scanner._scan_tag_attrs(m.end(), m.start())
             except JspParseError as exc:
                 emit(diagnostics, "extraction", f"<{m[1]}> is template text: {exc}",
                      f"{doc.page_path}@{m.start()}")

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import posixpath
 import re
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 from enum import Enum
 
+from ._records import Value, fields_repr
 from .dependency_extractor import UrlRef
 from .diagnostics import Diagnostic, emit
 from .jsp_parser import normalize_page_path
@@ -27,15 +26,17 @@ class XmlSyntaxError(ValueError):
     """web.xml is not well-formed XML."""
 
 
-@dataclass
 class ServletDecl:
-    servlet_name: str
-    servlet_class: str | None = None
-    jsp_file: str | None = None
-    source: str = SOURCE_WEB_XML
+    def __init__(self, servlet_name: str, servlet_class: str | None = None,
+                 jsp_file: str | None = None, source: str = SOURCE_WEB_XML):
+        self.servlet_name = servlet_name
+        self.servlet_class = servlet_class
+        self.jsp_file = jsp_file
+        self.source = source
+
+    __repr__ = fields_repr
 
 
-@dataclass
 class UrlMappingTable:
     """Mapping entries in table order, with ``index`` from pattern to position.
 
@@ -48,11 +49,14 @@ class UrlMappingTable:
     ``index``, ``prefix_lengths`` or ``decls`` otherwise.
     """
 
-    entries: list[tuple[str, str]] = field(default_factory=list, init=False)
-    index: dict[str, int] = field(default_factory=dict, init=False)
-    prefix_lengths: list[int] = field(default_factory=list, init=False)
-    decls: dict[str, ServletDecl] = field(default_factory=dict, init=False)
-    context_path: str = ""
+    def __init__(self, context_path: str = ""):
+        self.entries: list[tuple[str, str]] = []
+        self.index: dict[str, int] = {}
+        self.prefix_lengths: list[int] = []
+        self.decls: dict[str, ServletDecl] = {}
+        self.context_path = context_path
+
+    __repr__ = fields_repr
 
     def decl_for(self, servlet_name: str) -> ServletDecl | None:
         """The first declaration of ``servlet_name``."""
@@ -66,12 +70,27 @@ class ResolvedKind(str, Enum):
     UNRESOLVED = "Unresolved"
 
 
-@dataclass(frozen=True)
-class ResolvedTarget:
-    kind: ResolvedKind
-    page_path: str | None = None
-    class_name: str | None = None
-    reason: str | None = None
+class ResolvedTarget(Value):
+    """Where a reference leads. Immutable, slotted, and equal to another
+    with the same fields."""
+
+    __slots__ = ("kind", "page_path", "class_name", "reason")
+
+    def __init__(self, kind: ResolvedKind, page_path: str | None = None,
+                 class_name: str | None = None, reason: str | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "page_path", page_path)
+        object.__setattr__(self, "class_name", class_name)
+        object.__setattr__(self, "reason", reason)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.page_path, self.class_name, self.reason)
+                == (other.kind, other.page_path, other.class_name, other.reason))
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.page_path, self.class_name, self.reason))
 
 
 # -- web.xml --------------------------------------------------------------------
@@ -81,7 +100,7 @@ def _local(tag: str) -> str:
     return tag.rpartition("}")[2]
 
 
-def _child_text(element: ET.Element, local_name: str) -> str | None:
+def _child_text(element, local_name: str) -> str | None:
     for child in element:
         if _local(child.tag) == local_name:
             return (child.text or "").strip()
@@ -96,6 +115,9 @@ def parse_web_xml(content: bytes, diagnostics: list[Diagnostic] | None = None
     outside the five mapping-related elements is ignored. Incomplete
     declarations and mappings yield diagnostics.
     """
+    # Imported here, so that a run without a web.xml never loads it.
+    import xml.etree.ElementTree as ET
+
     try:
         root = ET.fromstring(content)
     except ET.ParseError as exc:

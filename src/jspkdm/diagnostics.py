@@ -7,16 +7,28 @@ passes down (the run's sink); this module is the only place that builds a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._records import Value
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """A recoverable anomaly: the run continues, the report records it."""
+class Diagnostic(Value):
+    """A recoverable anomaly: the run continues, the report records it.
+    Immutable, slotted, and equal to another with the same fields."""
 
-    category: str
-    message: str
-    location: str | None = None
+    __slots__ = ("category", "message", "location")
+
+    def __init__(self, category: str, message: str, location: str | None = None):
+        object.__setattr__(self, "category", category)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "location", location)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.category, self.message, self.location)
+                == (other.category, other.message, other.location))
+
+    def __hash__(self) -> int:
+        return hash((self.category, self.message, self.location))
 
     def to_dict(self) -> dict:
         d = {"category": self.category, "message": self.message}

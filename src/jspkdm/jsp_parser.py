@@ -25,9 +25,10 @@ does not close the innermost open action is template text.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Sequence
+
+from ._records import fields_repr
 
 Span = tuple[int, int]
 
@@ -64,34 +65,61 @@ class DuplicateAttribute(JspParseError):
     """Two attributes of one tag share a name after ASCII lower-casing."""
 
 
-@dataclass(slots=True)
 class JspNode:
     """One node of a page: a text run or a JSP element. Slotted, with tuples
     that default to the shared ``()``: a page makes one node per JSP element,
     and most nodes have no attributes and no children. Attributes are
     ``(name, value)`` string pairs, which the collector untracks; no text is
-    copied out of the source."""
+    copied out of the source. Equal to another node with the same fields."""
 
-    kind: NodeKind
-    name: str = ""
-    attributes: tuple[tuple[str, str], ...] = ()
-    children: tuple["JspNode", ...] = ()
-    span: Span = (0, 0)
-    # Region between the open and the close: a closed action's children, or a
-    # scripting element's or JSP comment's text; None for other nodes.
-    inner_span: Span | None = None
+    # inner_span is the region between the open and the close: a closed
+    # action's children, or a scripting element's or JSP comment's text; None
+    # for other nodes.
+    __slots__ = ("kind", "name", "attributes", "children", "span", "inner_span")
+
+    def __init__(self, kind: NodeKind, name: str = "",
+                 attributes: tuple[tuple[str, str], ...] = (),
+                 children: tuple[JspNode, ...] = (), span: Span = (0, 0),
+                 inner_span: Span | None = None):
+        self.kind = kind
+        self.name = name
+        self.attributes = attributes
+        self.children = children
+        self.span = span
+        self.inner_span = inner_span
+
+    __repr__ = fields_repr
+    __hash__ = None  # equal by value, and changed while a page is parsed
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.name, self.attributes, self.children, self.span,
+                 self.inner_span)
+                == (other.kind, other.name, other.attributes, other.children, other.span,
+                    other.inner_span))
 
     def attribute_value(self, name: str) -> str | None:
         return dict(self.attributes).get(name)
 
 
-@dataclass
 class JspDocument:
-    """Parsed form of one page; nodes tile the source text exactly."""
+    """Parsed form of one page; nodes tile the source text exactly. Equal to
+    another document with the same fields."""
 
-    page_path: str
-    nodes: list[JspNode]
-    source: str
+    def __init__(self, page_path: str, nodes: list[JspNode], source: str):
+        self.page_path = page_path
+        self.nodes = nodes
+        self.source = source
+
+    __repr__ = fields_repr
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.page_path, self.nodes, self.source)
+                == (other.page_path, other.nodes, other.source))
 
     def text_of(self, node: JspNode) -> str:
         return self.source[node.span[0]:node.span[1]]

@@ -17,11 +17,11 @@ import fnmatch
 import json
 import os
 import re
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
+from ._records import fields_repr
 from .code_model import (
     KdmModel,
     ModelIndex,
@@ -53,19 +53,30 @@ class RootNotFound(ValueError):
     """The webapp root directory does not exist."""
 
 
-@dataclass
+# The records below compare by identity. A list, dict or set that is not
+# given starts empty.
+
+
 class WebAppInventory:
-    root: Path
-    jsp_pages: list[str] = field(default_factory=list)
-    java_sources: list[str] = field(default_factory=list)
-    web_xml: str | None = None
+    def __init__(self, root: Path, jsp_pages: list[str] | None = None,
+                 java_sources: list[str] | None = None, web_xml: str | None = None):
+        self.root = root
+        self.jsp_pages = [] if jsp_pages is None else jsp_pages
+        self.java_sources = [] if java_sources is None else java_sources
+        self.web_xml = web_xml
+
+    __repr__ = fields_repr
 
 
-@dataclass
 class DependencyGraph:
-    nodes: dict[str, str] = field(default_factory=dict)  # id -> node kind
-    edges: set[tuple[str, str, str]] = field(default_factory=set)  # readers sort
-    unresolved: list[tuple[str, str, str]] = field(default_factory=list)
+    def __init__(self, nodes: dict[str, str] | None = None,
+                 edges: set[tuple[str, str, str]] | None = None,
+                 unresolved: list[tuple[str, str, str]] | None = None):
+        self.nodes = {} if nodes is None else nodes  # id -> node kind
+        self.edges = set() if edges is None else edges  # readers sort
+        self.unresolved = [] if unresolved is None else unresolved
+
+    __repr__ = fields_repr
 
     def add_node(self, node_id: str, kind: str) -> None:
         self.nodes.setdefault(node_id, kind)
@@ -84,24 +95,36 @@ class DependencyGraph:
 FORMATS = ("xmi", "json", "dot")
 
 
-@dataclass
 class PipelineConfig:
-    context_path: str = ""
-    source_roots: list[str] = field(default_factory=list)
-    include: list[str] = field(default_factory=list)
-    exclude: list[str] = field(default_factory=list)
-    formats: list[str] = field(default_factory=lambda: list(FORMATS))
-    encoding: str = "utf-8"
-    servlet_src_out: str | None = None
-    known_tag_handlers: dict[str, str] = field(default_factory=dict)
+    """The run's settings. ``vars(PipelineConfig())`` lists each one with its
+    default; the CLI lays a config file and its flags over that."""
+
+    def __init__(self, context_path: str = "", source_roots: list[str] | None = None,
+                 include: list[str] | None = None, exclude: list[str] | None = None,
+                 formats: list[str] | None = None, encoding: str = "utf-8",
+                 servlet_src_out: str | None = None,
+                 known_tag_handlers: dict[str, str] | None = None):
+        self.context_path = context_path
+        self.source_roots = [] if source_roots is None else source_roots
+        self.include = [] if include is None else include
+        self.exclude = [] if exclude is None else exclude
+        self.formats = list(FORMATS) if formats is None else formats
+        self.encoding = encoding
+        self.servlet_src_out = servlet_src_out
+        self.known_tag_handlers = {} if known_tag_handlers is None else known_tag_handlers
+
+    __repr__ = fields_repr
 
 
-@dataclass
 class PipelineResult:
-    model: KdmModel
-    graph: DependencyGraph
-    report: dict
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    def __init__(self, model: KdmModel, graph: DependencyGraph, report: dict,
+                 diagnostics: list[Diagnostic] | None = None):
+        self.model = model
+        self.graph = graph
+        self.report = report
+        self.diagnostics = [] if diagnostics is None else diagnostics
+
+    __repr__ = fields_repr
 
 
 def _glob_match(rel_path: str, patterns: list[str]) -> bool:
@@ -187,10 +210,16 @@ def scan_webapp(root, include: list[str] | None = None,
     return inventory
 
 
-def _read_text(path: Path, encoding: str,
-               diagnostics: list[Diagnostic], what: str) -> str | None:
+def _read_text(path: Path, encoding: str, diagnostics: list[Diagnostic], what: str,
+               newline: str | None = None) -> str | None:
+    """The file's text, or None after an "io" diagnostic. ``newline`` is
+    ``open``'s: a page is read with ``""``, so that its spans index the file
+    and its template text keeps CRLF line ends, as Jasper writes them. A
+    Java source keeps universal newlines: the comment regexes end a line
+    comment only at a line feed."""
     try:
-        return path.read_text(encoding=encoding)
+        with open(path, encoding=encoding, newline=newline) as fh:
+            return fh.read()
     except OSError as exc:
         emit(diagnostics, "io", f"cannot read {what}: {exc.strerror}", what)
     except UnicodeDecodeError as exc:
@@ -207,7 +236,6 @@ def _parse_failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-@dataclass
 class _PageLoop:
     """Phase 1 as an iterator of servlet units, one page at a time.
 
@@ -218,12 +246,14 @@ class _PageLoop:
     diagnostics their extraction made.
     """
 
-    inventory: WebAppInventory
-    config: PipelineConfig
-    diagnostics: list[Diagnostic]
-    pages: list[tuple[str, list[UrlRef], list[Diagnostic]]] = field(default_factory=list)
-    failed: list[str] = field(default_factory=list)
-    statements: int = 0
+    def __init__(self, inventory: WebAppInventory, config: PipelineConfig,
+                 diagnostics: list[Diagnostic]):
+        self.inventory = inventory
+        self.config = config
+        self.diagnostics = diagnostics
+        self.pages: list[tuple[str, list[UrlRef], list[Diagnostic]]] = []
+        self.failed: list[str] = []
+        self.statements = 0
 
     def __iter__(self) -> Iterator[ServletUnit]:
         # map and filter hold no item past its turn, as a for loop's
@@ -235,7 +265,7 @@ class _PageLoop:
         page_diagnostics: list[Diagnostic] = []
         try:
             text = _read_text(self.inventory.root / page.lstrip("/"), config.encoding,
-                              diagnostics, page)
+                              diagnostics, page, newline="")
             if text is None:
                 self.failed.append(page)
                 return None

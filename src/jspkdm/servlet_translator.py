@@ -11,10 +11,10 @@ to Java-looking source is a side product for inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
 
+from ._records import fields_repr
 from .diagnostics import Diagnostic, emit
 from .jsp_parser import JspDocument, JspNode, NodeKind, Span, iter_nodes
 
@@ -29,23 +29,44 @@ class StatementKind(str, Enum):
     EXPRESSION_EMIT = "ExpressionEmit"
 
 
-@dataclass(slots=True)
 class CodeStatement:
-    kind: StatementKind
-    text: str
-    metadata: dict[str, Any] | None = None
-    origin_span: Span = (0, 0)
+    """One statement of a servlet unit. Slotted, and equal to another
+    statement with the same fields."""
+
+    __slots__ = ("kind", "text", "metadata", "origin_span")
+
+    def __init__(self, kind: StatementKind, text: str,
+                 metadata: dict[str, Any] | None = None, origin_span: Span = (0, 0)):
+        self.kind = kind
+        self.text = text
+        self.metadata = metadata
+        self.origin_span = origin_span
+
+    __repr__ = fields_repr
+    __hash__ = None  # equal by value, and its metadata is a dict
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.text, self.metadata, self.origin_span)
+                == (other.kind, other.text, other.metadata, other.origin_span))
 
 
-@dataclass
 class ServletUnit:
-    """Servlet-shaped translation of one page."""
+    """Servlet-shaped translation of one page. Each list that is not given
+    starts empty."""
 
-    class_name: str
-    source_page: str
-    declarations: list[CodeStatement] = field(default_factory=list)
-    service_body: list[CodeStatement] = field(default_factory=list)
-    imports: list[str] = field(default_factory=list)
+    def __init__(self, class_name: str, source_page: str,
+                 declarations: list[CodeStatement] | None = None,
+                 service_body: list[CodeStatement] | None = None,
+                 imports: list[str] | None = None):
+        self.class_name = class_name
+        self.source_page = source_page
+        self.declarations = [] if declarations is None else declarations
+        self.service_body = [] if service_body is None else service_body
+        self.imports = [] if imports is None else imports
+
+    __repr__ = fields_repr
 
 
 SERVICE_METHOD = "_jspService"

@@ -176,7 +176,8 @@ def generate_adversarial_page(rng: random.Random) -> str:
 # tag, attributes that may repeat a name, bad quotes, scripting delimiters,
 # a "<" that opens nothing, non-ASCII names and whitespace; and, for the
 # translator, close tags that do and do not end, declarations, the XML page
-# directive and the bean actions with and without the attributes they need.
+# directive and the bean actions with and without the attributes they need;
+# and, for the extractor, the ends of HTML comments, one in a close tag's name.
 SOUP_BITS = ["<td>", "<TD class='c'>", '<td title="<% x %>">', "<tr>", "</td>", "</tr >",
              "</td\x0b>", "<br/>", "<br />", "<img src=x/y/>", "<p x=1>", "<p x=1 X=2>",
              "<p x=1 y=2>", "<p\x0bx>", "<p x=>", "<p x= >", "<p x='>'>", '<p x="a"y>',
@@ -193,7 +194,8 @@ SOUP_BITS = ["<td>", "<TD class='c'>", '<td title="<% x %>">', "<tr>", "</td>", 
              "<jsp:getProperty name='b'/>", "<jsp:setProperty name='b' property='*'>",
              "<jsp:setProperty property='p'>", "</jsp:setProperty>",
              "<jsp:directive.page import='java.util.List'/>", "<%! int d; %>",
-             "<FORM action='/f'", " method=DELETE", " Method='post'"]
+             "<FORM action='/f'", " method=DELETE", " Method='post'",
+             "<!--", "-->", "--!>", "<!-->", "</c:x-->"]
 
 
 def generate_tag_soup(rng: random.Random) -> str:

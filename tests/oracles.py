@@ -360,29 +360,38 @@ def translate_recursively(doc, known_tag_handlers=None, diagnostics=None) -> Ser
 # -- the a and form tags as nodes ------------------------------------------------------
 
 # The parser's search regex with the a and form open tags added back, in any
-# case and with no name character after them.
+# case and with no name character after them, and the start and end of an
+# HTML comment.
 _LT_WITH_HTML_RE = re.compile(
     r"<(?:(%--)|(%@)|(%=)|(%!)|(%)|/(" + _PREFIXED_NAME + r")\s*>|(" + _PREFIXED_NAME
-    + r"|(?i:a|form)(?![\w.\-])))")
+    + r"|(?i:a|form)(?![\w.\-]))|(!--))|(--!?>)")
+_COMMENT_OPENER, _COMMENT_CLOSER = 8, 9
 
 
 class HtmlNodeParser(_Parser):
     """The reference for finding the ``a`` and ``form`` tags in template text:
     the parser as it was when its search regex also found those tags, and
     each became a flat node of its own, here of kind TEMPLATE_TEXT with the
-    tag's name and attributes. Nothing inside such a tag is parsed. One rule
-    is new: a tag whose attributes cannot be tokenized is text, recorded in
-    ``unread`` with its error, where it used to fail the page. ``html_spans``
-    lists the spans of the tags read, also when the parse fails later."""
+    tag's name and attributes. Nothing inside such a tag is parsed. Two rules
+    are new: a tag whose attributes cannot be tokenized is text, recorded in
+    ``unread`` with its error, where it used to fail the page; and an ``a``
+    or ``form`` tag from an HTML comment's ``<!--`` to the next ``-->`` or
+    ``--!>`` is text, while JSP inside the comment is parsed as anywhere else.
+    ``html_spans`` lists the spans of the tags read, also when the parse
+    fails later."""
 
     def __init__(self, source: str, page_path: str):
         super().__init__(source, page_path)
         self.html_spans: list[tuple[int, int]] = []
         self.unread: list[tuple[int, str, JspParseError]] = []
+        self.in_comment = False
 
     def _parse_element(self, nodes, flush_text, start, name, name_end) -> bool:
         if ":" in name:
             return super()._parse_element(nodes, flush_text, start, name, name_end)
+        if self.in_comment:
+            self.pos = start + 1
+            return False
         try:
             scanned = self._scan_tag_attrs(name_end, start)
         except (MalformedAttribute, DuplicateAttribute) as exc:
@@ -420,12 +429,22 @@ class HtmlNodeParser(_Parser):
                 flush_text(lt)
                 nodes.append(self._parse_directive(lt))
             elif opener == _CLOSE_OPENER:
-                self.pos = m.end()
                 if m.group(opener) != until_close:
+                    # Template text, whose name may hold a comment's "-->".
+                    self.pos = lt + 2
                     continue
+                self.pos = m.end()
                 flush_text(lt)
                 self._close_span = (lt, self.pos)
                 return nodes
+            elif opener == _COMMENT_OPENER:
+                self.pos = lt + 2  # the "-->" of "<!-->" starts here
+                self.in_comment = True
+                continue
+            elif opener == _COMMENT_CLOSER:
+                self.pos = m.end()
+                self.in_comment = False
+                continue
             elif not self._parse_element(nodes, flush_text, lt, m.group(opener), m.end()):
                 continue
             run_start = self.pos

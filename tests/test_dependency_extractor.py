@@ -174,6 +174,32 @@ class TestHtmlTagsInTemplateText:
         assert refs_of('<p><a href="/x" <form action=/f', diagnostics) == []
         assert diagnostics == []
 
+    def test_a_tag_inside_an_html_comment_is_not_read(self):
+        diagnostics = []
+        refs = refs_of('<!-- <a href="/old.jsp">old</a> <form> --><a href="/new.jsp">',
+                       diagnostics)
+        assert [r.raw_url for r in refs] == ["/new.jsp"]
+        assert diagnostics == []  # the form without an action is commented out too
+        # A comment with no end hides the rest of the page's HTML.
+        assert [r.raw_url for r in refs_of('<a href="/a"><!-- <a href="/b">')] == ["/a"]
+
+    def test_jsp_inside_an_html_comment_still_runs(self):
+        # The comment spans the text runs around the elements: only the
+        # "-->" after them ends it, and the JSP include inside it is read.
+        source = ('<!-- <%= x %> <a href="/hid1"> <jsp:include page="/inc.jsp"/>'
+                  ' <c:if test="t"><a href="/hid2"></c:if> --> <a href="/shown">')
+        assert [(r.tag_kind, r.raw_url) for r in refs_of(source)] == [
+            ("jsp:include", "/inc.jsp"), ("a-href", "/shown")]
+
+    def test_a_comment_opener_inside_a_tag_read_opens_nothing(self):
+        refs = refs_of('<a title="<!--" href="/x"><a href="/y">')
+        assert [r.raw_url for r in refs] == ["/x", "/y"]
+
+    def test_comments_end_as_html_ends_them(self):
+        refs = refs_of('<!--><a href="/x"><!---><a href="/y"><!----><a href="/z">'
+                       '<!-- <a href="/hid"> --!><a href="/w">')
+        assert [r.raw_url for r in refs] == ["/x", "/y", "/z", "/w"]
+
 
 class TestExtractionAgreesWithHtmlNodes:
     """The extractor, reading the a and form tags out of template text, gives

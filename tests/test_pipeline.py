@@ -408,6 +408,41 @@ class TestRunPipeline:
         result = run_pipeline(scan_webapp(fixture_webapp), PipelineConfig(encoding="latin-1"))
         assert result.diagnostics == [] and result.report["pages_parsed"] == 6
 
+    def test_spans_of_a_crlf_page_index_the_file(self, tmp_path):
+        root = tmp_path / "app"
+        root.mkdir()
+        (root / "b.jsp").write_bytes(b"b")
+        (root / "a.jsp").write_bytes(
+            b'<html>\r\n<% int a = 1; %>\r\n<%= a %>\r\n<jsp:useBean id="b"/>\r\n'
+            b'<a name="top">x</a>\r\n<jsp:include page="/b.jsp"/>\r\n')
+        text = (root / "a.jsp").read_bytes().decode("utf-8")
+        out = tmp_path / "srcgen"
+        result = run_pipeline(scan_webapp(root), PipelineConfig(servlet_src_out=str(out)))
+        (service,) = [m for c in result.model.class_units if c.source_page == "/a.jsp"
+                      for m in c.code_elements if m.name == "_jspService"]
+        assert [text[e.origin_span[0]:e.origin_span[1]] for e in service.block.elements
+                if e.origin_span is not None] == [
+            "<html>\r\n", "<% int a = 1; %>", "\r\n", "<%= a %>",
+            '\r\n<jsp:useBean id="b"/>\r\n<a name="top">x</a>\r\n'
+            '<jsp:include page="/b.jsp"/>\r\n']
+        offsets = {d.message: int(d.location.rpartition("@")[2])
+                   for d in result.diagnostics}
+        assert text.startswith("<jsp:useBean", offsets["jsp:useBean without class attribute"])
+        assert text.startswith("<a ", offsets["<a> without href attribute"])
+        # Template text keeps the page's line ends, as Jasper writes them.
+        source = (out / "jsp_a_002ejsp.java").read_text(encoding="utf-8")
+        assert 'out.print("<html>\\r\\n");' in source
+
+    def test_java_source_with_lone_cr_line_ends_keeps_its_annotation(self, tmp_path):
+        root = tmp_path / "app"
+        (root / "WEB-INF" / "classes").mkdir(parents=True)
+        (root / "a.jsp").write_text('<form action="/go">f</form>', encoding="utf-8")
+        # Read with universal newlines, the line comment ends at its "\r".
+        (root / "WEB-INF" / "classes" / "Go.java").write_bytes(
+            b'package x; // go\r@WebServlet("/go")\rpublic class Go {}\r')
+        result = run_pipeline(scan_webapp(root))
+        assert ("/a.jsp", "x.Go", "form") in result.graph.edges
+
     def test_file_gone_after_the_scan_is_named_by_its_webapp_path(self, fixture_webapp,
                                                                   tmp_path):
         inventory = scan_webapp(fixture_webapp)

@@ -1,0 +1,77 @@
+"""The contracts of the plain record classes: the value records are equal
+and hashed by their fields and cannot change; the slotted records take no
+attribute beyond their fields."""
+
+from __future__ import annotations
+
+import copy
+import pickle
+
+import pytest
+
+from jspkdm import (ClassUnit, CodeElement, CodeRelationship, CodeStatement, Diagnostic,
+                    JspNode, NodeKind, ResolvedKind, ResolvedTarget, StatementKind, UrlRef)
+
+A, B = ClassUnit("jsp_a"), ClassUnit("jsp_b")
+
+# Each value record: its fields, a second value for each compared field, and
+# the fields its equality ignores.
+VALUES = {
+    UrlRef: ({"source_page": "/a.jsp", "tag_kind": "a-href", "attribute": "href",
+              "raw_url": "/b.jsp", "dynamic": False, "span": (0, 5)},
+             {"source_page": "/c.jsp", "tag_kind": "form", "attribute": "action",
+              "raw_url": "/d.jsp", "dynamic": True, "span": (1, 5)}, ()),
+    Diagnostic: ({"category": "io", "message": "m", "location": None},
+                 {"category": "parse", "message": "n", "location": "/a.jsp"}, ()),
+    ResolvedTarget: ({"kind": ResolvedKind.INTERNAL_PAGE, "page_path": "/a.jsp",
+                      "class_name": None, "reason": None},
+                     {"kind": ResolvedKind.UNRESOLVED, "page_path": None,
+                      "class_name": "p.C", "reason": "empty"}, ()),
+    CodeRelationship: ({"from_class": A, "to_class": B, "kind": "a-href",
+                        "label": "newCall"},
+                       {"from_class": B, "to_class": A, "kind": "form", "label": "x"},
+                       ("label",)),
+}
+
+
+@pytest.mark.parametrize("record", list(VALUES), ids=lambda r: r.__name__)
+def test_value_records_compare_by_value_and_cannot_change(record):
+    fields, others, ignored = VALUES[record]
+    value = record(**fields)
+    same = record(*fields.values())  # the fields are also positional, in this order
+    assert same == value and hash(same) == hash(value) and same is not value
+    assert len({value, same}) == 1
+    for name, other in others.items():
+        changed = record(**dict(fields, **{name: other}))
+        if name in ignored:
+            assert changed == value and hash(changed) == hash(value), name
+        else:
+            assert changed != value, name
+    assert value != tuple(fields.values())
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, others[name])
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert [getattr(value, name) for name in fields] == list(fields.values())
+    copied = copy.copy(value)
+    assert type(copied) is record and copied == value
+    # A pickled relationship's classes come back as new objects, so it is
+    # compared by what it shows.
+    assert repr(pickle.loads(pickle.dumps(value))) == repr(value)
+
+
+@pytest.mark.parametrize("record", [
+    UrlRef("/a.jsp", "a-href", "href", "/b.jsp"),
+    Diagnostic("io", "m"),
+    ResolvedTarget(ResolvedKind.EXTERNAL),
+    CodeRelationship(A, B, "a-href"),
+    JspNode(NodeKind.SCRIPTLET),
+    CodeStatement(StatementKind.INLINE_CODE, "int a;"),
+    CodeElement("InlineCode", "InlineCode"),
+], ids=lambda r: type(r).__name__)
+def test_slotted_records_refuse_unknown_attributes(record):
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert repr(record).startswith(type(record).__name__ + "(")

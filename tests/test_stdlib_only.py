@@ -35,11 +35,24 @@ def test_pyproject_declares_no_dependencies():
     assert "dependencies = []" in lines
 
 
+# Modules no run needs, and what loading them costs each run's start-up:
+# ``xml.sax.saxutils`` pulls in ``urllib.request`` and ``ssl``, a third of
+# it; ``dataclasses`` pulls in ``inspect`` (and with it ``ast``, ``dis`` and
+# ``tokenize``) and generates each record's methods with ``exec``; and
+# ``xml.etree.ElementTree`` is needed only to parse a web.xml.
+UNNEEDED_AT_START = ["dataclasses", "inspect", "ssl", "urllib.request",
+                     "xml.etree.ElementTree"]
+
+
 def test_cli_import_loads_no_network_modules():
-    # ``xml.sax.saxutils`` pulls in ``urllib.request`` and ``ssl``, a third of
-    # the start-up every run pays; the serializers need neither.
+    # Each import in a fresh interpreter: jspkdm.cli, which every run
+    # starts with, and jspkdm.pipeline, which bench/hostile.py imports.
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    probe = "import sys, jspkdm.cli; print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    for module in ("jspkdm.cli", "jspkdm.pipeline"):
+        probe = (f"import sys; before = set(sys.modules); import {module}; "
+                 f"print(sorted(set(sys.modules) - before))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        added = set(ast.literal_eval(proc.stdout))
+        assert module in added
+        assert (module, sorted(added & set(UNNEEDED_AT_START))) == (module, [])
