@@ -15,7 +15,6 @@ from .code_model import (
     MethodUnit,
     ModelIndex,
     MutationReport,
-    PackageUnit,
     add_method_call,
     deserialize_model,
     discover_model,
@@ -43,7 +42,6 @@ from .jsp_parser import (
     MalformedAttribute,
     NodeKind,
     UnterminatedScriptlet,
-    elements_of,
     parse_jsp,
 )
 from .pipeline import (
@@ -73,12 +71,12 @@ __all__ = [
     "CodeStatement", "DependencyGraph", "Diagnostic", "DuplicateAttribute",
     "DuplicateClassName", "JspDocument", "JspNode", "JspParseError", "KdmModel",
     "MalformedAttribute", "MethodUnit", "ModelIndex", "MutationReport", "NodeKind",
-    "PackageUnit", "PipelineConfig", "PipelineResult", "ResolvedKind",
+    "PipelineConfig", "PipelineResult", "ResolvedKind",
     "ResolvedTarget", "RootNotFound", "ServletDecl", "ServletUnit",
     "StatementKind", "TAG_TABLE", "UnterminatedScriptlet", "UrlMappingTable",
     "UrlRef", "WebAppInventory", "XmlSyntaxError",
     "add_method_call", "build_lookup_table", "classify_tag", "deserialize_model",
-    "discover_model", "elements_of", "emit_dot", "extract_url_refs",
+    "discover_model", "emit_dot", "extract_url_refs",
     "find_class_unit", "mangle_class_name", "parse_jsp",
     "parse_web_xml", "render_servlet_source", "resolve_url", "run_pipeline",
     "scan_webapp", "scan_webservlet_annotations", "serialize_model",

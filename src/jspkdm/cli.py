@@ -1,7 +1,8 @@
 """Command-line surface: ``jspkdm analyze <webapp-root> [options]``.
 
 Exit codes: 0 clean run, 1 completed with diagnostics, 2 fatal (bad
-arguments, unreadable root, or any diagnostic under --strict).
+arguments, unreadable root, an output that cannot be written, or any
+diagnostic under --strict).
 """
 
 from __future__ import annotations
@@ -125,8 +126,15 @@ def main(argv: list[str] | None = None) -> int:
     except RootNotFound as exc:
         print(f"jspkdm: webapp root not found: {exc}", file=sys.stderr)
         return 2
-    result = run_pipeline(inventory, config, scan_diagnostics)
-    written = write_outputs(result, args.out, config.formats)
+    try:
+        # Every read is guarded in the run, so an OSError is a write: the
+        # servlet sources in the page loop, or the artifacts.
+        result = run_pipeline(inventory, config, scan_diagnostics)
+        written = write_outputs(result, args.out, config.formats)
+    except OSError as exc:
+        print(f"jspkdm: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     report = result.report
     print(f"pages: {report['pages_parsed']}/{report['pages']} parsed, "
           f"{report['url_refs']} refs, {report['relationships']} relationships, "

@@ -10,8 +10,9 @@ lossless round trip) and a simplified XMI dialect (see docs/MODEL_FORMATS.md).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
+from io import BufferedIOBase
 from json.encoder import encode_basestring_ascii
-from typing import BinaryIO, Iterable, Iterator
 
 from ._records import Value, fields_repr
 from .jsp_parser import Span, normalize_page_path
@@ -29,18 +30,16 @@ class DuplicateClassName(ValueError):
 
 
 class CodeRelationship(Value):
-    """A class-to-class relationship: immutable and slotted, equal to another
-    with the same (from, to, kind) and hashed on them, whatever the label;
-    classes compare by identity."""
+    """A "newCall" from one class to another: immutable and slotted, equal to
+    another with the same (from, to, kind) and hashed on them; classes
+    compare by identity."""
 
-    __slots__ = ("from_class", "to_class", "kind", "label")
+    __slots__ = ("from_class", "to_class", "kind")
 
-    def __init__(self, from_class: ClassUnit, to_class: ClassUnit, kind: str,
-                 label: str = "newCall"):
+    def __init__(self, from_class: ClassUnit, to_class: ClassUnit, kind: str):
         object.__setattr__(self, "from_class", from_class)
         object.__setattr__(self, "to_class", to_class)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "label", label)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -105,73 +104,25 @@ class ClassUnit:
         return None
 
 
-class PackageUnit:
-    def __init__(self, name: str, class_units: list[ClassUnit] | None = None):
-        self.name = name
-        self.class_units = [] if class_units is None else class_units
-
-    __repr__ = fields_repr
-
-
 class MutationReport:
-    def __init__(self, status: str, reason: str = ""):
-        self.status = status  # "added" | "duplicate" | "error"
-        self.reason = reason
+    def __init__(self, status: str):
+        self.status = status  # "added" | "duplicate"
 
     __repr__ = fields_repr
+
+
+# The one package every class unit belongs to, in the model's order.
+PACKAGE = "jsp"
 
 
 class KdmModel:
-    def __init__(self, name: str, packages: list[PackageUnit] | None = None,
-                 class_units: list[ClassUnit] | None = None,
+    def __init__(self, name: str, class_units: list[ClassUnit] | None = None,
                  relationships: list[CodeRelationship] | None = None):
         self.name = name
-        self.packages = [] if packages is None else packages
         self.class_units = [] if class_units is None else class_units
         self.relationships = [] if relationships is None else relationships
 
     __repr__ = fields_repr
-
-    def to_dict(self) -> dict:
-        """The model as plain data; its JSON serialization is exactly
-        ``json.dumps(model.to_dict(), indent=2)`` plus a newline."""
-        rel_index = {id(r): i for i, r in enumerate(self.relationships)}
-        return {
-            "name": self.name,
-            "packages": [
-                {"name": p.name, "classes": [c.name for c in p.class_units]}
-                for p in self.packages
-            ],
-            "class_units": [
-                {
-                    "name": c.name,
-                    "source_page": c.source_page,
-                    "methods": [
-                        {
-                            "name": m.name,
-                            "elements": [
-                                {
-                                    "name": e.name,
-                                    "kind": e.kind,
-                                    "origin_span": list(e.origin_span)
-                                    if e.origin_span is not None else None,
-                                    "relationships": [rel_index[id(r)]
-                                                      for r in e.relationships],
-                                }
-                                for e in m.block.elements
-                            ],
-                        }
-                        for m in c.code_elements
-                    ],
-                }
-                for c in self.class_units
-            ],
-            "relationships": [
-                {"from": r.from_class.name, "to": r.to_class.name,
-                 "kind": r.kind, "label": r.label}
-                for r in self.relationships
-            ],
-        }
 
 
 def _block_from_statements(statements: list[CodeStatement]) -> BlockUnit:
@@ -205,9 +156,7 @@ def discover_model(units: Iterable[ServletUnit], name: str = "webapp") -> KdmMod
             ],
         )
 
-    classes = list(map(class_of, units))
-    package = PackageUnit(name="jsp", class_units=list(classes))
-    return KdmModel(name=name, packages=[package], class_units=classes)
+    return KdmModel(name=name, class_units=list(map(class_of, units)))
 
 
 class ModelIndex:
@@ -242,15 +191,17 @@ def add_method_call(index: ModelIndex, caller: ClassUnit, target: ClassUnit,
     Appends a "newCall" element to the caller's service block carrying a new
     relationship, and registers the relationship model-wide. A repeated
     (from, to, kind) triple is reported as a duplicate and changes nothing.
+    A class outside the model, or a caller without a service method, raises
+    ``ValueError``.
     """
     if caller not in index.members or target not in index.members:
         raise ValueError("caller and target must belong to the model")
+    service = caller.method(SERVICE_METHOD)
+    if service is None:
+        raise ValueError(f"caller {caller.name!r} has no {SERVICE_METHOD} method")
     rel = CodeRelationship(from_class=caller, to_class=target, kind=kind)
     if rel in index.relationships:
         return MutationReport("duplicate")
-    service = caller.method(SERVICE_METHOD)
-    if service is None:
-        return MutationReport("error", "MissingServiceMethod")
     service.block.elements.append(
         CodeElement(name="newCall", kind="Call", relationships=(rel,)))
     index.model.relationships.append(rel)
@@ -286,43 +237,36 @@ def _xmi_chunks(model: KdmModel) -> Iterator[str]:
     yield (f'<?xml version="1.0" encoding="UTF-8"?>\n'
            f'<kdm:Segment xmlns:kdm={_quoteattr(KDM_NS)} xmlns:xmi={_quoteattr(XMI_NS)} '
            f'xmi:version="2.1" name={_quoteattr(model.name)}>\n'
-           f'  <codeModel name={_quoteattr(model.name)}>\n')
-    for package in model.packages:
-        yield f'    <package name={_quoteattr(package.name)}>\n'
-        for cu in package.class_units:
-            attrs = f'xmi:id={_quoteattr(cu.name)} name={_quoteattr(cu.name)}'
-            if cu.source_page is not None:
-                attrs += f' sourcePage={_quoteattr(cu.source_page)}'
-            lines = [f'      <classUnit {attrs}>']
-            for method in cu.code_elements:
-                mid = f"{cu.name}.{method.name}"
-                lines.append(f'        <methodUnit xmi:id={_quoteattr(mid)} '
-                             f'name={_quoteattr(method.name)}>')
-                lines.append(f'          <blockUnit xmi:id={_quoteattr(mid + ".block")}>')
-                for el in method.block.elements:
-                    e_attrs = f'name={_quoteattr(el.name)} kind={_quoteattr(el.kind)}'
-                    if el.origin_span is not None:
-                        e_attrs += (f' spanStart="{el.origin_span[0]}"'
-                                    f' spanEnd="{el.origin_span[1]}"')
-                    if el.relationships:
-                        refs = " ".join(rel_ids[id(r)] for r in el.relationships)
-                        e_attrs += f' relations={_quoteattr(refs)}'
-                    lines.append(f'            <codeElement {e_attrs}/>')
-                lines.append('          </blockUnit>')
-                lines.append('        </methodUnit>')
-            lines.append('      </classUnit>\n')
-            yield "\n".join(lines)
-        yield '    </package>\n'
-    # Classes outside any package (possible on hand-built models).
-    packaged = {id(c) for p in model.packages for c in p.class_units}
+           f'  <codeModel name={_quoteattr(model.name)}>\n'
+           f'    <package name="{PACKAGE}">\n')
     for cu in model.class_units:
-        if id(cu) not in packaged:
-            yield (f'    <classUnit xmi:id={_quoteattr(cu.name)} '
-                   f'name={_quoteattr(cu.name)}/>\n')
+        attrs = f'xmi:id={_quoteattr(cu.name)} name={_quoteattr(cu.name)}'
+        if cu.source_page is not None:
+            attrs += f' sourcePage={_quoteattr(cu.source_page)}'
+        lines = [f'      <classUnit {attrs}>']
+        for method in cu.code_elements:
+            mid = f"{cu.name}.{method.name}"
+            lines.append(f'        <methodUnit xmi:id={_quoteattr(mid)} '
+                         f'name={_quoteattr(method.name)}>')
+            lines.append(f'          <blockUnit xmi:id={_quoteattr(mid + ".block")}>')
+            for el in method.block.elements:
+                e_attrs = f'name={_quoteattr(el.name)} kind={_quoteattr(el.kind)}'
+                if el.origin_span is not None:
+                    e_attrs += (f' spanStart="{el.origin_span[0]}"'
+                                f' spanEnd="{el.origin_span[1]}"')
+                if el.relationships:
+                    refs = " ".join(rel_ids[id(r)] for r in el.relationships)
+                    e_attrs += f' relations={_quoteattr(refs)}'
+                lines.append(f'            <codeElement {e_attrs}/>')
+            lines.append('          </blockUnit>')
+            lines.append('        </methodUnit>')
+        lines.append('      </classUnit>\n')
+        yield "\n".join(lines)
+    yield '    </package>\n'
     for rel in model.relationships:
         yield (f'    <codeRelationship xmi:id={_quoteattr(rel_ids[id(rel)])} '
                f'from={_quoteattr(rel.from_class.name)} to={_quoteattr(rel.to_class.name)} '
-               f'kind={_quoteattr(rel.kind)} label={_quoteattr(rel.label)}/>\n')
+               f'kind={_quoteattr(rel.kind)} label="newCall"/>\n')
     yield '  </codeModel>\n</kdm:Segment>\n'
 
 
@@ -367,8 +311,9 @@ def _json_class(c: ClassUnit, rel_index: dict[int, str]) -> str:
 
 
 def _json_chunks(model: KdmModel) -> Iterator[str]:
-    """``json.dumps(model.to_dict(), indent=2)`` plus a newline, in pieces:
-    the head, then one piece per class unit and one per relationship.
+    """The model's plain-data form (``tests/oracles.py``'s ``model_to_dict``)
+    as ``json.dumps(indent=2)`` writes it, plus a newline, in pieces: the
+    head, then one piece per class unit and one per relationship.
 
     Each object is one template carrying its depth's fixed indentation, and
     every string goes through the C-accelerated ``encode_basestring_ascii``
@@ -377,13 +322,10 @@ def _json_chunks(model: KdmModel) -> Iterator[str]:
     """
     q = encode_basestring_ascii
     rel_index = {id(r): repr(i) for i, r in enumerate(model.relationships)}
-    packages = [
-        f'{{\n      "name": {q(p.name)},\n'
-        f'      "classes": {_json_array([q(c.name) for c in p.class_units], " " * 6)}'
-        f'\n    }}'
-        for p in model.packages]
+    classes = _json_array([q(c.name) for c in model.class_units], " " * 6)
     yield (f'{{\n  "name": {q(model.name)},\n'
-           f'  "packages": {_json_array(packages, "  ")},\n'
+           f'  "packages": [\n    {{\n      "name": "{PACKAGE}",\n'
+           f'      "classes": {classes}\n    }}\n  ],\n'
            f'  "class_units": ')
     yield from _json_array_chunks(
         (_json_class(c, rel_index) for c in model.class_units), "  ")
@@ -392,7 +334,7 @@ def _json_chunks(model: KdmModel) -> Iterator[str]:
         f'{{\n      "from": {q(r.from_class.name)},\n'
         f'      "to": {q(r.to_class.name)},\n'
         f'      "kind": {q(r.kind)},\n'
-        f'      "label": {q(r.label)}\n    }}'
+        f'      "label": "newCall"\n    }}'
         for r in model.relationships), "  ")
     yield "\n}\n"
 
@@ -401,7 +343,7 @@ _CHUNKS = {"json": _json_chunks, "xmi": _xmi_chunks}
 
 
 def serialize_model(model: KdmModel, format: str = "json",
-                    fh: BinaryIO | None = None) -> bytes | None:
+                    fh: BufferedIOBase | None = None) -> bytes | None:
     """Stable UTF-8 bytes for a model; insertion order everywhere.
 
     Given a binary file ``fh``, writes them there a class unit at a time and
@@ -445,7 +387,9 @@ def deserialize_model(data: bytes) -> KdmModel:
     Names, spans and relationship indexes of the wrong type raise
     ``ValueError``: the writer emits them as they are, so a model read from
     such a file would serialize to invalid JSON. So do references to a class
-    or relationship that the document does not hold.
+    or relationship that the document does not hold, and any package list
+    but the one "jsp" package holding every class unit in order, or any
+    relationship label but "newCall": the writers emit only those.
     """
     doc = json.loads(data.decode("utf-8"))
     classes: list[ClassUnit] = []
@@ -474,20 +418,19 @@ def deserialize_model(data: bytes) -> KdmModel:
                        methods)
         classes.append(cu)
         by_name[cu.name] = cu
-    relationships = [
-        CodeRelationship(_target(by_name, rdoc["from"], "relationship from"),
-                         _target(by_name, rdoc["to"], "relationship to"),
-                         _text(rdoc["kind"], "relationship kind"),
-                         _text(rdoc["label"], "relationship label"))
-        for rdoc in doc["relationships"]
-    ]
+    if doc["packages"] != [{"name": PACKAGE, "classes": [c.name for c in classes]}]:
+        raise ValueError(f'packages must be the one "{PACKAGE}" package '
+                         f'holding every class unit in order')
+    relationships = []
+    for rdoc in doc["relationships"]:
+        if rdoc["label"] != "newCall":
+            raise ValueError(f'relationship label must be "newCall", not {rdoc["label"]!r}')
+        relationships.append(
+            CodeRelationship(_target(by_name, rdoc["from"], "relationship from"),
+                             _target(by_name, rdoc["to"], "relationship to"),
+                             _text(rdoc["kind"], "relationship kind")))
     for element, indices in pending:
         element.relationships = tuple([_target(relationships, i, "relationship index")
                                        for i in indices])
-    packages = [
-        PackageUnit(_text(pdoc["name"], "package name"),
-                    [_target(by_name, n, "package class") for n in pdoc["classes"]])
-        for pdoc in doc["packages"]
-    ]
-    return KdmModel(name=_text(doc["name"], "model name"), packages=packages,
-                    class_units=classes, relationships=relationships)
+    return KdmModel(name=_text(doc["name"], "model name"), class_units=classes,
+                    relationships=relationships)

@@ -10,7 +10,7 @@ target URL, or that cannot be read, becomes a diagnostic, never a reference.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from collections.abc import Iterator
 
 from ._records import Value
 from .diagnostics import Diagnostic, emit

@@ -14,9 +14,9 @@ import re
 from enum import Enum
 
 from ._records import Value, fields_repr
-from .dependency_extractor import UrlRef
+from .dependency_extractor import TAG_TABLE, UrlRef
 from .diagnostics import Diagnostic, emit
-from .jsp_parser import normalize_page_path
+from .jsp_parser import NodeKind, normalize_page_path
 
 SOURCE_WEB_XML = "web-xml"
 SOURCE_ANNOTATION = "annotation"
@@ -345,6 +345,12 @@ def build_lookup_table(decls: list[ServletDecl],
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
+# The tag kinds whose URL a browser requests: TAG_TABLE's HTML rows. There a
+# URL that starts with "//" names another host (RFC 3986, section 4.2); every
+# other tag takes a context-relative server path.
+_BROWSER_TAG_KINDS = frozenset(row[0] for (node_kind, _), row in TAG_TABLE.items()
+                               if node_kind is NodeKind.TEMPLATE_TEXT)
+
 
 def normalize_url_path(path: str) -> tuple[str, bool, bool]:
     """Normalize an absolute context-relative path.
@@ -391,7 +397,8 @@ def resolve_url(table: UrlMappingTable, ref: UrlRef, source_page: str,
     raw = ref.raw_url.strip()
     if not raw:
         return ResolvedTarget(ResolvedKind.UNRESOLVED, reason="empty")
-    if _SCHEME_RE.match(raw):
+    if _SCHEME_RE.match(raw) or (raw.startswith("//")
+                                 and ref.tag_kind in _BROWSER_TAG_KINDS):
         return ResolvedTarget(ResolvedKind.EXTERNAL)
     path = raw.split("#", 1)[0].split("?", 1)[0]
     if not path:

@@ -25,8 +25,8 @@ does not close the innermost open action is template text.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
-from typing import Callable, Iterator, Sequence
 
 from ._records import fields_repr
 
@@ -398,8 +398,3 @@ def iter_nodes(nodes: Sequence[JspNode]) -> Iterator[JspNode]:
                 break
         else:
             stack.pop()
-
-
-def elements_of(doc: JspDocument, kinds: set[NodeKind]) -> list[JspNode]:
-    """All nodes of the given kinds, depth-first in document order."""
-    return [n for n in iter_nodes(doc.nodes) if n.kind in kinds]

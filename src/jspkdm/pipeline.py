@@ -17,9 +17,9 @@ import fnmatch
 import json
 import os
 import re
+from collections.abc import Iterator
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
 
 from ._records import fields_repr
 from .code_model import (
@@ -291,7 +291,8 @@ def run_pipeline(inventory: WebAppInventory,
 
     Phase 1 holds one page's document and unit at a time. ``diagnostics``
     may carry pre-collected entries (e.g. from the scan); the run appends to
-    it and the report includes everything.
+    it and the report includes everything. A servlet source that cannot be
+    written to ``config.servlet_src_out`` raises ``OSError``.
     """
     config = config or PipelineConfig()
     diagnostics = diagnostics if diagnostics is not None else []
@@ -361,11 +362,8 @@ def run_pipeline(inventory: WebAppInventory,
                 outcome = add_method_call(model_index, caller, target_unit, ref.tag_kind)
                 if outcome.status == "added":
                     graph.add_edge(page, target.page_path, ref.tag_kind, NODE_PAGE)
-                elif outcome.status == "duplicate":
-                    duplicates += 1
                 else:
-                    emit(diagnostics, "model",
-                         f"cannot inject dependency: {outcome.reason}", page)
+                    duplicates += 1
             else:
                 graph.unresolved.append((page, ref.raw_url, target.reason or "unknown"))
 

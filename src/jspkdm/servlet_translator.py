@@ -11,8 +11,8 @@ to Java-looking source is a side product for inspection.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum
-from typing import Any, Mapping
 
 from ._records import fields_repr
 from .diagnostics import Diagnostic, emit
@@ -36,7 +36,7 @@ class CodeStatement:
     __slots__ = ("kind", "text", "metadata", "origin_span")
 
     def __init__(self, kind: StatementKind, text: str,
-                 metadata: dict[str, Any] | None = None, origin_span: Span = (0, 0)):
+                 metadata: dict[str, object] | None = None, origin_span: Span = (0, 0)):
         self.kind = kind
         self.text = text
         self.metadata = metadata

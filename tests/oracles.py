@@ -585,3 +585,47 @@ def check_span_coverage(doc) -> None:
 
     check_level(doc.nodes, 0, len(doc.source))
     assert "".join(doc.text_of(n) for n in doc.nodes) == doc.source
+
+
+# -- the JSON model writer's reference -------------------------------------------
+
+
+def model_to_dict(model) -> dict:
+    """The model as plain data; its JSON serialization is exactly
+    ``json.dumps(model_to_dict(model), indent=2)`` plus a newline. Every class
+    unit sits in the one "jsp" package, and every relationship is a
+    "newCall"."""
+    rel_index = {id(r): i for i, r in enumerate(model.relationships)}
+    return {
+        "name": model.name,
+        "packages": [{"name": "jsp", "classes": [c.name for c in model.class_units]}],
+        "class_units": [
+            {
+                "name": c.name,
+                "source_page": c.source_page,
+                "methods": [
+                    {
+                        "name": m.name,
+                        "elements": [
+                            {
+                                "name": e.name,
+                                "kind": e.kind,
+                                "origin_span": list(e.origin_span)
+                                if e.origin_span is not None else None,
+                                "relationships": [rel_index[id(r)]
+                                                  for r in e.relationships],
+                            }
+                            for e in m.block.elements
+                        ],
+                    }
+                    for m in c.code_elements
+                ],
+            }
+            for c in model.class_units
+        ],
+        "relationships": [
+            {"from": r.from_class.name, "to": r.to_class.name,
+             "kind": r.kind, "label": "newCall"}
+            for r in model.relationships
+        ],
+    }

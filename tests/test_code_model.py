@@ -20,7 +20,6 @@ from jspkdm import (
     KdmModel,
     MethodUnit,
     ModelIndex,
-    PackageUnit,
     add_method_call,
     deserialize_model,
     discover_model,
@@ -30,6 +29,7 @@ from jspkdm import (
     translate_page,
 )
 from jspkdm.code_model import _quoteattr
+from .oracles import model_to_dict
 
 
 def model_from_pages(pages: dict[str, str]) -> KdmModel:
@@ -141,12 +141,11 @@ class TestAddMethodCall:
             MethodUnit("_jspInit", BlockUnit())])
         target = ClassUnit(name="target", code_elements=[
             MethodUnit("_jspService", BlockUnit())])
-        model = KdmModel(name="m", packages=[PackageUnit("jsp", [orphan, target])],
-                         class_units=[orphan, target])
-        report = add_method_call(ModelIndex(model), orphan, target, "form")
-        assert report.status == "error"
-        assert report.reason == "MissingServiceMethod"
+        model = KdmModel(name="m", class_units=[orphan, target])
+        with pytest.raises(ValueError, match="has no _jspService method"):
+            add_method_call(ModelIndex(model), orphan, target, "form")
         assert model.relationships == []
+        assert [m.block.elements for m in orphan.code_elements] == [[]]
 
     def test_foreign_class_rejected(self):
         model = two_class_model()
@@ -178,15 +177,15 @@ class TestSerialization:
         model = discover_model([], name="empty")
         data = serialize_model(model, "json")
         back = deserialize_model(data)
-        assert back.to_dict() == model.to_dict()
-        assert back.to_dict()["class_units"] == []
-        assert back.to_dict()["relationships"] == []
+        assert model_to_dict(back) == model_to_dict(model)
+        assert model_to_dict(back)["class_units"] == []
+        assert model_to_dict(back)["relationships"] == []
 
     def test_one_class_round_trip(self, powers_page):
         unit = translate_page(parse_jsp(powers_page, "/powers.jsp"))
         model = discover_model([unit])
         back = deserialize_model(serialize_model(model, "json"))
-        assert back.to_dict() == model.to_dict()
+        assert model_to_dict(back) == model_to_dict(model)
 
     def test_xmi_relationship_ids_resolve(self):
         model = two_class_model()
@@ -253,6 +252,28 @@ class TestSerialization:
         with pytest.raises(ValueError):
             deserialize_model(json.dumps(doc).encode())
 
+    # Documents the writers never emit: every class sits in the one "jsp"
+    # package, in order, and every relationship is a "newCall".
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["packages"].clear(),
+        lambda doc: doc["packages"].append({"name": "jsp", "classes": []}),
+        lambda doc: doc["packages"][0].update(name="web"),
+        lambda doc: doc["packages"][0].update(extra=[]),
+        lambda doc: doc["packages"][0]["classes"].reverse(),
+        lambda doc: doc["packages"][0]["classes"].pop(),
+        lambda doc: doc["relationships"][0].update(label="include"),
+    ], ids=["none", "two", "renamed", "extra key", "reordered", "missing class",
+            "label"])
+    def test_other_packages_or_labels_rejected(self, edit):
+        model = two_class_model()
+        a, b = model.class_units
+        add_method_call(ModelIndex(model), a, b, "a-href")
+        doc = json.loads(serialize_model(model, "json"))
+        assert deserialize_model(json.dumps(doc).encode()) is not None
+        edit(doc)
+        with pytest.raises(ValueError):
+            deserialize_model(json.dumps(doc).encode())
+
 
 def random_model(rng: random.Random) -> KdmModel:
     classes = []
@@ -271,8 +292,7 @@ def random_model(rng: random.Random) -> KdmModel:
             name=f"cls{i}",
             source_page=f"/p{i}.jsp" if rng.random() < 0.8 else None,
             code_elements=methods))
-    model = KdmModel(name="rand", packages=[PackageUnit("jsp", list(classes))],
-                     class_units=classes)
+    model = KdmModel(name="rand", class_units=classes)
     if classes:
         for _ in range(rng.randint(0, 6)):
             a, b = rng.choice(classes), rng.choice(classes)
@@ -296,7 +316,7 @@ class TestRandomModelRoundTrip:
             model = random_model(rng)
             data = serialize_model(model, "json")
             back = deserialize_model(data)
-            assert back.to_dict() == model.to_dict()
+            assert model_to_dict(back) == model_to_dict(model)
             # byte-determinism on the rebuilt model too
             assert serialize_model(back, "json") == data
 
@@ -324,9 +344,9 @@ def awkward_name(rng: random.Random) -> str:
 
 
 def awkward_model(rng: random.Random) -> KdmModel:
-    """A hand-built model that discovery never makes: empty packages, methods
-    and element lists, missing pages and spans, and elements holding several
-    relationships, all with awkward names."""
+    """A hand-built model that discovery never makes: no classes, empty
+    methods and element lists, missing pages and spans, and elements holding
+    several relationships, all with awkward names."""
     classes = [
         ClassUnit(
             name=awkward_name(rng),
@@ -339,13 +359,10 @@ def awkward_model(rng: random.Random) -> KdmModel:
                     for _ in range(rng.randint(0, 3))]))
                 for _ in range(rng.randint(0, 3))])
         for _ in range(rng.randint(0, 4))]
-    packages = [PackageUnit(awkward_name(rng), rng.sample(classes, rng.randint(0, len(classes))))
-                for _ in range(rng.randint(0, 3))]
-    model = KdmModel(name=awkward_name(rng), packages=packages, class_units=classes)
+    model = KdmModel(name=awkward_name(rng), class_units=classes)
     if classes:
         model.relationships = [
-            CodeRelationship(rng.choice(classes), rng.choice(classes),
-                             awkward_name(rng), awkward_name(rng))
+            CodeRelationship(rng.choice(classes), rng.choice(classes), awkward_name(rng))
             for _ in range(rng.randint(1, 5))]
         for element in (e for c in classes for m in c.code_elements for e in m.block.elements):
             element.relationships = tuple(rng.choices(model.relationships,
@@ -364,11 +381,11 @@ class TestWritersAgreeWithTheStdlib:
     def test_json_is_the_bytes_of_json_dumps_of_to_dict(self):
         shapes = set()
         for model in writer_models():
-            doc = model.to_dict()
+            doc = model_to_dict(model)
             expected = (json.dumps(doc, indent=2) + "\n").encode()
             assert serialize_model(model, "json") == expected
             shapes.update(key for key, hit in [
-                ("no packages", not doc["packages"]),
+                ("no classes", not doc["class_units"]),
                 ("no page", any(c["source_page"] is None for c in doc["class_units"])),
                 ("no methods", any(not c["methods"] for c in doc["class_units"])),
                 ("no elements", any(not m["elements"] for c in doc["class_units"]
@@ -418,7 +435,7 @@ class TestWriterMemory:
                         ["TemplateEmit", "InlineCode", "ExpressionEmit"], k=60))])),
                 MethodUnit("_jspDestroy")])
             for i in range(400)]
-        model = KdmModel("big", [PackageUnit("jsp", list(classes))], classes)
+        model = KdmModel("big", classes)
         for a in classes[:100]:
             add_method_call(ModelIndex(model), a, rng.choice(classes), "a-href")
         for fmt in ("json", "xmi"):

@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from jspkdm import (
+    TAG_TABLE,
     ResolvedKind,
     ServletDecl,
     UrlRef,
@@ -223,6 +224,20 @@ class TestResolveUrl:
         table = table_of([])
         target = resolve_url(table, make_ref("https://www.uqam.ca"), "/index.jsp")
         assert target.kind is ResolvedKind.EXTERNAL
+
+    @pytest.mark.parametrize("tag_kind, attribute", sorted(TAG_TABLE.values()))
+    def test_network_path_is_external_only_in_a_and_form(self, tag_kind, attribute):
+        # A browser reads "//host/path" as another host (RFC 3986 section
+        # 4.2); the other tags take a context-relative server path, which the
+        # default "/" servlet serves.
+        table = table_of([("/", "com.example.Default")])
+        ref = UrlRef(source_page="/index.jsp", tag_kind=tag_kind, attribute=attribute,
+                     raw_url="//cdn.example.com/lib.js")
+        target = resolve_url(table, ref, "/index.jsp")
+        if tag_kind in ("a-href", "form"):
+            assert target.kind is ResolvedKind.EXTERNAL
+        else:
+            assert target.class_name == "com.example.Default"
 
     def test_exact_match_to_jsp_file(self):
         table = table_of([("/powers", "/powers.jsp")])

@@ -21,7 +21,6 @@ from jspkdm import (
     NodeKind,
     StatementKind,
     UnterminatedScriptlet,
-    elements_of,
     extract_url_refs,
     jsp_parser,
     parse_jsp,
@@ -239,6 +238,11 @@ class TestPowersPage:
 
     def test_span_coverage(self, powers_page):
         check_span_coverage(parse_jsp(powers_page, "/powers.jsp"))
+
+
+def elements_of(doc, kinds: set[NodeKind]) -> list[JspNode]:
+    """The nodes of the given kinds, depth-first in document order."""
+    return [n for n in jsp_parser.iter_nodes(doc.nodes) if n.kind in kinds]
 
 
 class TestElementsOf:

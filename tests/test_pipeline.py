@@ -222,6 +222,26 @@ class TestRunPipeline:
             ("/a.jsp", "https://www.uqam.ca", "a-href")}
         assert result.graph.nodes["https://www.uqam.ca"] == NODE_EXTERNAL
 
+    def test_network_path_href_is_external(self, tmp_path):
+        # "//host/path" names another host, even with a default "/" servlet
+        # that would take every path of this one.
+        root = tmp_path / "app"
+        (root / "WEB-INF").mkdir(parents=True)
+        (root / "a.jsp").write_text('<a href="//cdn.example.com/lib.js">l</a>',
+                                    encoding="utf-8")
+        (root / "WEB-INF" / "web.xml").write_text(
+            """<web-app>
+              <servlet><servlet-name>d</servlet-name>
+                <servlet-class>com.example.Default</servlet-class></servlet>
+              <servlet-mapping><servlet-name>d</servlet-name>
+                <url-pattern>/</url-pattern></servlet-mapping>
+            </web-app>""", encoding="utf-8")
+        result = run_pipeline(scan_webapp(root))
+        assert result.report["external_refs"] == [
+            ["/a.jsp", "//cdn.example.com/lib.js", "a-href"]]
+        assert result.report["resolutions"]["internal_class"] == 0
+        assert result.graph.edges == {("/a.jsp", "//cdn.example.com/lib.js", "a-href")}
+
     def test_fixture_webapp_hand_trace(self, fixture_webapp):
         result = run_pipeline(scan_webapp(fixture_webapp))
         assert model_edge_set(result.model) == FIXTURE_MODEL_EDGES
@@ -609,6 +629,22 @@ class TestCli:
         encoding = flags[-1] if flags else config["encoding"]
         assert captured.err == f"jspkdm: unknown encoding: {encoding}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, under, error", [
+        ("--out", "out", errno.ENOTDIR),
+        ("--servlet-src-out", "", errno.EEXIST),
+    ], ids=["out", "servlet-src-out"])
+    def test_output_that_cannot_be_written_is_exit_2(self, fixture_webapp, tmp_path,
+                                                      capsys, flag, under, error):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        target = blocker / under if under else blocker
+        code = main(["analyze", str(fixture_webapp), "--out", str(tmp_path / "o"),
+                     flag, str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"jspkdm: cannot write {target}: {os.strerror(error)}\n"
 
     def test_servlet_src_out_flag(self, fixture_webapp, tmp_path):
         out_dir = tmp_path / "out"

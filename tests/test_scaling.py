@@ -26,7 +26,6 @@ from jspkdm import (
     MethodUnit,
     ModelIndex,
     NodeKind,
-    PackageUnit,
     ServletDecl,
     UrlRef,
     add_method_call,
@@ -172,7 +171,7 @@ def test_inject_5000_calls_into_2000_classes():
     classes = [ClassUnit(f"c{i}", f"/p{i}.jsp",
                          [MethodUnit("_jspService", BlockUnit())])
                for i in range(2000)]
-    model = KdmModel("m", [PackageUnit("jsp", list(classes))], classes)
+    model = KdmModel("m", classes)
     rng = random.Random(11)
     calls = [(rng.choice(classes), rng.choice(classes), rng.choice(["a-href", "form"]))
              for _ in range(5000)]

@@ -16,12 +16,12 @@ from jspkdm import (
     JspParseError,
     NodeKind,
     StatementKind,
-    elements_of,
     mangle_class_name,
     parse_jsp,
     render_servlet_source,
     translate_page,
 )
+from jspkdm.jsp_parser import iter_nodes
 from jspkdm.servlet_translator import escape_java_string
 from .fuzz_translate import HANDLERS, MAX_NEST, disagreements, nests
 from .genjsp import (generate_adversarial_page, generate_page, generated_pages,
@@ -175,8 +175,9 @@ class TestPowersRoundTrip:
                   if s.kind is StatementKind.INLINE_CODE]
         exprs = [s for s in unit.service_body
                  if s.kind is StatementKind.EXPRESSION_EMIT]
-        assert len(inline) == len(elements_of(doc, {NodeKind.SCRIPTLET})) == 2
-        assert len(exprs) == len(elements_of(doc, {NodeKind.EXPRESSION})) == 3
+        kinds = [n.kind for n in iter_nodes(doc.nodes)]
+        assert len(inline) == kinds.count(NodeKind.SCRIPTLET) == 2
+        assert len(exprs) == kinds.count(NodeKind.EXPRESSION) == 3
         assert len(unit.declarations) == 0
 
 

@@ -12,19 +12,21 @@ REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "jspkdm"
 
 
-def imported_top_level_modules(path: Path) -> set[str]:
+def imported_modules(path: Path) -> set[str]:
+    """The dotted names of the modules ``path`` imports, relative ones aside."""
     modules = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Import):
-            modules.update(alias.name.partition(".")[0] for alias in node.names)
+            modules.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            modules.add(node.module.partition(".")[0])
+            modules.add(node.module)
     return modules
 
 
 def test_package_imports_only_the_standard_library():
     allowed = set(sys.stdlib_module_names) | {"jspkdm"}
-    foreign = {path.name: sorted(imported_top_level_modules(path) - allowed)
+    foreign = {path.name: sorted({m.partition(".")[0] for m in imported_modules(path)}
+                                 - allowed)
                for path in sorted(PACKAGE.glob("*.py"))}
     assert len(foreign) >= 9
     assert {name: mods for name, mods in foreign.items() if mods} == {}
@@ -56,3 +58,22 @@ def test_cli_import_loads_no_network_modules():
         added = set(ast.literal_eval(proc.stdout))
         assert module in added
         assert (module, sorted(added & set(UNNEEDED_AT_START))) == (module, [])
+
+
+def test_cli_import_adds_no_typing():
+    # Annotations are never evaluated, so the package needs no ``typing``.
+    # Without ``site``, which may load it for its own hooks, and with every
+    # stdlib module the package uses already loaded, ``typing`` would show
+    # up only through the package itself.
+    stdlib = sorted(set().union(*map(imported_modules, PACKAGE.glob("*.py")))
+                    - {"__future__", "typing"})
+    probe = (f"import sys; sys.path.insert(0, {str(REPO / 'src')!r})\n"
+             f"for name in {stdlib!r}: __import__(name)\n"
+             f"before = set(sys.modules)\n"
+             f"import jspkdm.cli\n"
+             f"print(sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, check=True)
+    added = set(ast.literal_eval(proc.stdout))
+    assert "jspkdm.cli" in added
+    assert sorted(name for name in added if name.partition(".")[0] == "typing") == []
