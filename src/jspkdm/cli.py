@@ -128,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         # Every read is guarded in the run, so an OSError is a write: the
-        # servlet sources in the page loop, or the artifacts.
+        # servlet source directory or a source in it, or the artifacts.
         result = run_pipeline(inventory, config, scan_diagnostics)
         written = write_outputs(result, args.out, config.formats)
     except OSError as exc:

@@ -37,18 +37,7 @@ class CodeRelationship(Value):
     __slots__ = ("from_class", "to_class", "kind")
 
     def __init__(self, from_class: ClassUnit, to_class: ClassUnit, kind: str):
-        object.__setattr__(self, "from_class", from_class)
-        object.__setattr__(self, "to_class", to_class)
-        object.__setattr__(self, "kind", kind)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.from_class, self.to_class, self.kind)
-                == (other.from_class, other.to_class, other.kind))
-
-    def __hash__(self) -> int:
-        return hash((self.from_class, self.to_class, self.kind))
+        Value.__init__(self, from_class, to_class, kind)
 
 
 class CodeElement:

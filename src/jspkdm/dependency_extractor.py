@@ -61,24 +61,7 @@ class UrlRef(Value):
 
     def __init__(self, source_page: str, tag_kind: str, attribute: str, raw_url: str,
                  dynamic: bool = False, span: Span = (0, 0)):
-        object.__setattr__(self, "source_page", source_page)
-        object.__setattr__(self, "tag_kind", tag_kind)
-        object.__setattr__(self, "attribute", attribute)
-        object.__setattr__(self, "raw_url", raw_url)
-        object.__setattr__(self, "dynamic", dynamic)
-        object.__setattr__(self, "span", span)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.source_page, self.tag_kind, self.attribute, self.raw_url,
-                 self.dynamic, self.span)
-                == (other.source_page, other.tag_kind, other.attribute, other.raw_url,
-                    other.dynamic, other.span))
-
-    def __hash__(self) -> int:
-        return hash((self.source_page, self.tag_kind, self.attribute, self.raw_url,
-                     self.dynamic, self.span))
+        Value.__init__(self, source_page, tag_kind, attribute, raw_url, dynamic, span)
 
 
 def _is_dynamic(url: str) -> bool:

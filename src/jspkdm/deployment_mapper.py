@@ -58,10 +58,6 @@ class UrlMappingTable:
 
     __repr__ = fields_repr
 
-    def decl_for(self, servlet_name: str) -> ServletDecl | None:
-        """The first declaration of ``servlet_name``."""
-        return self.decls.get(servlet_name)
-
 
 class ResolvedKind(str, Enum):
     INTERNAL_PAGE = "InternalPage"
@@ -78,19 +74,7 @@ class ResolvedTarget(Value):
 
     def __init__(self, kind: ResolvedKind, page_path: str | None = None,
                  class_name: str | None = None, reason: str | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "page_path", page_path)
-        object.__setattr__(self, "class_name", class_name)
-        object.__setattr__(self, "reason", reason)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kind, self.page_path, self.class_name, self.reason)
-                == (other.kind, other.page_path, other.class_name, other.reason))
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.page_path, self.class_name, self.reason))
+        Value.__init__(self, kind, page_path, class_name, reason)
 
 
 # -- web.xml --------------------------------------------------------------------
@@ -309,7 +293,7 @@ def build_lookup_table(decls: list[ServletDecl],
     for decl in decls:
         table.decls.setdefault(decl.servlet_name, decl)
     for pattern, servlet_name in mappings:
-        decl = table.decl_for(servlet_name)
+        decl = table.decls.get(servlet_name)
         if decl is None:
             emit(diagnostics, "mapping",
                  f"url-pattern {pattern!r} maps to undeclared servlet "
@@ -325,7 +309,7 @@ def build_lookup_table(decls: list[ServletDecl],
             continue
         position = table.index[pattern]
         _, current_name = table.entries[position]
-        if (table.decl_for(current_name).source == SOURCE_ANNOTATION
+        if (table.decls[current_name].source == SOURCE_ANNOTATION
                 and decl.source == SOURCE_WEB_XML):
             emit(diagnostics, "mapping",
                  f"pattern {pattern!r}: web.xml servlet {servlet_name!r} "
@@ -346,10 +330,13 @@ def build_lookup_table(decls: list[ServletDecl],
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 
 # The tag kinds whose URL a browser requests: TAG_TABLE's HTML rows. There a
-# URL that starts with "//" names another host (RFC 3986, section 4.2); every
-# other tag takes a context-relative server path.
+# URL that starts with "//" names another host (RFC 3986, section 4.2), and
+# so does one that spells either slash as a backslash, which an http(s) URL
+# reads as "/" (WHATWG URL Standard); every other tag takes a
+# context-relative server path.
 _BROWSER_TAG_KINDS = frozenset(row[0] for (node_kind, _), row in TAG_TABLE.items()
                                if node_kind is NodeKind.TEMPLATE_TEXT)
+_NETWORK_PATH_STARTS = frozenset({"//", "/\\", "\\/", "\\\\"})
 
 
 def normalize_url_path(path: str) -> tuple[str, bool, bool]:
@@ -397,7 +384,7 @@ def resolve_url(table: UrlMappingTable, ref: UrlRef, source_page: str,
     raw = ref.raw_url.strip()
     if not raw:
         return ResolvedTarget(ResolvedKind.UNRESOLVED, reason="empty")
-    if _SCHEME_RE.match(raw) or (raw.startswith("//")
+    if _SCHEME_RE.match(raw) or (raw[:2] in _NETWORK_PATH_STARTS
                                  and ref.tag_kind in _BROWSER_TAG_KINDS):
         return ResolvedTarget(ResolvedKind.EXTERNAL)
     path = raw.split("#", 1)[0].split("?", 1)[0]
@@ -434,7 +421,7 @@ def resolve_url(table: UrlMappingTable, ref: UrlRef, source_page: str,
             shadowed = [table.entries[i][0] for i in sorted(hits[1:])]
             emit(diagnostics, "resolution",
                  f"pattern {pattern!r} wins over {shadowed}", where)
-        decl = table.decl_for(servlet_name)
+        decl = table.decls[servlet_name]
         if decl.jsp_file:
             return ResolvedTarget(ResolvedKind.INTERNAL_PAGE, page_path=decl.jsp_file)
         if decl.servlet_class:

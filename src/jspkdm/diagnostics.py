@@ -17,18 +17,7 @@ class Diagnostic(Value):
     __slots__ = ("category", "message", "location")
 
     def __init__(self, category: str, message: str, location: str | None = None):
-        object.__setattr__(self, "category", category)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "location", location)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.category, self.message, self.location)
-                == (other.category, other.message, other.location))
-
-    def __hash__(self) -> int:
-        return hash((self.category, self.message, self.location))
+        Value.__init__(self, category, message, location)
 
     def to_dict(self) -> dict:
         d = {"category": self.category, "message": self.message}

@@ -28,7 +28,7 @@ import re
 from collections.abc import Callable, Iterator, Sequence
 from enum import Enum
 
-from ._records import fields_repr
+from ._records import Fields
 
 Span = tuple[int, int]
 
@@ -65,7 +65,7 @@ class DuplicateAttribute(JspParseError):
     """Two attributes of one tag share a name after ASCII lower-casing."""
 
 
-class JspNode:
+class JspNode(Fields):
     """One node of a page: a text run or a JSP element. Slotted, with tuples
     that default to the shared ``()``: a page makes one node per JSP element,
     and most nodes have no attributes and no children. Attributes are
@@ -88,38 +88,20 @@ class JspNode:
         self.span = span
         self.inner_span = inner_span
 
-    __repr__ = fields_repr
-    __hash__ = None  # equal by value, and changed while a page is parsed
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kind, self.name, self.attributes, self.children, self.span,
-                 self.inner_span)
-                == (other.kind, other.name, other.attributes, other.children, other.span,
-                    other.inner_span))
-
     def attribute_value(self, name: str) -> str | None:
         return dict(self.attributes).get(name)
 
 
-class JspDocument:
+class JspDocument(Fields):
     """Parsed form of one page; nodes tile the source text exactly. Equal to
-    another document with the same fields."""
+    another document with the same fields, and weakly referenceable."""
+
+    __slots__ = ("page_path", "nodes", "source", "__weakref__")
 
     def __init__(self, page_path: str, nodes: list[JspNode], source: str):
         self.page_path = page_path
         self.nodes = nodes
         self.source = source
-
-    __repr__ = fields_repr
-    __hash__ = None
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.page_path, self.nodes, self.source)
-                == (other.page_path, other.nodes, other.source))
 
     def text_of(self, node: JspNode) -> str:
         return self.source[node.span[0]:node.span[1]]

@@ -291,13 +291,16 @@ def run_pipeline(inventory: WebAppInventory,
 
     Phase 1 holds one page's document and unit at a time. ``diagnostics``
     may carry pre-collected entries (e.g. from the scan); the run appends to
-    it and the report includes everything. A servlet source that cannot be
-    written to ``config.servlet_src_out`` raises ``OSError``.
+    it and the report includes everything. A ``config.servlet_src_out``
+    directory that cannot be made, which is found before any page is read,
+    or a servlet source that cannot be written there raises ``OSError``.
     """
     config = config or PipelineConfig()
     diagnostics = diagnostics if diagnostics is not None else []
 
     # Phase 1: pages to servlet units to code model.
+    if config.servlet_src_out:
+        Path(config.servlet_src_out).mkdir(parents=True, exist_ok=True)
     loop = _PageLoop(inventory, config, diagnostics)
     model = discover_model(loop, name=_shown(inventory.root.name) or "webapp")
     pages = sorted(loop.pages, key=itemgetter(0))

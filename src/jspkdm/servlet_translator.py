@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from enum import Enum
+from pathlib import Path
 
-from ._records import fields_repr
+from ._records import Fields, fields_repr
 from .diagnostics import Diagnostic, emit
 from .jsp_parser import JspDocument, JspNode, NodeKind, Span, iter_nodes
 
@@ -29,7 +30,7 @@ class StatementKind(str, Enum):
     EXPRESSION_EMIT = "ExpressionEmit"
 
 
-class CodeStatement:
+class CodeStatement(Fields):
     """One statement of a servlet unit. Slotted, and equal to another
     statement with the same fields."""
 
@@ -41,15 +42,6 @@ class CodeStatement:
         self.text = text
         self.metadata = metadata
         self.origin_span = origin_span
-
-    __repr__ = fields_repr
-    __hash__ = None  # equal by value, and its metadata is a dict
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kind, self.text, self.metadata, self.origin_span)
-                == (other.kind, other.text, other.metadata, other.origin_span))
 
 
 class ServletUnit:
@@ -372,11 +364,9 @@ def render_servlet_source(unit: ServletUnit) -> str:
 
 
 def write_servlet_sources(units: list[ServletUnit], out_dir) -> list[str]:
-    """Render every unit to ``<class_name>.java`` under ``out_dir``."""
-    from pathlib import Path
-
+    """Render every unit to ``<class_name>.java`` under the existing
+    directory ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     for unit in units:
         path = out / f"{unit.class_name}.java"

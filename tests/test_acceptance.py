@@ -109,7 +109,7 @@ def test_criterion_3_url_mapping_conformance():
             if expected is None:
                 assert got.kind is ResolvedKind.UNRESOLVED
             else:
-                decl = table.decl_for(expected[1])
+                decl = table.decls[expected[1]]
                 assert got.kind is ResolvedKind.INTERNAL_PAGE
                 assert got.page_path == decl.jsp_file
             agreements += 1

@@ -228,16 +228,19 @@ class TestResolveUrl:
     @pytest.mark.parametrize("tag_kind, attribute", sorted(TAG_TABLE.values()))
     def test_network_path_is_external_only_in_a_and_form(self, tag_kind, attribute):
         # A browser reads "//host/path" as another host (RFC 3986 section
-        # 4.2); the other tags take a context-relative server path, which the
-        # default "/" servlet serves.
+        # 4.2), and a backslash as "/" (WHATWG URL Standard); the other tags
+        # take a context-relative server path, which the default "/" servlet
+        # serves.
         table = table_of([("/", "com.example.Default")])
-        ref = UrlRef(source_page="/index.jsp", tag_kind=tag_kind, attribute=attribute,
-                     raw_url="//cdn.example.com/lib.js")
-        target = resolve_url(table, ref, "/index.jsp")
-        if tag_kind in ("a-href", "form"):
-            assert target.kind is ResolvedKind.EXTERNAL
-        else:
-            assert target.class_name == "com.example.Default"
+        for raw_url in ("//cdn.example.com/lib.js", "/\\cdn.example.com/lib.js",
+                        "\\\\cdn.example.com/lib.js", "\\/cdn.example.com/lib.js"):
+            ref = UrlRef(source_page="/index.jsp", tag_kind=tag_kind, attribute=attribute,
+                         raw_url=raw_url)
+            target = resolve_url(table, ref, "/index.jsp")
+            if tag_kind in ("a-href", "form"):
+                assert target.kind is ResolvedKind.EXTERNAL, raw_url
+            else:
+                assert target.class_name == "com.example.Default", raw_url
 
     def test_exact_match_to_jsp_file(self):
         table = table_of([("/powers", "/powers.jsp")])
@@ -414,7 +417,7 @@ class TestPrecedenceAgainstOracle:
                 assert got.kind is ResolvedKind.UNRESOLVED
             else:
                 pattern, servlet_name = expected
-                decl = table.decl_for(servlet_name)
+                decl = table.decls[servlet_name]
                 assert got.kind is ResolvedKind.INTERNAL_PAGE
                 assert got.page_path == decl.jsp_file
 
@@ -459,7 +462,7 @@ class TestPrecedenceAgainstOracle:
                     continue
                 winner, servlet_name = expected
                 assert got.kind is ResolvedKind.INTERNAL_PAGE
-                assert got.page_path == table.decl_for(servlet_name).jsp_file
+                assert got.page_path == table.decls[servlet_name].jsp_file
                 shadowed = [p for p in matching_patterns(table.entries, url)
                             if p != winner]
                 assert [d.message for d in diagnostics] == (

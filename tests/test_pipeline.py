@@ -646,6 +646,26 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"jspkdm: cannot write {target}: {os.strerror(error)}\n"
 
+    def test_servlet_src_out_that_cannot_be_made_stops_before_any_page(
+            self, tmp_path, capsys, monkeypatch):
+        # Every page fails to parse, so no source is written; the directory
+        # is still made first, and refused.
+        app = tmp_path / "app"
+        app.mkdir()
+        (app / "broken.jsp").write_text("<% nope", encoding="utf-8")
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        parsed, parse_jsp = [], pipeline.parse_jsp
+        monkeypatch.setattr(pipeline, "parse_jsp",
+                            lambda text, page: parsed.append(page) or parse_jsp(text, page))
+        code = main(["analyze", str(app), "--out", str(tmp_path / "o"),
+                     "--servlet-src-out", str(blocker)])
+        assert code == 2
+        assert parsed == []
+        assert capsys.readouterr().err == (
+            f"jspkdm: cannot write {blocker}: {os.strerror(errno.EEXIST)}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_servlet_src_out_flag(self, fixture_webapp, tmp_path):
         out_dir = tmp_path / "out"
         gen = tmp_path / "gen"
