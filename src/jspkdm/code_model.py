@@ -10,7 +10,7 @@ lossless round trip) and a simplified XMI dialect (see docs/MODEL_FORMATS.md).
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from io import BufferedIOBase
 from json.encoder import encode_basestring_ascii
 
@@ -22,6 +22,7 @@ from .servlet_translator import (
     SERVICE_METHOD,
     CodeStatement,
     ServletUnit,
+    StatementKind,
 )
 
 
@@ -114,11 +115,15 @@ class KdmModel:
     __repr__ = fields_repr
 
 
+# Each statement kind's string, read once. An element's name and kind are
+# plain ``str``: the writers render them into heads they cache, and an
+# f-string of a member reads differently across Python versions.
+_KIND_TEXT = {kind: kind.value for kind in StatementKind}
+
+
 def _block_from_statements(statements: list[CodeStatement]) -> BlockUnit:
-    return BlockUnit(elements=[
-        CodeElement(name=s.kind.value, kind=s.kind.value, origin_span=s.origin_span)
-        for s in statements
-    ])
+    return BlockUnit([CodeElement(t := _KIND_TEXT[s.kind], t, s.origin_span)
+                      for s in statements])
 
 
 def discover_model(units: Iterable[ServletUnit], name: str = "webapp") -> KdmModel:
@@ -219,10 +224,35 @@ def _quoteattr(value: str) -> str:
     return '"' + value.replace('"', "&quot;") + '"'
 
 
+class _Heads(dict):
+    """Element heads by (name, kind), each rendered by ``render`` once per
+    document. At most 256 are kept, so a model whose element names are all
+    distinct holds no head per element."""
+
+    def __init__(self, render: Callable[[str, str], str]):
+        self.render = render
+
+    def __missing__(self, key: tuple[str, str]) -> str:
+        head = self.render(*key)
+        if len(self) < 256:
+            self[key] = head
+        return head
+
+
+def _xmi_head(name: str, kind: str) -> str:
+    return f'            <codeElement name={_quoteattr(name)} kind={_quoteattr(kind)}'
+
+
 def _xmi_chunks(model: KdmModel) -> Iterator[str]:
     """The XMI document in pieces: the head, then one piece per class unit,
-    then one per relationship; their concatenation is the document."""
+    then one per relationship; their concatenation is the document.
+
+    An element's head, ``<codeElement name=… kind=…``, is quoted once per
+    distinct (name, kind) pair in the document, and its span and relations
+    are written after it.
+    """
     rel_ids = {id(r): f"rel.{i}" for i, r in enumerate(model.relationships)}
+    heads = _Heads(_xmi_head)
     yield (f'<?xml version="1.0" encoding="UTF-8"?>\n'
            f'<kdm:Segment xmlns:kdm={_quoteattr(KDM_NS)} xmlns:xmi={_quoteattr(XMI_NS)} '
            f'xmi:version="2.1" name={_quoteattr(model.name)}>\n'
@@ -239,14 +269,14 @@ def _xmi_chunks(model: KdmModel) -> Iterator[str]:
                          f'name={_quoteattr(method.name)}>')
             lines.append(f'          <blockUnit xmi:id={_quoteattr(mid + ".block")}>')
             for el in method.block.elements:
-                e_attrs = f'name={_quoteattr(el.name)} kind={_quoteattr(el.kind)}'
-                if el.origin_span is not None:
-                    e_attrs += (f' spanStart="{el.origin_span[0]}"'
-                                f' spanEnd="{el.origin_span[1]}"')
+                line = heads[el.name, el.kind]
+                span = el.origin_span
+                if span is not None:
+                    line = f'{line} spanStart="{span[0]}" spanEnd="{span[1]}"'
                 if el.relationships:
-                    refs = " ".join(rel_ids[id(r)] for r in el.relationships)
-                    e_attrs += f' relations={_quoteattr(refs)}'
-                lines.append(f'            <codeElement {e_attrs}/>')
+                    refs = " ".join([rel_ids[id(r)] for r in el.relationships])
+                    line += f' relations={_quoteattr(refs)}'
+                lines.append(line + "/>")
             lines.append('          </blockUnit>')
             lines.append('        </methodUnit>')
         lines.append('      </classUnit>\n')
@@ -276,20 +306,30 @@ def _json_array(items: Iterable[str], indent: str) -> str:
     return "".join(_json_array_chunks(items, indent))
 
 
-def _json_class(c: ClassUnit, rel_index: dict[int, str]) -> str:
+def _json_head(name: str, kind: str) -> str:
+    q = encode_basestring_ascii
+    return (f'{{\n              "name": {q(name)},\n'
+            f'              "kind": {q(kind)},\n'
+            f'              "origin_span": ')
+
+
+def _json_class(c: ClassUnit, rel_index: dict[int, str], heads: _Heads) -> str:
     q = encode_basestring_ascii
     methods = []
     for m in c.code_elements:
         elements = []
         for e in m.block.elements:
-            span = ("null" if e.origin_span is None else
-                    _json_array([repr(x) for x in e.origin_span], " " * 14))
-            rels = _json_array([rel_index[id(r)] for r in e.relationships], " " * 14)
-            elements.append(
-                f'{{\n              "name": {q(e.name)},\n'
-                f'              "kind": {q(e.kind)},\n'
-                f'              "origin_span": {span},\n'
-                f'              "relationships": {rels}\n            }}')
+            head = heads[e.name, e.kind]
+            span = e.origin_span
+            rels = (_json_array([rel_index[id(r)] for r in e.relationships], " " * 14)
+                    if e.relationships else "[]")
+            if span is None:
+                elements.append(f'{head}null,\n'
+                                f'              "relationships": {rels}\n            }}')
+            else:
+                elements.append(f'{head}[\n                {span[0]!r},\n'
+                                f'                {span[1]!r}\n              ],\n'
+                                f'              "relationships": {rels}\n            }}')
         methods.append(
             f'{{\n          "name": {q(m.name)},\n'
             f'          "elements": {_json_array(elements, " " * 10)}\n        }}')
@@ -307,7 +347,10 @@ def _json_chunks(model: KdmModel) -> Iterator[str]:
     Each object is one template carrying its depth's fixed indentation, and
     every string goes through the C-accelerated ``encode_basestring_ascii``
     that ``ensure_ascii=True`` uses. ``json.dumps`` with an indent runs the
-    pure-Python encoder over a dict tree built first.
+    pure-Python encoder over a dict tree built first. An element object's
+    head, its name, kind and ``"origin_span": ``, is rendered once per
+    distinct (name, kind) pair in the document; its span, a pair, follows
+    in one template, and an empty relationship list is ``[]``.
     """
     q = encode_basestring_ascii
     rel_index = {id(r): repr(i) for i, r in enumerate(model.relationships)}
@@ -316,8 +359,9 @@ def _json_chunks(model: KdmModel) -> Iterator[str]:
            f'  "packages": [\n    {{\n      "name": "{PACKAGE}",\n'
            f'      "classes": {classes}\n    }}\n  ],\n'
            f'  "class_units": ')
+    heads = _Heads(_json_head)
     yield from _json_array_chunks(
-        (_json_class(c, rel_index) for c in model.class_units), "  ")
+        (_json_class(c, rel_index, heads) for c in model.class_units), "  ")
     yield ',\n  "relationships": '
     yield from _json_array_chunks((
         f'{{\n      "from": {q(r.from_class.name)},\n'

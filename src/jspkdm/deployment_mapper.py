@@ -332,8 +332,8 @@ _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*:")
 # The tag kinds whose URL a browser requests: TAG_TABLE's HTML rows. There a
 # URL that starts with "//" names another host (RFC 3986, section 4.2), and
 # so does one that spells either slash as a backslash, which an http(s) URL
-# reads as "/" (WHATWG URL Standard); every other tag takes a
-# context-relative server path.
+# reads as "/" in its path too (WHATWG URL Standard); every other tag takes a
+# context-relative server path, backslashes and all.
 _BROWSER_TAG_KINDS = frozenset(row[0] for (node_kind, _), row in TAG_TABLE.items()
                                if node_kind is NodeKind.TEMPLATE_TEXT)
 _NETWORK_PATH_STARTS = frozenset({"//", "/\\", "\\/", "\\\\"})
@@ -388,6 +388,8 @@ def resolve_url(table: UrlMappingTable, ref: UrlRef, source_page: str,
                                  and ref.tag_kind in _BROWSER_TAG_KINDS):
         return ResolvedTarget(ResolvedKind.EXTERNAL)
     path = raw.split("#", 1)[0].split("?", 1)[0]
+    if ref.tag_kind in _BROWSER_TAG_KINDS:
+        path = path.replace("\\", "/")
     if not path:
         return ResolvedTarget(ResolvedKind.UNRESOLVED, reason="empty")
     if not path.startswith("/"):

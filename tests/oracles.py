@@ -8,6 +8,7 @@ character scans, regexes and brute-force ranking, so that a test asserting
 from __future__ import annotations
 
 import re
+from xml.sax.saxutils import quoteattr
 
 from jspkdm import (TAG_TABLE, CodeStatement, DuplicateAttribute, JspNode, JspParseError,
                     MalformedAttribute, NodeKind, ServletUnit, StatementKind, UrlRef,
@@ -629,3 +630,50 @@ def model_to_dict(model) -> dict:
             for r in model.relationships
         ],
     }
+
+
+# -- the XMI model writer's reference --------------------------------------------
+
+
+def model_to_xmi(model) -> str:
+    """The model's XMI document, each element rendered whole with
+    ``xml.sax.saxutils.quoteattr``: the byte-level reference for the XMI
+    writer, which renders an element's name and kind once per pair."""
+    rel_ids = {id(r): f"rel.{i}" for i, r in enumerate(model.relationships)}
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<kdm:Segment xmlns:kdm={quoteattr("urn:jspkdm:code")} '
+             f'xmlns:xmi={quoteattr("http://www.omg.org/XMI")} '
+             f'xmi:version="2.1" name={quoteattr(model.name)}>',
+             f'  <codeModel name={quoteattr(model.name)}>',
+             '    <package name="jsp">']
+    for cu in model.class_units:
+        attrs = f'xmi:id={quoteattr(cu.name)} name={quoteattr(cu.name)}'
+        if cu.source_page is not None:
+            attrs += f' sourcePage={quoteattr(cu.source_page)}'
+        lines.append(f'      <classUnit {attrs}>')
+        for method in cu.code_elements:
+            mid = f"{cu.name}.{method.name}"
+            lines.append(f'        <methodUnit xmi:id={quoteattr(mid)} '
+                         f'name={quoteattr(method.name)}>')
+            lines.append(f'          <blockUnit xmi:id={quoteattr(mid + ".block")}>')
+            for el in method.block.elements:
+                e_attrs = f'name={quoteattr(el.name)} kind={quoteattr(el.kind)}'
+                if el.origin_span is not None:
+                    e_attrs += (f' spanStart="{el.origin_span[0]}"'
+                                f' spanEnd="{el.origin_span[1]}"')
+                if el.relationships:
+                    refs = " ".join(rel_ids[id(r)] for r in el.relationships)
+                    e_attrs += f' relations={quoteattr(refs)}'
+                lines.append(f'            <codeElement {e_attrs}/>')
+            lines.append('          </blockUnit>')
+            lines.append('        </methodUnit>')
+        lines.append('      </classUnit>')
+    lines.append('    </package>')
+    for rel in model.relationships:
+        lines.append(f'    <codeRelationship xmi:id={quoteattr(rel_ids[id(rel)])} '
+                     f'from={quoteattr(rel.from_class.name)} '
+                     f'to={quoteattr(rel.to_class.name)} '
+                     f'kind={quoteattr(rel.kind)} label="newCall"/>')
+    lines.append('  </codeModel>')
+    lines.append('</kdm:Segment>')
+    return "\n".join(lines) + "\n"

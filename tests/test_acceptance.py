@@ -40,6 +40,7 @@ from jspkdm import (
 from jspkdm.jsp_parser import iter_nodes
 from .conftest import FIXTURE_MODEL_EDGES, TABLE2_PAIRS, build_fixture_webapp
 from .genjsp import generate_page, random_page_path
+from .genmodel import random_model
 from .oracles import (
     check_span_coverage,
     emit_literals,
@@ -48,7 +49,6 @@ from .oracles import (
     regex_table2_scan,
     strip_scripting_regions,
 )
-from .test_code_model import random_model
 from .test_deployment_mapper import make_ref, random_pattern, random_url, table_of
 
 

@@ -15,11 +15,11 @@ from jspkdm import (
     BlockUnit,
     ClassUnit,
     CodeElement,
-    CodeRelationship,
     DuplicateClassName,
     KdmModel,
     MethodUnit,
     ModelIndex,
+    StatementKind,
     add_method_call,
     deserialize_model,
     discover_model,
@@ -29,7 +29,8 @@ from jspkdm import (
     translate_page,
 )
 from jspkdm.code_model import _quoteattr
-from .oracles import model_to_dict
+from .genmodel import mixed_models, random_model
+from .oracles import model_to_dict, model_to_xmi
 
 
 def model_from_pages(pages: dict[str, str]) -> KdmModel:
@@ -64,6 +65,19 @@ class TestDiscovery:
         model = two_class_model()
         names = [c.name for c in model.class_units]
         assert len(set(names)) == 2
+
+    def test_elements_hold_plain_strings(self, powers_page):
+        # The writers cache what they render from an element's name and kind,
+        # and an f-string of a StatementKind member differs across Pythons.
+        page = powers_page + (
+            '<jsp:useBean id="b" class="org.example.B"/>'
+            '<jsp:setProperty name="b" property="p" value="1"/>'
+            '<jsp:getProperty name="b" property="p"/><c:if test="t">x</c:if>')
+        unit = translate_page(parse_jsp(page, "/p.jsp"), {"c:if": "org.example.IfTag"})
+        elements = [e for m in discover_model([unit]).class_units[0].code_elements
+                    for e in m.block.elements]
+        assert {e.kind for e in elements} == {kind.value for kind in StatementKind}
+        assert all(type(e.name) is str and type(e.kind) is str for e in elements)
 
     def test_duplicate_class_name_raises(self, powers_page):
         unit = translate_page(parse_jsp(powers_page, "/powers.jsp"))
@@ -275,40 +289,6 @@ class TestSerialization:
             deserialize_model(json.dumps(doc).encode())
 
 
-def random_model(rng: random.Random) -> KdmModel:
-    classes = []
-    for i in range(rng.randint(0, 5)):
-        methods = []
-        for name in ("_jspInit", "_jspService", "_jspDestroy"):
-            if name == "_jspService" or rng.random() < 0.8:
-                elements = [
-                    CodeElement(name=rng.choice(["TemplateEmit", "InlineCode"]),
-                                kind="TemplateEmit",
-                                origin_span=(j, j + rng.randint(1, 9)))
-                    for j in range(rng.randint(0, 4))
-                ]
-                methods.append(MethodUnit(name, BlockUnit(elements)))
-        classes.append(ClassUnit(
-            name=f"cls{i}",
-            source_page=f"/p{i}.jsp" if rng.random() < 0.8 else None,
-            code_elements=methods))
-    model = KdmModel(name="rand", class_units=classes)
-    if classes:
-        for _ in range(rng.randint(0, 6)):
-            a, b = rng.choice(classes), rng.choice(classes)
-            kind = rng.choice(["a-href", "form", "jsp:include", "call"])
-            if any(r.from_class is a and r.to_class is b and r.kind == kind
-                   for r in model.relationships):
-                continue
-            rel = CodeRelationship(a, b, kind)
-            model.relationships.append(rel)
-            service = a.method("_jspService")
-            if service is not None:
-                service.block.elements.append(
-                    CodeElement(name="newCall", kind="Call", relationships=(rel,)))
-    return model
-
-
 class TestRandomModelRoundTrip:
     def test_json_round_trip_100_models(self):
         rng = random.Random(0x5EED)
@@ -333,48 +313,9 @@ class TestRandomModelRoundTrip:
             jsonschema.validate(document, schema)
 
 
-# Quotes, backslashes, control characters, non-ASCII text, U+2028 and a lone
-# surrogate: every escape the stdlib's ASCII string encoder makes.
-AWKWARD_TEXT = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "é", "漢",
-                "\u2028", "\ud800", "\U0001f600", "/", "a", "jsp"]
-
-
-def awkward_name(rng: random.Random) -> str:
-    return "".join(rng.choice(AWKWARD_TEXT) for _ in range(rng.randint(0, 6)))
-
-
-def awkward_model(rng: random.Random) -> KdmModel:
-    """A hand-built model that discovery never makes: no classes, empty
-    methods and element lists, missing pages and spans, and elements holding
-    several relationships, all with awkward names."""
-    classes = [
-        ClassUnit(
-            name=awkward_name(rng),
-            source_page=awkward_name(rng) if rng.random() < 0.7 else None,
-            code_elements=[
-                MethodUnit(awkward_name(rng), BlockUnit([
-                    CodeElement(awkward_name(rng), awkward_name(rng),
-                                origin_span=(rng.randint(0, 10**6), rng.randint(0, 10**6))
-                                if rng.random() < 0.6 else None)
-                    for _ in range(rng.randint(0, 3))]))
-                for _ in range(rng.randint(0, 3))])
-        for _ in range(rng.randint(0, 4))]
-    model = KdmModel(name=awkward_name(rng), class_units=classes)
-    if classes:
-        model.relationships = [
-            CodeRelationship(rng.choice(classes), rng.choice(classes), awkward_name(rng))
-            for _ in range(rng.randint(1, 5))]
-        for element in (e for c in classes for m in c.code_elements for e in m.block.elements):
-            element.relationships = tuple(rng.choices(model.relationships,
-                                                      k=rng.randint(0, 4)))
-    return model
-
-
 def writer_models():
-    """The 400 models both writer tests run on."""
-    rng = random.Random(0x15011)
-    for _ in range(400):
-        yield awkward_model(rng) if rng.random() < 0.75 else random_model(rng)
+    """The 400 models the writer tests run on."""
+    return mixed_models(400, 0x15011)
 
 
 class TestWritersAgreeWithTheStdlib:
@@ -398,6 +339,25 @@ class TestWritersAgreeWithTheStdlib:
                 ("line separator", b"\\u2028" in expected),
             ] if hit)
         assert len(shapes) == 8
+
+    def test_xmi_is_the_bytes_of_the_reference(self):
+        written = 0
+        kind_names: dict[str, set[str]] = {}
+        for model in writer_models():
+            try:
+                expected = model_to_xmi(model).encode()
+            except UnicodeEncodeError:  # a lone surrogate has no XML form
+                with pytest.raises(UnicodeEncodeError):
+                    serialize_model(model, "xmi")
+                continue
+            assert serialize_model(model, "xmi") == expected
+            written += 1
+            for e in (e for c in model.class_units for m in c.code_elements
+                      for e in m.block.elements):
+                kind_names.setdefault(e.kind, set()).add(e.name)
+        assert written > 100
+        # One kind under several names: a head keyed on the kind alone fails.
+        assert len(kind_names["TemplateEmit"]) > 1
 
     def test_writing_to_a_file_gives_the_returned_bytes(self):
         written = 0
@@ -424,6 +384,21 @@ class TestWritersAgreeWithTheStdlib:
 
 
 class TestWriterMemory:
+    @staticmethod
+    def assert_written_a_class_unit_at_a_time(model, tmp_path):
+        for fmt in ("json", "xmi"):
+            with open(tmp_path / f"model.{fmt}", "wb") as fh:
+                tracemalloc.start()
+                try:
+                    serialize_model(model, fmt, fh)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                size = fh.tell()
+            assert size > 2_000_000
+            # The whole document as pieces, one string and its bytes: about 3x.
+            assert peak < 0.25 * size, f"{fmt}: peak {peak / size:.2f}x the bytes written"
+
     def test_writing_a_large_model_holds_a_class_unit_at_a_time(self, tmp_path):
         rng = random.Random(0xF11E)
         classes = [
@@ -438,15 +413,18 @@ class TestWriterMemory:
         model = KdmModel("big", classes)
         for a in classes[:100]:
             add_method_call(ModelIndex(model), a, rng.choice(classes), "a-href")
-        for fmt in ("json", "xmi"):
-            with open(tmp_path / f"model.{fmt}", "wb") as fh:
-                tracemalloc.start()
-                try:
-                    serialize_model(model, fmt, fh)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                size = fh.tell()
-            assert size > 2_000_000
-            # The whole document as pieces, one string and its bytes: about 3x.
-            assert peak < 0.25 * size, f"{fmt}: peak {peak / size:.2f}x the bytes written"
+        self.assert_written_a_class_unit_at_a_time(model, tmp_path)
+
+    def test_distinct_element_names_are_not_all_held(self, tmp_path):
+        # The writers keep each element head they render, but not one per
+        # element when no two elements share a name; the heads they do not
+        # keep are written all the same.
+        model = KdmModel("distinct", [
+            ClassUnit(f"C{i}", f"/page{i}.jsp", [MethodUnit("_jspService", BlockUnit([
+                CodeElement(f"element{i}_{j}", f"Kind{i}_{j}", (j, j + 1))
+                for j in range(60)]))])
+            for i in range(400)])
+        self.assert_written_a_class_unit_at_a_time(model, tmp_path)
+        assert (tmp_path / "model.xmi").read_bytes() == model_to_xmi(model).encode()
+        assert (tmp_path / "model.json").read_bytes() == (
+            json.dumps(model_to_dict(model), indent=2) + "\n").encode()

@@ -242,6 +242,24 @@ class TestResolveUrl:
             else:
                 assert target.class_name == "com.example.Default", raw_url
 
+    @pytest.mark.parametrize("tag_kind, attribute", sorted(TAG_TABLE.values()))
+    def test_backslash_is_a_slash_only_in_a_and_form(self, tag_kind, attribute):
+        # From /dir/index.jsp a browser requests \b as /b and a\b as /dir/a/b
+        # (WHATWG URL Standard); the other tags keep the backslash in the
+        # server path, where nothing maps it.
+        table = table_of([("/b", "/b.jsp")])
+        for raw_url, page in (("\\b", "/b.jsp"), ("a\\b", "/dir/a/b"),
+                              ("\\b?q=\\x#\\y", "/b.jsp")):
+            ref = UrlRef(source_page="/dir/index.jsp", tag_kind=tag_kind,
+                         attribute=attribute, raw_url=raw_url)
+            target = resolve_url(table, ref, "/dir/index.jsp", known_pages={"/dir/a/b"})
+            if tag_kind in ("a-href", "form"):
+                assert target.kind is ResolvedKind.INTERNAL_PAGE, raw_url
+                assert target.page_path == page, raw_url
+            else:
+                assert target.kind is ResolvedKind.UNRESOLVED, raw_url
+                assert target.reason == "no-mapping", raw_url
+
     def test_exact_match_to_jsp_file(self):
         table = table_of([("/powers", "/powers.jsp")])
         target = resolve_url(table, make_ref("/powers"), "/index.jsp")
