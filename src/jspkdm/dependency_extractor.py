@@ -57,11 +57,11 @@ class UrlRef(Value):
     """One URL occurrence in a dependency-bearing tag. Immutable, slotted,
     and equal to another with the same fields."""
 
-    __slots__ = ("source_page", "tag_kind", "attribute", "raw_url", "dynamic", "span")
+    __slots__ = ("tag_kind", "raw_url", "dynamic", "span")
 
-    def __init__(self, source_page: str, tag_kind: str, attribute: str, raw_url: str,
-                 dynamic: bool = False, span: Span = (0, 0)):
-        Value.__init__(self, source_page, tag_kind, attribute, raw_url, dynamic, span)
+    def __init__(self, tag_kind: str, raw_url: str, dynamic: bool = False,
+                 span: Span = (0, 0)):
+        Value.__init__(self, tag_kind, raw_url, dynamic, span)
 
 
 def _is_dynamic(url: str) -> bool:
@@ -139,5 +139,5 @@ def extract_url_refs(doc: JspDocument,
             if method and method.lower() not in _FORM_METHODS:
                 emit(diagnostics, "extraction", f"unsupported form method {method!r}",
                      f"{doc.page_path}@{span[0]}")
-        refs.append(UrlRef(doc.page_path, tag_kind, attribute, url, _is_dynamic(url), span))
+        refs.append(UrlRef(tag_kind, url, _is_dynamic(url), span))
     return refs

@@ -359,12 +359,10 @@ def normalize_url_path(path: str) -> tuple[str, bool, bool]:
         stack.append(segment)
     normalized = "/" + "/".join(stack)
     trimmed = False
-    if normalized.endswith(".") and normalized != "/":
+    if normalized.endswith("."):
         normalized = normalized.rstrip(".")
         trimmed = True
-        if normalized == "":
-            normalized = "/"
-        elif normalized.endswith("/") and normalized != "/":
+        if normalized.endswith("/") and normalized != "/":
             normalized = normalized[:-1]
     return normalized, clamped, trimmed
 
@@ -378,7 +376,6 @@ def resolve_url(table: UrlMappingTable, ref: UrlRef, source_page: str,
     table entry can still resolve to a page file (the container's implicit
     JSP mapping). Dynamic references are never resolved.
     """
-    where = f"{source_page}:{ref.raw_url!r}"
     if ref.dynamic:
         return ResolvedTarget(ResolvedKind.UNRESOLVED, reason="dynamic")
     raw = ref.raw_url.strip()
@@ -392,6 +389,7 @@ def resolve_url(table: UrlMappingTable, ref: UrlRef, source_page: str,
         path = path.replace("\\", "/")
     if not path:
         return ResolvedTarget(ResolvedKind.UNRESOLVED, reason="empty")
+    where = f"{source_page}:{ref.raw_url!r}"
     if not path.startswith("/"):
         base = posixpath.dirname(normalize_page_path(source_page))
         path = posixpath.join(base, path)

@@ -1,14 +1,14 @@
 """End-to-end orchestration over a webapp directory.
 
-Two phases: (1) one page at a time, parse it, translate it to a servlet
-unit, extract its URL references and add its class to the code model, so
-that only one page's document and unit are alive at once; (2) parse
-deployment metadata, resolve the extracted references, and inject the
-resolved page-to-page dependencies into the model. External targets,
-servlet-class targets and unresolved references stay in the dependency graph
-and the report; the model only ever relates class units. Per-file failures
-are isolated: a page that cannot be read, parsed, translated or extracted is
-reported and skipped.
+First the deployment metadata becomes the URL-mapping table. Then, one page
+at a time, each page is parsed, translated to a servlet unit whose class
+joins the code model, and its URL references are extracted and resolved, so
+that only one page's document, unit and references are alive at once. Last,
+the resolved page-to-page dependencies are injected into the model. External
+targets, servlet-class targets and unresolved references stay in the
+dependency graph and the report; the model only ever relates class units.
+Per-file failures are isolated: a page that cannot be read, parsed,
+translated or extracted is reported and skipped.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import json
 import os
 import re
 from collections.abc import Iterator
-from operator import itemgetter
 from pathlib import Path
 
 from ._records import fields_repr
@@ -30,9 +29,10 @@ from .code_model import (
     find_class_unit,
     serialize_model,
 )
-from .dependency_extractor import UrlRef, extract_url_refs
+from .dependency_extractor import extract_url_refs
 from .deployment_mapper import (
     ResolvedKind,
+    UrlMappingTable,
     XmlSyntaxError,
     build_lookup_table,
     java_qualified_class_name,
@@ -237,21 +237,26 @@ def _parse_failure(exc: Exception) -> str:
 
 
 class _PageLoop:
-    """Phase 1 as an iterator of servlet units, one page at a time.
+    """The pages, in the inventory's order, as an iterator of servlet units.
 
-    Each page is read, parsed and translated, its URL references extracted
-    and its servlet source written; then its document is dropped, and its
-    unit as soon as the consumer has taken it. ``pages`` keeps what phase 2
-    needs of each page that went through: its path, its references and the
-    diagnostics their extraction made.
+    In its turn each page is read, parsed, translated and its servlet source
+    written, and its URL references are extracted and resolved into
+    ``graph`` and ``counts``; only ``internal`` (caller, target page, raw
+    URL, tag kind) and the page's diagnostics, in ``ref_diagnostics``,
+    outlive the turn. Its unit is dropped once the consumer has taken it.
     """
 
     def __init__(self, inventory: WebAppInventory, config: PipelineConfig,
-                 diagnostics: list[Diagnostic]):
+                 diagnostics: list[Diagnostic], table: UrlMappingTable):
         self.inventory = inventory
         self.config = config
         self.diagnostics = diagnostics
-        self.pages: list[tuple[str, list[UrlRef], list[Diagnostic]]] = []
+        self.table = table
+        self.known_pages = frozenset(inventory.jsp_pages)
+        self.graph = DependencyGraph()
+        self.counts = {"internal_page": 0, "internal_class": 0, "external": 0}
+        self.internal: list[tuple[str, str, str, str]] = []
+        self.ref_diagnostics: list[Diagnostic] = []
         self.failed: list[str] = []
         self.statements = 0
 
@@ -277,103 +282,102 @@ class _PageLoop:
             emit(diagnostics, "parse", _parse_failure(exc), page)
             self.failed.append(page)
             return None
-        self.pages.append((doc.page_path, refs, page_diagnostics))
         self.statements += len(unit.service_body)
         if config.servlet_src_out:
             write_servlet_sources([unit], config.servlet_src_out)
+        self.graph.nodes[page] = NODE_PAGE  # over any class of that name
+        for ref in refs:
+            target = resolve_url(self.table, ref, page, self.known_pages, page_diagnostics)
+            if target.kind is ResolvedKind.EXTERNAL:
+                self.counts["external"] += 1
+                self.graph.add_edge(page, ref.raw_url, ref.tag_kind, NODE_EXTERNAL)
+            elif target.kind is ResolvedKind.INTERNAL_SERVLET_CLASS:
+                self.counts["internal_class"] += 1
+                self.graph.add_edge(page, target.class_name, ref.tag_kind, NODE_CLASS)
+            elif target.kind is ResolvedKind.INTERNAL_PAGE:
+                self.internal.append((page, target.page_path, ref.raw_url, ref.tag_kind))
+            else:
+                self.graph.unresolved.append((page, ref.raw_url, target.reason))
+        self.ref_diagnostics += page_diagnostics
         return unit
 
 
 def run_pipeline(inventory: WebAppInventory,
                  config: PipelineConfig | None = None,
                  diagnostics: list[Diagnostic] | None = None) -> PipelineResult:
-    """Execute parse -> translate -> extract -> discover, then resolve -> inject.
+    """Build the mapping table, then parse -> translate -> discover and
+    extract -> resolve page by page, then inject.
 
-    Phase 1 holds one page's document and unit at a time. ``diagnostics``
-    may carry pre-collected entries (e.g. from the scan); the run appends to
-    it and the report includes everything. A ``config.servlet_src_out``
-    directory that cannot be made, which is found before any page is read,
-    or a servlet source that cannot be written there raises ``OSError``.
+    The page loop holds one page's document, unit and references at a time.
+    ``diagnostics`` may carry pre-collected entries (e.g. from the scan); the
+    run appends to it and the report includes everything. A
+    ``config.servlet_src_out`` directory that cannot be made, which is found
+    before any page is read, or a servlet source that cannot be written there
+    raises ``OSError``.
     """
     config = config or PipelineConfig()
     diagnostics = diagnostics if diagnostics is not None else []
 
-    # Phase 1: pages to servlet units to code model.
-    if config.servlet_src_out:
-        Path(config.servlet_src_out).mkdir(parents=True, exist_ok=True)
-    loop = _PageLoop(inventory, config, diagnostics)
-    model = discover_model(loop, name=_shown(inventory.root.name) or "webapp")
-    pages = sorted(loop.pages, key=itemgetter(0))
-
-    # Phase 2: deployment metadata and URL mapping table.
+    # The URL-mapping table, from web.xml and the annotations.
+    table_diagnostics: list[Diagnostic] = []
     decls = []
     mappings = []
     if inventory.web_xml:
         try:
             raw = (inventory.root / inventory.web_xml.lstrip("/")).read_bytes()
-            decls, mappings = parse_web_xml(raw, diagnostics)
+            decls, mappings = parse_web_xml(raw, table_diagnostics)
         except OSError as exc:
-            emit(diagnostics, "io", f"cannot read web.xml: {exc.strerror}", inventory.web_xml)
+            emit(table_diagnostics, "io", f"cannot read web.xml: {exc.strerror}",
+                 inventory.web_xml)
         except XmlSyntaxError as exc:
-            emit(diagnostics, "web-xml", str(exc), inventory.web_xml)
+            emit(table_diagnostics, "web-xml", str(exc), inventory.web_xml)
     java_files: list[tuple[str, Path]] = [
         (rel, inventory.root / rel.lstrip("/")) for rel in inventory.java_sources]
     for source_root in config.source_roots:
         base = Path(source_root)
         if not base.is_dir():
-            emit(diagnostics, "io", "source root not found", str(base))
+            emit(table_diagnostics, "io", "source root not found", str(base))
             continue
         java_files.extend(
             (p.as_posix(), p) for p in sorted(base.rglob("*.java"))
-            if p.is_file() and _utf8_path(p.as_posix(), diagnostics))
+            if p.is_file() and _utf8_path(p.as_posix(), table_diagnostics))
     for label, java_path in java_files:
-        source = _read_text(java_path, config.encoding, diagnostics, label)
+        source = _read_text(java_path, config.encoding, table_diagnostics, label)
         if source is None:
             continue
         qualified = java_qualified_class_name(source, java_path.stem)
-        for pattern, decl in scan_webservlet_annotations(source, qualified, diagnostics):
+        for pattern, decl in scan_webservlet_annotations(source, qualified, table_diagnostics):
             decls.append(decl)
             mappings.append((pattern, decl.servlet_name))
-    table = build_lookup_table(decls, mappings, config.context_path, diagnostics)
+    table = build_lookup_table(decls, mappings, config.context_path, table_diagnostics)
 
-    # Phase 2 continued: resolve and inject each page's references.
-    graph = DependencyGraph()
-    for page, _, _ in pages:
-        graph.add_node(page, NODE_PAGE)
-    known_pages = frozenset(inventory.jsp_pages)
+    # The page loop: pages to the code model, references to their verdicts.
+    if config.servlet_src_out:
+        Path(config.servlet_src_out).mkdir(parents=True, exist_ok=True)
+    loop = _PageLoop(inventory, config, diagnostics, table)
+    model = discover_model(loop, name=_shown(inventory.root.name) or "webapp")
+    diagnostics += table_diagnostics + loop.ref_diagnostics
+    graph, counts = loop.graph, loop.counts
+
+    # Inject the page-to-page references; a target page may have failed.
     model_index = ModelIndex(model)
-    counts = {"internal_page": 0, "internal_class": 0, "external": 0}
     duplicates = 0
-    for page, refs, page_diagnostics in pages:
+    for page, target_page, raw_url, tag_kind in loop.internal:
+        target_unit = find_class_unit(model_index, target_page)
+        if target_unit is None:
+            graph.unresolved.append((page, raw_url, "target-page-not-in-model"))
+            continue
+        counts["internal_page"] += 1
         caller = find_class_unit(model_index, page)
-        diagnostics.extend(page_diagnostics)
-        for ref in refs:
-            target = resolve_url(table, ref, page, known_pages, diagnostics)
-            if target.kind is ResolvedKind.EXTERNAL:
-                counts["external"] += 1
-                graph.add_edge(page, ref.raw_url, ref.tag_kind, NODE_EXTERNAL)
-            elif target.kind is ResolvedKind.INTERNAL_SERVLET_CLASS:
-                counts["internal_class"] += 1
-                graph.add_edge(page, target.class_name, ref.tag_kind, NODE_CLASS)
-            elif target.kind is ResolvedKind.INTERNAL_PAGE:
-                target_unit = find_class_unit(model_index, target.page_path)
-                if target_unit is None:
-                    graph.unresolved.append(
-                        (page, ref.raw_url, "target-page-not-in-model"))
-                    continue
-                counts["internal_page"] += 1
-                outcome = add_method_call(model_index, caller, target_unit, ref.tag_kind)
-                if outcome.status == "added":
-                    graph.add_edge(page, target.page_path, ref.tag_kind, NODE_PAGE)
-                else:
-                    duplicates += 1
-            else:
-                graph.unresolved.append((page, ref.raw_url, target.reason or "unknown"))
+        if add_method_call(model_index, caller, target_unit, tag_kind).status == "added":
+            graph.add_edge(page, target_page, tag_kind, NODE_PAGE)
+        else:
+            duplicates += 1
 
     counts["unresolved"] = len(graph.unresolved)
     report = {
         "pages": len(inventory.jsp_pages),
-        "pages_parsed": len(pages),
+        "pages_parsed": len(inventory.jsp_pages) - len(loop.failed),
         "pages_failed": sorted(loop.failed),
         "statements": loop.statements,
         "url_refs": sum(counts.values()),

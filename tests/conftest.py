@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from jspkdm import TAG_TABLE
+
 # The classic powers-of-two demo page: two scriptlets (loop open/close) and
 # three expressions. The delimiter-scan oracle over this exact text is the
 # source of the frozen counts asserted in the tests.
@@ -49,6 +51,9 @@ TABLE2_PAGE = """\
 </body>
 </html>
 """
+
+# Each tag kind's designated attribute, as the extractor's table pairs them.
+ATTRIBUTE_OF = dict(TAG_TABLE.values())
 
 TABLE2_PAIRS = [
     ("form", "action"),

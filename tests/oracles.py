@@ -490,8 +490,8 @@ def extract_with_html_nodes(source: str, page_path: str = "/gen.jsp"):
         method = values.get("method") if tag_kind == "form" else None
         if method and method.lower() not in ("get", "post", "put"):
             found.append((node.span[0], f"unsupported form method {method!r}"))
-        refs.append(UrlRef(page_path, tag_kind, attribute, url,
-                           _REQUEST_TIME_RE.search(url) is not None, node.span))
+        refs.append(UrlRef(tag_kind, url, _REQUEST_TIME_RE.search(url) is not None,
+                           node.span))
     diagnostics = [Diagnostic("extraction", message, f"{page_path}@{start}")
                    for start, message in sorted(found, key=lambda item: item[0])]
     return parser.html_spans, [refs, diagnostics]

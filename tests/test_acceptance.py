@@ -38,7 +38,7 @@ from jspkdm import (
     write_outputs,
 )
 from jspkdm.jsp_parser import iter_nodes
-from .conftest import FIXTURE_MODEL_EDGES, TABLE2_PAIRS, build_fixture_webapp
+from .conftest import ATTRIBUTE_OF, FIXTURE_MODEL_EDGES, TABLE2_PAIRS, build_fixture_webapp
 from .genjsp import generate_page, random_page_path
 from .genmodel import random_model
 from .oracles import (
@@ -84,10 +84,10 @@ def test_criterion_2_table2_coverage(table2_page):
     with criterion(2, "ten dependency tag/attribute pairs extracted", 1.0):
         refs = extract_url_refs(parse_jsp(table2_page, "/t.jsp"))
         assert len(refs) == 10
-        assert Counter((r.tag_kind, r.attribute) for r in refs) \
+        assert Counter((r.tag_kind, ATTRIBUTE_OF[r.tag_kind]) for r in refs) \
             == Counter(TABLE2_PAIRS)
         oracle = regex_table2_scan(table2_page)
-        assert [(r.tag_kind, r.attribute, r.raw_url) for r in refs] == oracle
+        assert [(r.tag_kind, ATTRIBUTE_OF[r.tag_kind], r.raw_url) for r in refs] == oracle
 
 
 def test_criterion_3_url_mapping_conformance():

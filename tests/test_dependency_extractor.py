@@ -7,7 +7,7 @@ from collections import Counter
 
 from jspkdm import TAG_TABLE, NodeKind, classify_tag, extract_url_refs, parse_jsp
 from jspkdm.jsp_parser import JspNode
-from .conftest import TABLE2_PAIRS
+from .conftest import ATTRIBUTE_OF, TABLE2_PAIRS
 from .fuzz_extract import compare
 from .genjsp import generated_pages, tag_soup
 from .oracles import regex_table2_scan
@@ -46,7 +46,7 @@ class TestExtraction:
         diagnostics = []
         (ref,) = refs_of('<form action="/myPage.jsp" method="get">', diagnostics)
         assert ref.tag_kind == "form"
-        assert ref.attribute == "action"
+        assert ATTRIBUTE_OF[ref.tag_kind] == "action"
         assert ref.raw_url == "/myPage.jsp"
         assert not ref.dynamic
         assert diagnostics == []
@@ -106,10 +106,11 @@ class TestExtraction:
         (ref,) = refs_of('<c:if test="a"><jsp:forward page="/x.jsp" /></c:if>')
         assert ref.tag_kind == "jsp:forward"
 
-    def test_source_page_recorded(self):
-        doc = parse_jsp('<a href="/x">x</a>', "/dir/page.jsp")
-        (ref,) = extract_url_refs(doc)
-        assert ref.source_page == "/dir/page.jsp"
+    def test_span_locates_the_tag(self):
+        source = 'x<a href="/x">x</a><jsp:include page="/y" />'
+        refs = extract_url_refs(parse_jsp(source, "/dir/page.jsp"))
+        assert [source[start:end] for start, end in (r.span for r in refs)] == [
+            '<a href="/x">', '<jsp:include page="/y" />']
 
     def test_a_value_that_holds_a_jsp_element_is_dynamic(self):
         # The c:url inside the form action is a reference of its own, and the
@@ -229,12 +230,13 @@ class TestTable2Coverage:
     def test_fixture_yields_exactly_ten(self, table2_page):
         refs = extract_url_refs(parse_jsp(table2_page, "/t.jsp"))
         assert len(refs) == 10
-        assert Counter((r.tag_kind, r.attribute) for r in refs) == Counter(TABLE2_PAIRS)
+        assert Counter((r.tag_kind, ATTRIBUTE_OF[r.tag_kind]) for r in refs) \
+            == Counter(TABLE2_PAIRS)
 
     def test_regex_oracle_agrees(self, table2_page):
         refs = extract_url_refs(parse_jsp(table2_page, "/t.jsp"))
         oracle = regex_table2_scan(table2_page)
-        assert [(r.tag_kind, r.attribute, r.raw_url) for r in refs] == oracle
+        assert [(r.tag_kind, ATTRIBUTE_OF[r.tag_kind], r.raw_url) for r in refs] == oracle
 
     def test_oracle_agreement_on_static_corpus_pages(self, powers_page):
         # a page with no dependency tags at all

@@ -44,8 +44,7 @@ WEB_XML_POWERS = b"""<?xml version="1.0" encoding="UTF-8"?>
 
 
 def make_ref(url: str, dynamic: bool = False) -> UrlRef:
-    return UrlRef(source_page="/index.jsp", tag_kind="a-href",
-                  attribute="href", raw_url=url, dynamic=dynamic)
+    return UrlRef(tag_kind="a-href", raw_url=url, dynamic=dynamic)
 
 
 def table_of(patterns: list[tuple[str, str | None]], context_path: str = ""):
@@ -225,8 +224,8 @@ class TestResolveUrl:
         target = resolve_url(table, make_ref("https://www.uqam.ca"), "/index.jsp")
         assert target.kind is ResolvedKind.EXTERNAL
 
-    @pytest.mark.parametrize("tag_kind, attribute", sorted(TAG_TABLE.values()))
-    def test_network_path_is_external_only_in_a_and_form(self, tag_kind, attribute):
+    @pytest.mark.parametrize("tag_kind", sorted(kind for kind, _ in TAG_TABLE.values()))
+    def test_network_path_is_external_only_in_a_and_form(self, tag_kind):
         # A browser reads "//host/path" as another host (RFC 3986 section
         # 4.2), and a backslash as "/" (WHATWG URL Standard); the other tags
         # take a context-relative server path, which the default "/" servlet
@@ -234,24 +233,22 @@ class TestResolveUrl:
         table = table_of([("/", "com.example.Default")])
         for raw_url in ("//cdn.example.com/lib.js", "/\\cdn.example.com/lib.js",
                         "\\\\cdn.example.com/lib.js", "\\/cdn.example.com/lib.js"):
-            ref = UrlRef(source_page="/index.jsp", tag_kind=tag_kind, attribute=attribute,
-                         raw_url=raw_url)
+            ref = UrlRef(tag_kind=tag_kind, raw_url=raw_url)
             target = resolve_url(table, ref, "/index.jsp")
             if tag_kind in ("a-href", "form"):
                 assert target.kind is ResolvedKind.EXTERNAL, raw_url
             else:
                 assert target.class_name == "com.example.Default", raw_url
 
-    @pytest.mark.parametrize("tag_kind, attribute", sorted(TAG_TABLE.values()))
-    def test_backslash_is_a_slash_only_in_a_and_form(self, tag_kind, attribute):
+    @pytest.mark.parametrize("tag_kind", sorted(kind for kind, _ in TAG_TABLE.values()))
+    def test_backslash_is_a_slash_only_in_a_and_form(self, tag_kind):
         # From /dir/index.jsp a browser requests \b as /b and a\b as /dir/a/b
         # (WHATWG URL Standard); the other tags keep the backslash in the
         # server path, where nothing maps it.
         table = table_of([("/b", "/b.jsp")])
         for raw_url, page in (("\\b", "/b.jsp"), ("a\\b", "/dir/a/b"),
                               ("\\b?q=\\x#\\y", "/b.jsp")):
-            ref = UrlRef(source_page="/dir/index.jsp", tag_kind=tag_kind,
-                         attribute=attribute, raw_url=raw_url)
+            ref = UrlRef(tag_kind=tag_kind, raw_url=raw_url)
             target = resolve_url(table, ref, "/dir/index.jsp", known_pages={"/dir/a/b"})
             if tag_kind in ("a-href", "form"):
                 assert target.kind is ResolvedKind.INTERNAL_PAGE, raw_url

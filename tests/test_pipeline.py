@@ -398,6 +398,89 @@ class TestRunPipeline:
         assert (len(docs), len(units)) == (6, 5)
         assert alive == []
 
+    def test_each_page_resolves_its_references_in_its_own_turn(self, fixture_webapp,
+                                                               monkeypatch):
+        # No reference outlives its page's turn: every resolution for a page
+        # comes before the next page is parsed.
+        calls: list[tuple[str, str]] = []
+        parse_jsp, resolve_url = pipeline.parse_jsp, pipeline.resolve_url
+
+        def parse(text, page):
+            calls.append(("parse", page))
+            return parse_jsp(text, page)
+
+        def resolve(table, ref, source_page, *args):
+            calls.append(("resolve", source_page))
+            return resolve_url(table, ref, source_page, *args)
+
+        monkeypatch.setattr(pipeline, "parse_jsp", parse)
+        monkeypatch.setattr(pipeline, "resolve_url", resolve)
+        run_pipeline(scan_webapp(fixture_webapp))
+        turns: list[tuple[str, list[str]]] = []  # (page parsed, pages resolved after it)
+        for call, page in calls:
+            if call == "parse":
+                turns.append((page, []))
+            else:
+                turns[-1][1].append(page)
+        assert [resolved for _, resolved in turns if resolved] == [
+            ["/detail.jsp"] * 2, ["/header.jsp"], ["/index.jsp"] * 5]
+        assert all(resolved == [page] * len(resolved) for page, resolved in turns)
+
+    def test_report_lists_scan_pages_table_then_references(self, tmp_path):
+        # Each page's extraction and resolution diagnostics follow the
+        # table's, which follow those the page loop made as it went.
+        root = tmp_path / "app"
+        (root / "WEB-INF").mkdir(parents=True)
+        (root / "WEB-INF" / "web.xml").write_text(
+            """<web-app><servlet-mapping><servlet-name>ghost</servlet-name>
+              <url-pattern>/g</url-pattern></servlet-mapping></web-app>""",
+            encoding="utf-8")
+        (root / "a.jsp").write_text('<form action="../../x.jsp" method="delete">',
+                                    encoding="utf-8")
+        (root / "b.jsp").write_text("<% nope", encoding="utf-8")
+        (root / "c.jsp").write_text('<a href="/../c.jsp">c</a>', encoding="utf-8")
+        (root / "d\\e.jsp").write_text("x", encoding="utf-8")
+        diagnostics = []
+        result = run_pipeline(scan_webapp(root, diagnostics=diagnostics),
+                              diagnostics=diagnostics)
+        clamped = '".." escapes the context root; clamped'
+        assert result.report["diagnostics"] == [
+            {"category": "io", "message": "page name contains a backslash; skipped",
+             "location": "/d\\e.jsp"},
+            {"category": "parse", "message": "/b.jsp@0: unterminated scriptlet",
+             "location": "/b.jsp"},
+            {"category": "mapping",
+             "message": "url-pattern '/g' maps to undeclared servlet 'ghost'; dropped"},
+            {"category": "extraction", "message": "unsupported form method 'delete'",
+             "location": "/a.jsp@0"},
+            {"category": "resolution", "message": clamped,
+             "location": "/a.jsp:'../../x.jsp'"},
+            {"category": "resolution", "message": clamped, "location": "/c.jsp:'/../c.jsp'"},
+        ]
+
+    def test_a_page_named_as_a_servlet_class_stays_a_page_node(self, tmp_path):
+        # Whether a page's turn comes before or after the edge to the class
+        # of the same name, the graph keeps the page.
+        root = tmp_path / "app"
+        (root / "WEB-INF").mkdir(parents=True)
+        (root / "WEB-INF" / "web.xml").write_text(
+            """<web-app>
+              <servlet><servlet-name>go</servlet-name>
+                <servlet-class>/b.jsp</servlet-class></servlet>
+              <servlet-mapping><servlet-name>go</servlet-name>
+                <url-pattern>/go</url-pattern></servlet-mapping>
+            </web-app>""", encoding="utf-8")
+        (root / "a.jsp").write_text('<a href="/go">go</a>', encoding="utf-8")
+        (root / "b.jsp").write_text("b", encoding="utf-8")
+        (root / "c.jsp").write_text('<a href="/go">go</a>', encoding="utf-8")
+        result = run_pipeline(scan_webapp(root))
+        dot = emit_dot(result.graph).splitlines()
+        assert [line for line in dot if "/b.jsp" in line] == [
+            '  "/b.jsp";',
+            '  "/a.jsp" -> "/b.jsp" [label="a-href"];',
+            '  "/c.jsp" -> "/b.jsp" [label="a-href"];',
+        ]
+
     def test_ill_formed_web_xml_leaves_the_annotations_mapped(self, fixture_webapp):
         (fixture_webapp / "WEB-INF" / "web.xml").write_text("<web-app><servlet>",
                                                            encoding="utf-8")

@@ -18,10 +18,8 @@ A, B = ClassUnit("jsp_a"), ClassUnit("jsp_b")
 
 # Each value record: its fields, and a second value for each field.
 VALUES = {
-    UrlRef: ({"source_page": "/a.jsp", "tag_kind": "a-href", "attribute": "href",
-              "raw_url": "/b.jsp", "dynamic": False, "span": (0, 5)},
-             {"source_page": "/c.jsp", "tag_kind": "form", "attribute": "action",
-              "raw_url": "/d.jsp", "dynamic": True, "span": (1, 5)}),
+    UrlRef: ({"tag_kind": "a-href", "raw_url": "/b.jsp", "dynamic": False, "span": (0, 5)},
+             {"tag_kind": "form", "raw_url": "/d.jsp", "dynamic": True, "span": (1, 5)}),
     Diagnostic: ({"category": "io", "message": "m", "location": None},
                  {"category": "parse", "message": "n", "location": "/a.jsp"}),
     ResolvedTarget: ({"kind": ResolvedKind.INTERNAL_PAGE, "page_path": "/a.jsp",
@@ -58,7 +56,7 @@ def test_value_records_compare_by_value_and_cannot_change(record):
 
 
 @pytest.mark.parametrize("record", [
-    UrlRef("/a.jsp", "a-href", "href", "/b.jsp"),
+    UrlRef("a-href", "/b.jsp"),
     Diagnostic("io", "m"),
     ResolvedTarget(ResolvedKind.EXTERNAL),
     CodeRelationship(A, B, "a-href"),

@@ -7,13 +7,17 @@ the model take about 17 s and 2 s. A page of 8000 unterminated tags parses in
 about 50 ms; rescanning to EOF from every tag takes about 70 s. Each bound
 sits 15-25x above the linear time, so a slow spell of the machine cannot
 trip it, and the quadratic code exceeds it many times over. Ratio guards
-compare best-of-five or median times of two inputs instead.
+compare best-of-five or median times of two inputs instead. Beside the
+unterminated-tag ratios, step guards bound the characters the parser's two
+scanning regexes move over by a multiple of the page's length, which no
+machine's speed changes.
 """
 
 from __future__ import annotations
 
 import gc
 import random
+import re
 import statistics
 import time
 
@@ -34,6 +38,7 @@ from jspkdm import (
     parse_jsp,
     resolve_url,
 )
+from jspkdm import jsp_parser
 from jspkdm.jsp_parser import iter_nodes
 
 
@@ -48,6 +53,49 @@ def parse_seconds(source: str) -> float:
     elapsed = time.perf_counter() - start
     assert [n.kind for n in doc.nodes] == [NodeKind.TEMPLATE_TEXT]
     return elapsed
+
+
+class ScanCount:
+    """Counts the characters that ``jsp_parser._LT_RE``'s searches and
+    ``_ATTR_RE``'s matches move over: from each call's start to its match's
+    end, or to the string's end when nothing matches. The call that takes the
+    count past ``limit`` fails, so a quadratic scan fails at once rather than
+    after minutes."""
+
+    def __init__(self, monkeypatch, limit: int):
+        self.moved, self.limit = 0, limit
+        for name in ("_LT_RE", "_ATTR_RE"):
+            monkeypatch.setattr(jsp_parser, name, _CountingPattern(getattr(jsp_parser, name), self))
+
+    def add(self, m: re.Match | None, string: str, pos: int) -> re.Match | None:
+        self.moved += (m.end() if m else len(string)) - pos
+        assert self.moved <= self.limit, f"over {self.limit} characters scanned"
+        return m
+
+
+class _CountingPattern:
+    def __init__(self, pattern: re.Pattern, count: ScanCount):
+        self.pattern, self.count = pattern, count
+
+    def search(self, string: str, pos: int = 0) -> re.Match | None:
+        return self.count.add(self.pattern.search(string, pos), string, pos)
+
+    def match(self, string: str, pos: int = 0) -> re.Match | None:
+        return self.count.add(self.pattern.match(string, pos), string, pos)
+
+
+def assert_scans_linear(monkeypatch, run, source: str) -> None:
+    """``run()`` scans at most ``SCANS_PER_CHAR`` characters per character of
+    ``source``, and no fewer than one."""
+    with monkeypatch.context() as patched:
+        count = ScanCount(patched, SCANS_PER_CHAR * len(source))
+        run()
+    assert count.moved >= len(source)
+
+
+# The scans move over each character of these pages at most four times; one
+# that rescanned to EOF from every tag would move over thousands of pages.
+SCANS_PER_CHAR = 5
 
 
 def extract_seconds(source: str) -> float:
@@ -70,9 +118,11 @@ def test_parse_8000_unterminated_tags(tag):
 
 # Close tags are cheaper per tag, so it takes more of them for the quadratic
 # search to show.
-@pytest.mark.parametrize("tag, count", [("<c:t{} ", 8000), ("</c:t{} ", 64_000),
-                                        ('<c:t{0} a{0}="v" ', 8000), ("</c:t{}  ", 64_000),
-                                        ("<t{} ", 8000)])
+UNTERMINATED = [("<c:t{} ", 8000), ("</c:t{} ", 64_000), ('<c:t{0} a{0}="v" ', 8000),
+                ("</c:t{}  ", 64_000), ("<t{} ", 8000)]
+
+
+@pytest.mark.parametrize("tag, count", UNTERMINATED)
 def test_unterminated_tags_parse_in_linear_time(tag, count):
     small, large = unterminated_tags(count, tag), unterminated_tags(2 * count, tag)
     # Best of five alternating runs each, so one slow spell does not count.
@@ -80,6 +130,12 @@ def test_unterminated_tags_parse_in_linear_time(tag, count):
     small_s, large_s = min(r[0] for r in runs), min(r[1] for r in runs)
     assert large_s < 3 * small_s, (
         f"{small_s:.3f} s for {count} tags, {large_s:.3f} s for twice as many")
+
+
+@pytest.mark.parametrize("tag, count", UNTERMINATED)
+def test_unterminated_tags_parse_in_linear_steps(tag, count, monkeypatch):
+    for source in (unterminated_tags(count, tag), unterminated_tags(2 * count, tag)):
+        assert_scans_linear(monkeypatch, lambda: parse_seconds(source), source)
 
 
 # The extractor reads the attributes of each "a" tag in the template text, with
@@ -92,6 +148,12 @@ def test_8000_unterminated_links_extract_in_linear_time():
     assert small_s < 1.0, f"8000 unterminated links took {small_s:.2f} s"
     assert large_s < 3 * small_s, (
         f"{small_s:.3f} s for 8000 links, {large_s:.3f} s for twice as many")
+
+
+def test_8000_unterminated_links_extract_in_linear_steps(monkeypatch):
+    for source in (unterminated_tags(8000, "<a x{}="), unterminated_tags(16_000, "<a x{}=")):
+        doc = parse_jsp(source, "/open.jsp")
+        assert_scans_linear(monkeypatch, lambda: extract_url_refs(doc, []), source)
 
 
 def test_link_free_rows_parse_in_linear_time():
@@ -157,8 +219,7 @@ def test_resolve_1000_urls_against_10k_entries():
                         f"/p/{4 * rng.randrange(2500) + 1}/a/b",
                         f"/f/g.x{4 * rng.randrange(2500) + 2}", "/nowhere"])
             for _ in range(1000)]
-    refs = [UrlRef(source_page="/i.jsp", tag_kind="a-href", attribute="href",
-                   raw_url=url, dynamic=False) for url in urls]
+    refs = [UrlRef(tag_kind="a-href", raw_url=url, dynamic=False) for url in urls]
     start = time.perf_counter()
     targets = [resolve_url(table, ref, "/i.jsp") for ref in refs]
     elapsed = time.perf_counter() - start
