@@ -1,14 +1,14 @@
 """End-to-end orchestration over a webapp directory.
 
-First the deployment metadata becomes the URL-mapping table. Then, one page
-at a time, each page is parsed, translated to a servlet unit whose class
-joins the code model, and its URL references are extracted and resolved, so
-that only one page's document, unit and references are alive at once. Last,
-the resolved page-to-page dependencies are injected into the model. External
-targets, servlet-class targets and unresolved references stay in the
-dependency graph and the report; the model only ever relates class units.
-Per-file failures are isolated: a page that cannot be read, parsed,
-translated or extracted is reported and skipped.
+First the deployment metadata becomes the URL-mapping table. Then one page
+function, in each page's turn, parses the page, translates it to a servlet
+unit whose class joins the code model, and extracts and resolves its URL
+references, so that only one page's document, unit and references are alive
+at once. Last, the resolved page-to-page dependencies are injected into the
+model. External targets, servlet-class targets and unresolved references
+stay in the dependency graph and the report; the model only ever relates
+class units. Per-file failures are isolated: a page that cannot be read,
+parsed, translated or extracted is reported and skipped.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import fnmatch
 import json
 import os
 import re
-from collections.abc import Iterator
 from pathlib import Path
 
 from ._records import fields_repr
@@ -32,7 +31,6 @@ from .code_model import (
 from .dependency_extractor import extract_url_refs
 from .deployment_mapper import (
     ResolvedKind,
-    UrlMappingTable,
     XmlSyntaxError,
     build_lookup_table,
     java_qualified_class_name,
@@ -78,13 +76,10 @@ class DependencyGraph:
 
     __repr__ = fields_repr
 
-    def add_node(self, node_id: str, kind: str) -> None:
-        self.nodes.setdefault(node_id, kind)
-
     def add_edge(self, src: str, dst: str, tag_kind: str, dst_kind: str) -> bool:
         """Record a deduplicated edge; returns False for a repeat."""
-        self.add_node(src, NODE_PAGE)
-        self.add_node(dst, dst_kind)
+        self.nodes.setdefault(src, NODE_PAGE)
+        self.nodes.setdefault(dst, dst_kind)
         edge = (src, dst, tag_kind)
         if edge in self.edges:
             return False
@@ -166,8 +161,6 @@ def scan_webapp(root, include: list[str] | None = None,
     root = Path(root)
     if not root.is_dir():
         raise RootNotFound(str(root))
-    include = include or []
-    exclude = exclude or []
     inventory = WebAppInventory(root=root)
     pages: list[str] = []
     sources: list[str] = []
@@ -236,79 +229,15 @@ def _parse_failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-class _PageLoop:
-    """The pages, in the inventory's order, as an iterator of servlet units.
-
-    In its turn each page is read, parsed, translated and its servlet source
-    written, and its URL references are extracted and resolved into
-    ``graph`` and ``counts``; only ``internal`` (caller, target page, raw
-    URL, tag kind) and the page's diagnostics, in ``ref_diagnostics``,
-    outlive the turn. Its unit is dropped once the consumer has taken it.
-    """
-
-    def __init__(self, inventory: WebAppInventory, config: PipelineConfig,
-                 diagnostics: list[Diagnostic], table: UrlMappingTable):
-        self.inventory = inventory
-        self.config = config
-        self.diagnostics = diagnostics
-        self.table = table
-        self.known_pages = frozenset(inventory.jsp_pages)
-        self.graph = DependencyGraph()
-        self.counts = {"internal_page": 0, "internal_class": 0, "external": 0}
-        self.internal: list[tuple[str, str, str, str]] = []
-        self.ref_diagnostics: list[Diagnostic] = []
-        self.failed: list[str] = []
-        self.statements = 0
-
-    def __iter__(self) -> Iterator[ServletUnit]:
-        # map and filter hold no item past its turn, as a for loop's
-        # variable would.
-        return filter(None, map(self._page, self.inventory.jsp_pages))
-
-    def _page(self, page: str) -> ServletUnit | None:
-        config, diagnostics = self.config, self.diagnostics
-        page_diagnostics: list[Diagnostic] = []
-        try:
-            text = _read_text(self.inventory.root / page.lstrip("/"), config.encoding,
-                              diagnostics, page, newline="")
-            if text is None:
-                self.failed.append(page)
-                return None
-            doc = parse_jsp(text, page)
-            unit = translate_page(doc, config.known_tag_handlers, diagnostics)
-            refs = extract_url_refs(doc, page_diagnostics)
-        except Exception as exc:  # any fault in one page costs only that page
-            diagnostics.extend(page_diagnostics)
-            emit(diagnostics, "parse", _parse_failure(exc), page)
-            self.failed.append(page)
-            return None
-        self.statements += len(unit.service_body)
-        if config.servlet_src_out:
-            write_servlet_sources([unit], config.servlet_src_out)
-        self.graph.nodes[page] = NODE_PAGE  # over any class of that name
-        for ref in refs:
-            target = resolve_url(self.table, ref, page, self.known_pages, page_diagnostics)
-            if target.kind is ResolvedKind.EXTERNAL:
-                self.counts["external"] += 1
-                self.graph.add_edge(page, ref.raw_url, ref.tag_kind, NODE_EXTERNAL)
-            elif target.kind is ResolvedKind.INTERNAL_SERVLET_CLASS:
-                self.counts["internal_class"] += 1
-                self.graph.add_edge(page, target.class_name, ref.tag_kind, NODE_CLASS)
-            elif target.kind is ResolvedKind.INTERNAL_PAGE:
-                self.internal.append((page, target.page_path, ref.raw_url, ref.tag_kind))
-            else:
-                self.graph.unresolved.append((page, ref.raw_url, target.reason))
-        self.ref_diagnostics += page_diagnostics
-        return unit
-
-
 def run_pipeline(inventory: WebAppInventory,
                  config: PipelineConfig | None = None,
                  diagnostics: list[Diagnostic] | None = None) -> PipelineResult:
     """Build the mapping table, then parse -> translate -> discover and
     extract -> resolve page by page, then inject.
 
-    The page loop holds one page's document, unit and references at a time.
+    ``unit_of(page)`` is one page's turn. Its document and references die
+    with it: its unit goes to discovery, and each reference's verdict to the
+    graph, the counts or the internal-page references left to inject.
     ``diagnostics`` may carry pre-collected entries (e.g. from the scan); the
     run appends to it and the report includes everything. A
     ``config.servlet_src_out`` directory that cannot be made, which is found
@@ -354,15 +283,59 @@ def run_pipeline(inventory: WebAppInventory,
     # The page loop: pages to the code model, references to their verdicts.
     if config.servlet_src_out:
         Path(config.servlet_src_out).mkdir(parents=True, exist_ok=True)
-    loop = _PageLoop(inventory, config, diagnostics, table)
-    model = discover_model(loop, name=_shown(inventory.root.name) or "webapp")
-    diagnostics += table_diagnostics + loop.ref_diagnostics
-    graph, counts = loop.graph, loop.counts
+    known_pages = frozenset(inventory.jsp_pages)
+    graph = DependencyGraph()
+    counts = {"internal_page": 0, "internal_class": 0, "external": 0}
+    internal: list[tuple[str, str, str, str]] = []  # caller, target, raw URL, tag
+    ref_diagnostics: list[Diagnostic] = []
+    failed: list[str] = []
+    statements = 0
+
+    def unit_of(page: str) -> ServletUnit | None:
+        nonlocal statements
+        page_diagnostics: list[Diagnostic] = []
+        try:
+            text = _read_text(inventory.root / page.lstrip("/"), config.encoding,
+                              diagnostics, page, newline="")
+            if text is None:
+                failed.append(page)
+                return None
+            doc = parse_jsp(text, page)
+            unit = translate_page(doc, config.known_tag_handlers, diagnostics)
+            refs = extract_url_refs(doc, page_diagnostics)
+        except Exception as exc:  # any fault in one page costs only that page
+            diagnostics.extend(page_diagnostics)
+            emit(diagnostics, "parse", _parse_failure(exc), page)
+            failed.append(page)
+            return None
+        statements += len(unit.service_body)
+        if config.servlet_src_out:
+            write_servlet_sources([unit], config.servlet_src_out)
+        graph.nodes[page] = NODE_PAGE  # over any class of that name
+        for ref in refs:
+            target = resolve_url(table, ref, page, known_pages, page_diagnostics)
+            if target.kind is ResolvedKind.EXTERNAL:
+                counts["external"] += 1
+                graph.add_edge(page, ref.raw_url, ref.tag_kind, NODE_EXTERNAL)
+            elif target.kind is ResolvedKind.INTERNAL_SERVLET_CLASS:
+                counts["internal_class"] += 1
+                graph.add_edge(page, target.class_name, ref.tag_kind, NODE_CLASS)
+            elif target.kind is ResolvedKind.INTERNAL_PAGE:
+                internal.append((page, target.page_path, ref.raw_url, ref.tag_kind))
+            else:
+                graph.unresolved.append((page, ref.raw_url, target.reason))
+        ref_diagnostics.extend(page_diagnostics)
+        return unit
+
+    # map and filter hold no unit past its turn, as a for loop's variable would.
+    model = discover_model(filter(None, map(unit_of, inventory.jsp_pages)),
+                           name=_shown(inventory.root.name) or "webapp")
+    diagnostics += table_diagnostics + ref_diagnostics
 
     # Inject the page-to-page references; a target page may have failed.
     model_index = ModelIndex(model)
     duplicates = 0
-    for page, target_page, raw_url, tag_kind in loop.internal:
+    for page, target_page, raw_url, tag_kind in internal:
         target_unit = find_class_unit(model_index, target_page)
         if target_unit is None:
             graph.unresolved.append((page, raw_url, "target-page-not-in-model"))
@@ -377,9 +350,9 @@ def run_pipeline(inventory: WebAppInventory,
     counts["unresolved"] = len(graph.unresolved)
     report = {
         "pages": len(inventory.jsp_pages),
-        "pages_parsed": len(inventory.jsp_pages) - len(loop.failed),
-        "pages_failed": sorted(loop.failed),
-        "statements": loop.statements,
+        "pages_parsed": len(inventory.jsp_pages) - len(failed),
+        "pages_failed": sorted(failed),
+        "statements": statements,
         "url_refs": sum(counts.values()),
         "resolutions": counts,
         "relationships": len(model.relationships),

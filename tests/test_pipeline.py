@@ -458,6 +458,19 @@ class TestRunPipeline:
             {"category": "resolution", "message": clamped, "location": "/c.jsp:'/../c.jsp'"},
         ]
 
+    def test_report_totals_agree_with_the_model(self, fixture_webapp):
+        (fixture_webapp / "broken.jsp").write_text("<% nope", encoding="utf-8")
+        result = run_pipeline(scan_webapp(fixture_webapp))
+        report, model = result.report, result.model
+        assert report["pages_failed"] == ["/broken.jsp"]
+        assert report["pages"] == report["pages_parsed"] + len(report["pages_failed"]) == 6
+        assert report["url_refs"] == sum(report["resolutions"].values())
+        assert report["relationships"] == len(model.relationships) == len(FIXTURE_MODEL_EDGES)
+        statements = [e for c in model.class_units for m in c.code_elements
+                      if m.name == "_jspService" for e in m.block.elements
+                      if e.name != "newCall"]
+        assert report["statements"] == len(statements) > 0
+
     def test_a_page_named_as_a_servlet_class_stays_a_page_node(self, tmp_path):
         # Whether a page's turn comes before or after the edge to the class
         # of the same name, the graph keeps the page.
@@ -596,7 +609,6 @@ class TestEmitDot:
 
     def test_single_edge(self):
         graph = DependencyGraph()
-        graph.add_node("/a.jsp", NODE_PAGE)
         graph.add_edge("/a.jsp", "/b.jsp", "jsp:include", NODE_PAGE)
         dot = emit_dot(graph)
         edge_lines = [l for l in dot.splitlines() if "->" in l]

@@ -168,6 +168,12 @@ def test_link_free_rows_parse_in_linear_time():
         f"{small_s:.3f} s for 10,000 rows, {large_s:.3f} s for twice as many")
 
 
+def test_link_free_rows_parse_in_linear_steps(monkeypatch):
+    row = '<tr><td class="c">x</td></tr>\n'
+    for source in (row * 10_000, row * 20_000):
+        assert_scans_linear(monkeypatch, lambda: parse_seconds(source), source)
+
+
 def test_unclosed_actions_before_a_large_page_cost_little():
     # Folding each unclosed action used to copy every node after it, twice:
     # 400 of them doubled the parse time of a page of 21,000 nodes. HTML is
