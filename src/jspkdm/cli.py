@@ -119,6 +119,11 @@ def main(argv: list[str] | None = None) -> int:
     except (LookupError, ValueError):
         print(f"jspkdm: unknown encoding: {config.encoding}", file=sys.stderr)
         return 2
+    # A servlet context path is "" or starts with "/".
+    if config.context_path and not config.context_path.startswith("/"):
+        print(f'jspkdm: context path must start with "/": {config.context_path}',
+              file=sys.stderr)
+        return 2
     scan_diagnostics: list = []
     try:
         inventory = scan_webapp(args.webapp_root, config.include, config.exclude,

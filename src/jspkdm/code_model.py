@@ -9,8 +9,9 @@ lossless round trip) and a simplified XMI dialect (see docs/MODEL_FORMATS.md).
 
 from __future__ import annotations
 
+import functools
 import json
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from io import BufferedIOBase
 from json.encoder import encode_basestring_ascii
 
@@ -224,21 +225,12 @@ def _quoteattr(value: str) -> str:
     return '"' + value.replace('"', "&quot;") + '"'
 
 
-class _Heads(dict):
-    """Element heads by (name, kind), each rendered by ``render`` once per
-    document. At most 256 are kept, so a model whose element names are all
-    distinct holds no head per element."""
-
-    def __init__(self, render: Callable[[str, str], str]):
-        self.render = render
-
-    def __missing__(self, key: tuple[str, str]) -> str:
-        head = self.render(*key)
-        if len(self) < 256:
-            self[key] = head
-        return head
+# An element's head depends only on its (name, kind). Each writer keeps the
+# last 256 it rendered, so a model whose element names are all distinct
+# holds no head per element.
 
 
+@functools.lru_cache(maxsize=256)
 def _xmi_head(name: str, kind: str) -> str:
     return f'            <codeElement name={_quoteattr(name)} kind={_quoteattr(kind)}'
 
@@ -247,12 +239,11 @@ def _xmi_chunks(model: KdmModel) -> Iterator[str]:
     """The XMI document in pieces: the head, then one piece per class unit,
     then one per relationship; their concatenation is the document.
 
-    An element's head, ``<codeElement name=… kind=…``, is quoted once per
-    distinct (name, kind) pair in the document, and its span and relations
-    are written after it.
+    An element's head, ``<codeElement name=… kind=…``, comes from
+    :func:`_xmi_head`'s cache, and its span and relations are written after
+    it.
     """
     rel_ids = {id(r): f"rel.{i}" for i, r in enumerate(model.relationships)}
-    heads = _Heads(_xmi_head)
     yield (f'<?xml version="1.0" encoding="UTF-8"?>\n'
            f'<kdm:Segment xmlns:kdm={_quoteattr(KDM_NS)} xmlns:xmi={_quoteattr(XMI_NS)} '
            f'xmi:version="2.1" name={_quoteattr(model.name)}>\n'
@@ -269,7 +260,7 @@ def _xmi_chunks(model: KdmModel) -> Iterator[str]:
                          f'name={_quoteattr(method.name)}>')
             lines.append(f'          <blockUnit xmi:id={_quoteattr(mid + ".block")}>')
             for el in method.block.elements:
-                line = heads[el.name, el.kind]
+                line = _xmi_head(el.name, el.kind)
                 span = el.origin_span
                 if span is not None:
                     line = f'{line} spanStart="{span[0]}" spanEnd="{span[1]}"'
@@ -306,6 +297,7 @@ def _json_array(items: Iterable[str], indent: str) -> str:
     return "".join(_json_array_chunks(items, indent))
 
 
+@functools.lru_cache(maxsize=256)
 def _json_head(name: str, kind: str) -> str:
     q = encode_basestring_ascii
     return (f'{{\n              "name": {q(name)},\n'
@@ -313,13 +305,13 @@ def _json_head(name: str, kind: str) -> str:
             f'              "origin_span": ')
 
 
-def _json_class(c: ClassUnit, rel_index: dict[int, str], heads: _Heads) -> str:
+def _json_class(c: ClassUnit, rel_index: dict[int, str]) -> str:
     q = encode_basestring_ascii
     methods = []
     for m in c.code_elements:
         elements = []
         for e in m.block.elements:
-            head = heads[e.name, e.kind]
+            head = _json_head(e.name, e.kind)
             span = e.origin_span
             rels = (_json_array([rel_index[id(r)] for r in e.relationships], " " * 14)
                     if e.relationships else "[]")
@@ -348,9 +340,9 @@ def _json_chunks(model: KdmModel) -> Iterator[str]:
     every string goes through the C-accelerated ``encode_basestring_ascii``
     that ``ensure_ascii=True`` uses. ``json.dumps`` with an indent runs the
     pure-Python encoder over a dict tree built first. An element object's
-    head, its name, kind and ``"origin_span": ``, is rendered once per
-    distinct (name, kind) pair in the document; its span, a pair, follows
-    in one template, and an empty relationship list is ``[]``.
+    head, its name, kind and ``"origin_span": ``, comes from
+    :func:`_json_head`'s cache; its span, a pair, follows in one template,
+    and an empty relationship list is ``[]``.
     """
     q = encode_basestring_ascii
     rel_index = {id(r): repr(i) for i, r in enumerate(model.relationships)}
@@ -359,9 +351,8 @@ def _json_chunks(model: KdmModel) -> Iterator[str]:
            f'  "packages": [\n    {{\n      "name": "{PACKAGE}",\n'
            f'      "classes": {classes}\n    }}\n  ],\n'
            f'  "class_units": ')
-    heads = _Heads(_json_head)
     yield from _json_array_chunks(
-        (_json_class(c, rel_index, heads) for c in model.class_units), "  ")
+        (_json_class(c, rel_index) for c in model.class_units), "  ")
     yield ',\n  "relationships": '
     yield from _json_array_chunks((
         f'{{\n      "from": {q(r.from_class.name)},\n'

@@ -38,22 +38,20 @@ class ServletDecl:
 
 
 class UrlMappingTable:
-    """Mapping entries in table order, with ``index`` from pattern to position.
+    """``entries`` maps each valid pattern to its servlet's declaration, in
+    table order.
 
     A valid pattern is its own lookup key, so :func:`resolve_url` builds the
-    patterns that could match a path and looks each one up in ``index``.
+    patterns that could match a path and looks each one up in ``entries``.
     ``prefix_lengths`` holds the length of each prefix pattern's path part
     ("/a/*" has 2), longest first, so only those prefixes of a path are built.
-    ``decls`` holds the first declaration of each servlet name.
-    :func:`build_lookup_table` builds tables; do not change ``entries``,
-    ``index``, ``prefix_lengths`` or ``decls`` otherwise.
+    :func:`build_lookup_table` builds tables; do not change ``entries`` or
+    ``prefix_lengths`` otherwise.
     """
 
     def __init__(self, context_path: str = ""):
-        self.entries: list[tuple[str, str]] = []
-        self.index: dict[str, int] = {}
+        self.entries: dict[str, ServletDecl] = {}
         self.prefix_lengths: list[int] = []
-        self.decls: dict[str, ServletDecl] = {}
         self.context_path = context_path
 
     __repr__ = fields_repr
@@ -290,10 +288,11 @@ def build_lookup_table(decls: list[ServletDecl],
     over an annotation one; the shadowed mapping is recorded.
     """
     table = UrlMappingTable(context_path=context_path)
+    by_name: dict[str, ServletDecl] = {}
     for decl in decls:
-        table.decls.setdefault(decl.servlet_name, decl)
+        by_name.setdefault(decl.servlet_name, decl)
     for pattern, servlet_name in mappings:
-        decl = table.decls.get(servlet_name)
+        decl = by_name.get(servlet_name)
         if decl is None:
             emit(diagnostics, "mapping",
                  f"url-pattern {pattern!r} maps to undeclared servlet "
@@ -303,24 +302,20 @@ def build_lookup_table(decls: list[ServletDecl],
             emit(diagnostics, "mapping",
                  f"invalid url-pattern {pattern!r} for servlet {servlet_name!r}; dropped")
             continue
-        if pattern not in table.index:
-            table.index[pattern] = len(table.entries)
-            table.entries.append((pattern, servlet_name))
-            continue
-        position = table.index[pattern]
-        _, current_name = table.entries[position]
-        if (table.decls[current_name].source == SOURCE_ANNOTATION
-                and decl.source == SOURCE_WEB_XML):
+        current = table.entries.get(pattern)
+        if current is None:
+            table.entries[pattern] = decl
+        elif current.source == SOURCE_ANNOTATION and decl.source == SOURCE_WEB_XML:
             emit(diagnostics, "mapping",
                  f"pattern {pattern!r}: web.xml servlet {servlet_name!r} "
-                 f"shadows annotation servlet {current_name!r}")
-            table.entries[position] = (pattern, servlet_name)
+                 f"shadows annotation servlet {current.servlet_name!r}")
+            table.entries[pattern] = decl  # the entry keeps its position
         else:
             emit(diagnostics, "mapping",
-                 f"pattern {pattern!r} already mapped to {current_name!r}; "
+                 f"pattern {pattern!r} already mapped to {current.servlet_name!r}; "
                  f"{servlet_name!r} shadowed")
     # Of the valid patterns, only the prefix patterns end in "/*".
-    table.prefix_lengths = sorted({len(p) - 2 for p in table.index if p.endswith("/*")},
+    table.prefix_lengths = sorted({len(p) - 2 for p in table.entries if p.endswith("/*")},
                                   reverse=True)
     return table
 
@@ -414,14 +409,12 @@ def resolve_url(table: UrlMappingTable, ref: UrlRef, source_page: str,
     if dot > path.rfind("/"):
         probes.append("*" + path[dot:])
     probes.append("/")
-    hits = [table.index[p] for p in probes if p in table.index]
+    hits = [p for p in probes if p in table.entries]
     if hits:
-        pattern, servlet_name = table.entries[hits[0]]
         if len(hits) > 1:
-            shadowed = [table.entries[i][0] for i in sorted(hits[1:])]
             emit(diagnostics, "resolution",
-                 f"pattern {pattern!r} wins over {shadowed}", where)
-        decl = table.decls[servlet_name]
+                 f"pattern {hits[0]!r} wins over {hits[1:]}", where)
+        decl = table.entries[hits[0]]
         if decl.jsp_file:
             return ResolvedTarget(ResolvedKind.INTERNAL_PAGE, page_path=decl.jsp_file)
         if decl.servlet_class:

@@ -8,7 +8,9 @@ at once. Last, the resolved page-to-page dependencies are injected into the
 model. External targets, servlet-class targets and unresolved references
 stay in the dependency graph and the report; the model only ever relates
 class units. Per-file failures are isolated: a page that cannot be read,
-parsed, translated or extracted is reported and skipped.
+parsed, translated or extracted is reported and skipped. Every diagnostic
+joins the run's one list when it is found, so the list keeps the order the
+run works in.
 """
 
 from __future__ import annotations
@@ -239,7 +241,8 @@ def run_pipeline(inventory: WebAppInventory,
     with it: its unit goes to discovery, and each reference's verdict to the
     graph, the counts or the internal-page references left to inject.
     ``diagnostics`` may carry pre-collected entries (e.g. from the scan); the
-    run appends to it and the report includes everything. A
+    run appends each diagnostic to it when it is found, the table's first,
+    then each page's in turn, and the report lists them all in that order. A
     ``config.servlet_src_out`` directory that cannot be made, which is found
     before any page is read, or a servlet source that cannot be written there
     raises ``OSError``.
@@ -248,37 +251,36 @@ def run_pipeline(inventory: WebAppInventory,
     diagnostics = diagnostics if diagnostics is not None else []
 
     # The URL-mapping table, from web.xml and the annotations.
-    table_diagnostics: list[Diagnostic] = []
     decls = []
     mappings = []
     if inventory.web_xml:
         try:
             raw = (inventory.root / inventory.web_xml.lstrip("/")).read_bytes()
-            decls, mappings = parse_web_xml(raw, table_diagnostics)
+            decls, mappings = parse_web_xml(raw, diagnostics)
         except OSError as exc:
-            emit(table_diagnostics, "io", f"cannot read web.xml: {exc.strerror}",
+            emit(diagnostics, "io", f"cannot read web.xml: {exc.strerror}",
                  inventory.web_xml)
         except XmlSyntaxError as exc:
-            emit(table_diagnostics, "web-xml", str(exc), inventory.web_xml)
+            emit(diagnostics, "web-xml", str(exc), inventory.web_xml)
     java_files: list[tuple[str, Path]] = [
         (rel, inventory.root / rel.lstrip("/")) for rel in inventory.java_sources]
     for source_root in config.source_roots:
         base = Path(source_root)
         if not base.is_dir():
-            emit(table_diagnostics, "io", "source root not found", str(base))
+            emit(diagnostics, "io", "source root not found", str(base))
             continue
         java_files.extend(
             (p.as_posix(), p) for p in sorted(base.rglob("*.java"))
-            if p.is_file() and _utf8_path(p.as_posix(), table_diagnostics))
+            if p.is_file() and _utf8_path(p.as_posix(), diagnostics))
     for label, java_path in java_files:
-        source = _read_text(java_path, config.encoding, table_diagnostics, label)
+        source = _read_text(java_path, config.encoding, diagnostics, label)
         if source is None:
             continue
         qualified = java_qualified_class_name(source, java_path.stem)
-        for pattern, decl in scan_webservlet_annotations(source, qualified, table_diagnostics):
+        for pattern, decl in scan_webservlet_annotations(source, qualified, diagnostics):
             decls.append(decl)
             mappings.append((pattern, decl.servlet_name))
-    table = build_lookup_table(decls, mappings, config.context_path, table_diagnostics)
+    table = build_lookup_table(decls, mappings, config.context_path, diagnostics)
 
     # The page loop: pages to the code model, references to their verdicts.
     if config.servlet_src_out:
@@ -287,13 +289,11 @@ def run_pipeline(inventory: WebAppInventory,
     graph = DependencyGraph()
     counts = {"internal_page": 0, "internal_class": 0, "external": 0}
     internal: list[tuple[str, str, str, str]] = []  # caller, target, raw URL, tag
-    ref_diagnostics: list[Diagnostic] = []
     failed: list[str] = []
     statements = 0
 
     def unit_of(page: str) -> ServletUnit | None:
         nonlocal statements
-        page_diagnostics: list[Diagnostic] = []
         try:
             text = _read_text(inventory.root / page.lstrip("/"), config.encoding,
                               diagnostics, page, newline="")
@@ -302,9 +302,8 @@ def run_pipeline(inventory: WebAppInventory,
                 return None
             doc = parse_jsp(text, page)
             unit = translate_page(doc, config.known_tag_handlers, diagnostics)
-            refs = extract_url_refs(doc, page_diagnostics)
+            refs = extract_url_refs(doc, diagnostics)
         except Exception as exc:  # any fault in one page costs only that page
-            diagnostics.extend(page_diagnostics)
             emit(diagnostics, "parse", _parse_failure(exc), page)
             failed.append(page)
             return None
@@ -313,7 +312,7 @@ def run_pipeline(inventory: WebAppInventory,
             write_servlet_sources([unit], config.servlet_src_out)
         graph.nodes[page] = NODE_PAGE  # over any class of that name
         for ref in refs:
-            target = resolve_url(table, ref, page, known_pages, page_diagnostics)
+            target = resolve_url(table, ref, page, known_pages, diagnostics)
             if target.kind is ResolvedKind.EXTERNAL:
                 counts["external"] += 1
                 graph.add_edge(page, ref.raw_url, ref.tag_kind, NODE_EXTERNAL)
@@ -324,13 +323,11 @@ def run_pipeline(inventory: WebAppInventory,
                 internal.append((page, target.page_path, ref.raw_url, ref.tag_kind))
             else:
                 graph.unresolved.append((page, ref.raw_url, target.reason))
-        ref_diagnostics.extend(page_diagnostics)
         return unit
 
     # map and filter hold no unit past its turn, as a for loop's variable would.
     model = discover_model(filter(None, map(unit_of, inventory.jsp_pages)),
                            name=_shown(inventory.root.name) or "webapp")
-    diagnostics += table_diagnostics + ref_diagnostics
 
     # Inject the page-to-page references; a target page may have failed.
     model_index = ModelIndex(model)
@@ -351,7 +348,7 @@ def run_pipeline(inventory: WebAppInventory,
     report = {
         "pages": len(inventory.jsp_pages),
         "pages_parsed": len(inventory.jsp_pages) - len(failed),
-        "pages_failed": sorted(failed),
+        "pages_failed": failed,
         "statements": statements,
         "url_refs": sum(counts.values()),
         "resolutions": counts,

@@ -8,11 +8,13 @@ character scans, regexes and brute-force ranking, so that a test asserting
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from xml.sax.saxutils import quoteattr
 
 from jspkdm import (TAG_TABLE, CodeStatement, DuplicateAttribute, JspNode, JspParseError,
                     MalformedAttribute, NodeKind, ServletUnit, StatementKind, UrlRef,
                     mangle_class_name)
+from jspkdm.deployment_mapper import ServletDecl
 from jspkdm.diagnostics import Diagnostic, emit
 from jspkdm.jsp_parser import (_CLOSE_OPENER, _DELIMITED, _DIRECTIVE_OPENER, _PREFIXED_NAME,
                                _Parser, iter_nodes, normalize_page_path)
@@ -108,27 +110,27 @@ def regex_table2_scan(text: str) -> list[tuple[str, str, str]]:
 # -- servlet url-pattern precedence ------------------------------------------------
 
 
-def _ranked_matches(entries: list[tuple[str, str]],
-                    url: str) -> list[tuple[int, int, int, str, str]]:
-    """(tier, tiebreak, index, pattern, servlet) for every matching entry."""
-    ranked: list[tuple[int, int, int, str, str]] = []
-    for index, (pattern, servlet_name) in enumerate(entries):
+def _ranked_matches(entries: Iterable[tuple[str, ServletDecl]],
+                    url: str) -> list[tuple[int, int, int, str, ServletDecl]]:
+    """(tier, tiebreak, index, pattern, decl) for every matching entry."""
+    ranked: list[tuple[int, int, int, str, ServletDecl]] = []
+    for index, (pattern, decl) in enumerate(entries):
         if pattern == "/":
-            ranked.append((3, 0, index, pattern, servlet_name))
+            ranked.append((3, 0, index, pattern, decl))
         elif pattern.endswith("/*"):
             base = pattern[:-2]
             if url == base or url.startswith(base + "/"):
-                ranked.append((1, -len(base), index, pattern, servlet_name))
+                ranked.append((1, -len(base), index, pattern, decl))
         elif pattern.startswith("*."):
             if url.endswith(pattern[1:]):
-                ranked.append((2, 0, index, pattern, servlet_name))
+                ranked.append((2, 0, index, pattern, decl))
         elif url == pattern:
-            ranked.append((0, 0, index, pattern, servlet_name))
+            ranked.append((0, 0, index, pattern, decl))
     return ranked
 
 
-def precedence_oracle(entries: list[tuple[str, str]],
-                      url: str) -> tuple[str, str] | None:
+def precedence_oracle(entries: Iterable[tuple[str, ServletDecl]],
+                      url: str) -> tuple[str, ServletDecl] | None:
     """Brute-force winner: rank every matching pattern by
     (exact, longest prefix, extension, default) and entry order."""
     ranked = sorted(_ranked_matches(entries, url))
@@ -137,9 +139,9 @@ def precedence_oracle(entries: list[tuple[str, str]],
     return ranked[0][3], ranked[0][4]
 
 
-def matching_patterns(entries: list[tuple[str, str]], url: str) -> list[str]:
-    """Every pattern that matches ``url``, in table order."""
-    return [m[3] for m in _ranked_matches(entries, url)]
+def ranked_patterns(entries: Iterable[tuple[str, ServletDecl]], url: str) -> list[str]:
+    """Every pattern that matches ``url``, in precedence order."""
+    return [m[3] for m in sorted(_ranked_matches(entries, url))]
 
 
 # -- java string literals -----------------------------------------------------------

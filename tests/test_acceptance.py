@@ -104,12 +104,12 @@ def test_criterion_3_url_mapping_conformance():
                     patterns.append((p, f"/t{len(patterns)}.jsp"))
             table = table_of(patterns)
             url = random_url(rng)
-            expected = precedence_oracle(table.entries, url)
+            expected = precedence_oracle(table.entries.items(), url)
             got = resolve_url(table, make_ref(url), "/index.jsp")
             if expected is None:
                 assert got.kind is ResolvedKind.UNRESOLVED
             else:
-                decl = table.decls[expected[1]]
+                decl = expected[1]
                 assert got.kind is ResolvedKind.INTERNAL_PAGE
                 assert got.page_path == decl.jsp_file
             agreements += 1

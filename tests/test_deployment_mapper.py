@@ -26,7 +26,7 @@ from jspkdm.deployment_mapper import (
     java_qualified_class_name,
     normalize_url_path,
 )
-from .oracles import matching_patterns, precedence_oracle
+from .oracles import precedence_oracle, ranked_patterns
 
 WEB_XML_POWERS = b"""<?xml version="1.0" encoding="UTF-8"?>
 <web-app xmlns="http://java.sun.com/xml/ns/javaee">
@@ -177,17 +177,17 @@ class TestBuildLookupTable:
         diagnostics = []
         table = build_lookup_table(decls, [("/x", "ann"), ("/x", "xml")],
                                    diagnostics=diagnostics)
-        assert table.entries == [("/x", "xml")]
+        assert table.entries == {"/x": decls[1]}
         assert any("shadow" in d.message for d in diagnostics)
 
     def test_empty_inputs(self):
         table = build_lookup_table([], [])
-        assert table.entries == [] and table.decls == {}
+        assert table.entries == {} and table.prefix_lengths == []
 
     def test_dangling_mapping_dropped(self):
         diagnostics = []
         table = build_lookup_table([], [("/x", "ghost")], diagnostics=diagnostics)
-        assert table.entries == []
+        assert table.entries == {}
         assert any("undeclared" in d.message for d in diagnostics)
 
     def test_same_source_collision_first_wins(self):
@@ -196,8 +196,23 @@ class TestBuildLookupTable:
         diagnostics = []
         table = build_lookup_table(decls, [("/x", "one"), ("/x", "two")],
                                    diagnostics=diagnostics)
-        assert table.entries == [("/x", "one")]
+        assert table.entries == {"/x": decls[0]}
         assert len(diagnostics) == 1
+
+    def test_same_servlet_mapped_twice_to_one_pattern(self):
+        decls, mappings = parse_web_xml(
+            b"""<web-app><servlet><servlet-name>s</servlet-name>
+                  <jsp-file>/s.jsp</jsp-file></servlet>
+                <servlet-mapping><servlet-name>s</servlet-name>
+                  <url-pattern>/x</url-pattern></servlet-mapping>
+                <servlet-mapping><servlet-name>s</servlet-name>
+                  <url-pattern>/x</url-pattern></servlet-mapping></web-app>""")
+        diagnostics = []
+        table = build_lookup_table(decls, mappings, diagnostics=diagnostics)
+        assert [d.message for d in diagnostics] == [
+            "pattern '/x' already mapped to 's'; 's' shadowed"]
+        assert len(table.entries) == 1
+        assert resolve_url(table, make_ref("/x"), "/i.jsp").page_path == "/s.jsp"
 
     def test_invalid_pattern_dropped(self):
         decls = [ServletDecl("s", jsp_file="/a.jsp")]
@@ -205,7 +220,7 @@ class TestBuildLookupTable:
         table = build_lookup_table(decls, [("x-no-slash", "s"), ("/ok", "s"),
                                            ("*.tar.gz", "s")],
                                    diagnostics=diagnostics)
-        assert table.entries == [("/ok", "s")]
+        assert table.entries == {"/ok": decls[0]}
         assert len(diagnostics) == 2
 
     def test_pattern_shapes(self):
@@ -351,7 +366,7 @@ class TestResolveUrl:
         ("/*", "/all.jsp", "pattern '/*' wins over ['/']"),
         ("/", "/all.jsp", "pattern '/*' wins over ['/']"),
         ("/a*", "/all.jsp", "pattern '/*' wins over ['/']"),
-        ("/b/*.jsp", "/all.jsp", "pattern '/*' wins over ['/', '*.jsp']"),
+        ("/b/*.jsp", "/all.jsp", "pattern '/*' wins over ['*.jsp', '/']"),
     ])
     def test_url_spelled_like_a_pattern(self, url, page_path, message):
         """Such a URL matches by the rules, never as an exact hit on the
@@ -426,19 +441,18 @@ class TestPrecedenceAgainstOracle:
                     patterns.append((p, f"/t{len(patterns)}.jsp"))
             table = table_of(patterns)
             url = random_url(rng)
-            expected = precedence_oracle(table.entries, url)
+            expected = precedence_oracle(table.entries.items(), url)
             got = resolve_url(table, make_ref(url), "/index.jsp")
             if expected is None:
                 assert got.kind is ResolvedKind.UNRESOLVED
             else:
-                pattern, servlet_name = expected
-                decl = table.decls[servlet_name]
+                pattern, decl = expected
                 assert got.kind is ResolvedKind.INTERNAL_PAGE
                 assert got.page_path == decl.jsp_file
 
     def test_10k_cases_agree_with_brute_force(self):
-        """Winner and shadowed patterns of the bucketed table, against the
-        oracle's scan of every entry. Dotted directory segments ("/a.do/x")
+        """Winner and shadowed patterns, in precedence order, against the
+        oracle's ranking of every entry. Dotted directory segments ("/a.do/x")
         must not match "*.do"; the URL "/" and the context root itself hit
         "/*" and the default "/"."""
         rng = random.Random(0xB0C7)
@@ -469,16 +483,16 @@ class TestPrecedenceAgainstOracle:
                 diagnostics = []
                 got = resolve_url(table, make_ref(raw), "/index.jsp",
                                   diagnostics=diagnostics)
-                expected = precedence_oracle(table.entries, url)
+                expected = precedence_oracle(table.entries.items(), url)
                 cases += 1
                 if expected is None:
                     assert got.kind is ResolvedKind.UNRESOLVED
                     assert diagnostics == []
                     continue
-                winner, servlet_name = expected
+                winner, decl = expected
                 assert got.kind is ResolvedKind.INTERNAL_PAGE
-                assert got.page_path == table.decls[servlet_name].jsp_file
-                shadowed = [p for p in matching_patterns(table.entries, url)
+                assert got.page_path == decl.jsp_file
+                shadowed = [p for p in ranked_patterns(table.entries.items(), url)
                             if p != winner]
                 assert [d.message for d in diagnostics] == (
                     [f"pattern {winner!r} wins over {shadowed}"] if shadowed else [])

@@ -2,8 +2,8 @@
 
 The digests pin the exact bytes of every artifact of one ``jspkdm analyze``
 run on the fixture webapp, rendered servlet sources included, and of each
-benchmark workload at seed 1. A change that means to alter an output format
-updates them and says why; so does a benchmark change that alters a
+benchmark workload at seeds 1 and 7. A change that means to alter an output
+format updates them and says why; so does a benchmark change that alters a
 generator in ``bench/workloads.py``.
 
 The workloads run in process, each in its own work directory with the
@@ -78,6 +78,37 @@ WORKLOAD_SHA256 = {
     },
 }
 
+# The same at seed 7.
+WORKLOAD_SHA256_SEED_7 = {
+    "descriptor-heavy": {
+        "exit": 1,
+        "out/deps.dot": "d38cb8ffdcdec117c1c5c5695854a9d80381088fba943de36ba7ce633a3d6168",
+        "out/model.json": "e41e30c4d0a9f2dd696c11a86ed9a400f928e7cbdde58656a470ff3f3e31c04a",
+        "out/model.xmi": "f41336c8515ca0b28f5d4ca20fef052b33372270594e7c69f727e4d3600eec01",
+        "out/report.json": "6b0f83cc1df3575d19a9e27fdd2adb71f194774d1d6ee493c6d7fa899e413225",
+    },
+    "hostile-pages": {
+        "exit": 0,
+        "out/model.json": "463907a598c90edcb2d71f8b2265a208ff430c15db87bf91a1b7213966878bd0",
+        "out/model.xmi": "1a1e93aca63d77563af4caf47cbda02b055ca365690d41e85135e8e23502993d",
+    },
+    "linked-site": {
+        "exit": 1,
+        "out/deps.dot": "0aa1220f6fff0591cada26197ba9890bc7137942d9ac16cb1952aec07c38a175",
+        "out/model.json": "1c3aa45d54815c5eb9b073de83bbed1d64b95c916a2ecc17bde32ec5b348acc9",
+        "out/model.xmi": "79bf3b4a15a267b4e3764189610440f73759229ca51cd5743b2a345735c8471d",
+        "out/report.json": "39cba7e2edde2759e840b3a91d15e3e2569a160b5597bb7fe30369dc37b3a596",
+    },
+    "script-heavy": {
+        "exit": 0,
+        "out/deps.dot": "427e7e25e01f3049eb8a78cc5d8260eba267123f5f862cfed1d48d23caf4d8b5",
+        "out/model.json": "9937cb7a206437c06541c964c25fccee16c3f8b01e4cf2190ff5284bdbc262fe",
+        "out/model.xmi": "c0395ebfdbda04b5bc3d52d859aee940bbf9c092a973179ee0aa742ca1a6bbcc",
+        "out/report.json": "4bac8f2a0e5b4642405d3b5eb70aff1605b9f90e11cff025c5e26fdd5a8ea1fd",
+        "servlets/": "0a7cdfc3dde4616697ba0f4234b9c6a3585847b067bb7fbecbc257afb3d90a04",
+    },
+}
+
 
 def test_fixture_artifacts_match_golden_digests(fixture_webapp, tmp_path):
     assert main(["analyze", str(fixture_webapp), "--out", str(tmp_path / "out"),
@@ -107,10 +138,10 @@ def _tree_sha256(root: Path) -> str:
     return hashlib.sha256(listing.encode("utf-8")).hexdigest()
 
 
-def run_workload(name: str, work: Path) -> dict[str, object]:
-    """Generate workload ``name`` at seed 1 under ``work``, which must be the
-    current directory, run it, and return its exit code and digests."""
-    app = _load_bench("workloads").GENERATORS[name](1)
+def run_workload(name: str, seed: int, work: Path) -> dict[str, object]:
+    """Generate workload ``name`` at ``seed`` under ``work``, which must be
+    the current directory, run it, and return its exit code and digests."""
+    app = _load_bench("workloads").GENERATORS[name](seed)
     app.write(work)
     if app.per_page:
         code = _load_bench("hostile").main([app.root, "out"])
@@ -128,4 +159,10 @@ def run_workload(name: str, work: Path) -> dict[str, object]:
 @pytest.mark.parametrize("name", sorted(WORKLOAD_SHA256))
 def test_workload_artifacts_match_golden_digests(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert run_workload(name, tmp_path) == WORKLOAD_SHA256[name]
+    assert run_workload(name, 1, tmp_path) == WORKLOAD_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SHA256_SEED_7))
+def test_workload_artifacts_at_seed_7_match_golden_digests(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_workload(name, 7, tmp_path) == WORKLOAD_SHA256_SEED_7[name]

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import weakref
+from itertools import groupby
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -426,9 +427,9 @@ class TestRunPipeline:
             ["/detail.jsp"] * 2, ["/header.jsp"], ["/index.jsp"] * 5]
         assert all(resolved == [page] * len(resolved) for page, resolved in turns)
 
-    def test_report_lists_scan_pages_table_then_references(self, tmp_path):
-        # Each page's extraction and resolution diagnostics follow the
-        # table's, which follow those the page loop made as it went.
+    def test_report_lists_scan_table_then_each_page_in_turn(self, tmp_path):
+        # Each diagnostic is listed when it is found: the scan's, the
+        # table's, then each page's, in inventory order.
         root = tmp_path / "app"
         (root / "WEB-INF").mkdir(parents=True)
         (root / "WEB-INF" / "web.xml").write_text(
@@ -447,16 +448,60 @@ class TestRunPipeline:
         assert result.report["diagnostics"] == [
             {"category": "io", "message": "page name contains a backslash; skipped",
              "location": "/d\\e.jsp"},
-            {"category": "parse", "message": "/b.jsp@0: unterminated scriptlet",
-             "location": "/b.jsp"},
             {"category": "mapping",
              "message": "url-pattern '/g' maps to undeclared servlet 'ghost'; dropped"},
             {"category": "extraction", "message": "unsupported form method 'delete'",
              "location": "/a.jsp@0"},
             {"category": "resolution", "message": clamped,
              "location": "/a.jsp:'../../x.jsp'"},
+            {"category": "parse", "message": "/b.jsp@0: unterminated scriptlet",
+             "location": "/b.jsp"},
             {"category": "resolution", "message": clamped, "location": "/c.jsp:'/../c.jsp'"},
         ]
+
+    def test_each_page_lists_its_diagnostics_together_in_inventory_order(self,
+                                                                           tmp_path):
+        # Scan, table, translation, extraction, parse and resolution
+        # diagnostics mixed: the table's come before any page's, and each
+        # page's are contiguous, in inventory order, as each stage found them.
+        root = tmp_path / "app"
+        (root / "WEB-INF").mkdir(parents=True)
+        (root / "WEB-INF" / "web.xml").write_text(
+            """<web-app>
+              <servlet><servlet-name>s</servlet-name><jsp-file>/e.jsp</jsp-file></servlet>
+              <servlet-mapping><servlet-name>s</servlet-name>
+                <url-pattern>/x/*</url-pattern><url-pattern>*.jsp</url-pattern>
+                <url-pattern>bad</url-pattern></servlet-mapping>
+              <servlet-mapping><servlet-name>ghost</servlet-name>
+                <url-pattern>/g</url-pattern></servlet-mapping>
+            </web-app>""", encoding="utf-8")
+        (root / "a.jsp").write_text(
+            '<jsp:useBean id="b"/><a>no link</a>\n'
+            '<a href="/x/p.jsp">p</a><a href="../../q.jsp">q</a>', encoding="utf-8")
+        (root / "b.jsp").write_text("<% nope", encoding="utf-8")
+        (root / "c.jsp").write_text('<form action="/x/y.jsp." method="delete">f</form>',
+                                    encoding="utf-8")
+        (root / "d\\e.jsp").write_text("x", encoding="utf-8")
+        (root / "e.jsp").write_text("plain", encoding="utf-8")
+        diagnostics = []
+        inventory = scan_webapp(root, diagnostics=diagnostics)
+        result = run_pipeline(inventory, diagnostics=diagnostics)
+
+        def page_of(d):
+            location = (d.location or "").partition("@")[0].partition(":")[0]
+            return location if location in inventory.jsp_pages else None
+
+        pages = [page_of(d) for d in result.diagnostics]
+        first_page = next(i for i, p in enumerate(pages) if p)
+        assert [d.category for d in result.diagnostics[:first_page]] == [
+            "io", "mapping", "mapping"]
+        assert [p for p, _ in groupby(pages[first_page:])] == ["/a.jsp", "/b.jsp", "/c.jsp"]
+        assert [(d.category, page) for d, page in zip(result.diagnostics, pages)
+                if page] == [
+            ("translation", "/a.jsp"), ("extraction", "/a.jsp"),
+            ("resolution", "/a.jsp"), ("resolution", "/a.jsp"),
+            ("parse", "/b.jsp"),
+            ("extraction", "/c.jsp"), ("resolution", "/c.jsp"), ("resolution", "/c.jsp")]
 
     def test_report_totals_agree_with_the_model(self, fixture_webapp):
         (fixture_webapp / "broken.jsp").write_text("<% nope", encoding="utf-8")
@@ -569,7 +614,7 @@ class TestRunPipeline:
         missing = os.strerror(errno.ENOENT)
         assert [d.to_dict() for d in result.diagnostics if d.category == "io"] == [
             {"category": "io", "message": f"cannot read {rel}: {missing}", "location": rel}
-            for rel in ("/powers.jsp", java)]
+            for rel in (java, "/powers.jsp")]
         assert result.report["pages_failed"] == ["/powers.jsp"]
         assert str(tmp_path) not in json.dumps(result.report)
 
@@ -724,6 +769,24 @@ class TestCli:
         encoding = flags[-1] if flags else config["encoding"]
         assert captured.err == f"jspkdm: unknown encoding: {encoding}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--context-path", "shop"], {}),
+        ([], {"context_path": "shop"}),
+    ], ids=["flag", "config"])
+    def test_context_path_without_a_leading_slash_is_exit_2(
+            self, fixture_webapp, tmp_path, capsys, flags, config):
+        config_file = tmp_path / "conf.json"
+        config_file.write_text(json.dumps(config), encoding="utf-8")
+        out, servlets = tmp_path / "out", tmp_path / "servlets"
+        code = main(["analyze", str(fixture_webapp), "--out", str(out),
+                     "--servlet-src-out", str(servlets), "--config", str(config_file),
+                     *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'jspkdm: context path must start with "/": shop\n'
+        assert not out.exists() and not servlets.exists()
 
     @pytest.mark.parametrize("flag, under, error", [
         ("--out", "out", errno.ENOTDIR),
