@@ -5,6 +5,8 @@ include/forward actions and directives, error pages, anchors, and the JSTL
 redirect/url tags. HTML tags are template text, as in Jasper, read from the
 text runs by the parser's tag scanner. Extraction is total: a tag without a
 target URL, or that cannot be read, becomes a diagnostic, never a reference.
+An ``a`` or ``form`` tag whose URL is empty names the page itself, and
+becomes neither.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ TAG_TABLE: dict[tuple[NodeKind, str], tuple[str, str]] = {
 # dependency", not an anomaly.
 _OPTIONAL_ATTR_KINDS = frozenset({"page-directive-errorPage",
                                   "jsp:directive.page-errorPage"})
+
+# Tag kinds whose empty value names the document itself (HTML): neither a
+# dependency nor an anomaly. An absent one is still an anomaly.
+_SELF_URL_KINDS = frozenset({"a-href", "form"})
 
 _FORM_METHODS = frozenset({"get", "post", "put"})
 
@@ -130,7 +136,8 @@ def extract_url_refs(doc: JspDocument,
     for name, span, (tag_kind, attribute), attrs in _dependency_tags(doc, diagnostics):
         url = attrs.get(attribute)
         if not url:
-            if tag_kind not in _OPTIONAL_ATTR_KINDS:
+            if not (tag_kind in _OPTIONAL_ATTR_KINDS
+                    or url == "" and tag_kind in _SELF_URL_KINDS):
                 emit(diagnostics, "extraction", f"<{name}> without {attribute} attribute",
                      f"{doc.page_path}@{span[0]}")
             continue

@@ -4,9 +4,12 @@ Follows the classic container translation rules: scriptlets and expressions
 become code in the request-serving method, declarations become class members,
 bean actions and known custom tags become instantiations and calls (their
 text is the open tag), and all the rest of the page, HTML tags included, is
-template text, written to the response verbatim. The resulting
-:class:`ServletUnit` is what the code model is discovered from; rendering it
-to Java-looking source is a side product for inspection.
+template text, written to the response verbatim. :func:`translate_page` is
+one loop over the page's nodes; it keeps the template text as ``(start,
+end)`` runs of the page source until the next statement, and slices each
+run once. The resulting :class:`ServletUnit` is what the code model is
+discovered from; rendering it to Java-looking source is a side product for
+inspection.
 """
 
 from __future__ import annotations
@@ -103,185 +106,158 @@ def _capitalized(prop: str) -> str:
     return prop[:1].upper() + prop[1:]
 
 
-class _Translator:
-    def __init__(self, doc: JspDocument, known_tag_handlers: Mapping[str, str],
-                 unit: ServletUnit, diagnostics: list[Diagnostic] | None):
-        self.doc = doc
-        self.known_tag_handlers = known_tag_handlers
-        self.unit = unit
-        self.diagnostics = diagnostics
-        # Source runs [start, end] of the template text not yet flushed:
-        # everything emitted verbatim is a slice of the page, so adjacent
-        # emits merge into one run and the text is sliced once, at flush.
-        self._pending: list[list[int]] = []
-        self._imports: set[str] = set()  # unit.imports, for lookups
+def _open_tag(node: JspNode, src: str) -> str:
+    """An action's open tag: its statement's text, which holds none of the
+    children, so a nest of actions holds each byte once."""
+    end = node.span[1] if node.inner_span is None else node.inner_span[0]
+    return src[node.span[0]:end]
 
-    # -- emit buffering -----------------------------------------------------
 
-    def _emit(self, start: int, end: int) -> None:
-        if start == end:
-            return
-        pending = self._pending
-        if pending and pending[-1][1] == start:
-            pending[-1][1] = end
-        else:
-            pending.append([start, end])
-
-    def flush(self) -> None:
-        pending = self._pending
-        if not pending:
-            return
-        src = self.doc.source
-        text = "".join([src[start:end] for start, end in pending])
-        span = (pending[0][0], pending[-1][1])
-        self.unit.service_body.append(
-            CodeStatement(StatementKind.TEMPLATE_EMIT, text, origin_span=span))
-        pending.clear()
-
-    def _code_of(self, node: JspNode) -> str:
-        start, end = node.inner_span
-        return self.doc.source[start:end]
-
-    def _open_tag(self, node: JspNode) -> str:
-        """An action's open tag: its statement's text, which holds none of
-        the children, so a nest of actions holds each byte once."""
-        end = node.span[1] if node.inner_span is None else node.inner_span[0]
-        return self.doc.source[node.span[0]:end]
-
-    def _diag(self, message: str, node: JspNode) -> None:
-        emit(self.diagnostics, "translation", message,
-             f"{self.doc.page_path}@{node.span[0]}")
-
-    # -- node dispatch --------------------------------------------------------
-
-    def walk(self) -> None:
-        """Translate the page in one document-order loop over its nodes, with
-        no recursion. Template text is what no code covers: a cursor moves over
-        the source and skips only the scripting elements, JSP comments and the
-        open and close tags of actions that become statements. A stack holds
-        the close tag of each such action until the walk is past its children."""
-        pos = 0
-        closes: list[Span] = []
-        for node in iter_nodes(self.doc.nodes):
-            kind = node.kind
-            if kind is NodeKind.TEMPLATE_TEXT:
-                continue
-            if kind is NodeKind.DIRECTIVE:
-                self._directive(node)
-                continue
-            start, end = node.span
-            while closes and closes[-1][0] <= start:
-                self._emit(pos, closes[-1][0])
-                pos = closes.pop()[1]
-            stmt = None  # and stays None for a JSP comment: it never reaches the client
-            if kind is NodeKind.SCRIPTLET:
-                stmt = CodeStatement(StatementKind.INLINE_CODE, self._code_of(node),
-                                     origin_span=node.span)
-            elif kind is NodeKind.EXPRESSION:
-                stmt = CodeStatement(StatementKind.EXPRESSION_EMIT, self._code_of(node),
-                                     origin_span=node.span)
-            elif kind is NodeKind.DECLARATION:
-                self.unit.declarations.append(CodeStatement(
-                    StatementKind.INLINE_CODE, self._code_of(node).strip(),
-                    origin_span=node.span))
-            elif kind is NodeKind.STANDARD_ACTION or kind is NodeKind.CUSTOM_ACTION:
-                stmt = (self._standard_action(node) if kind is NodeKind.STANDARD_ACTION
-                        else self._custom_action(node))
-                if stmt is None:
-                    continue  # template text
-                if node.inner_span is not None:
-                    end = node.inner_span[0]
-                    closes.append((node.inner_span[1], node.span[1]))
-            self._emit(pos, start)
-            pos = end
-            if stmt is not None:
-                self.flush()
-                self.unit.service_body.append(stmt)
-        for close_start, close_end in reversed(closes):
-            self._emit(pos, close_start)
-            pos = close_end
-        self._emit(pos, len(self.doc.source))
-
-    def _directive(self, node: JspNode) -> None:
-        if node.name in ("page", "jsp:directive.page"):
-            imports = node.attribute_value("import")
-            if imports:
-                for imp in imports.split(","):
-                    imp = imp.strip()
-                    if imp and imp not in self._imports:
-                        self._imports.add(imp)
-                        self.unit.imports.append(imp)
-
-    def _standard_action(self, node: JspNode) -> CodeStatement | None:
-        """The statement of a bean action; None for template text."""
-        name = node.name
-        if name == "jsp:useBean":
-            bean_id = node.attribute_value("id")
-            bean_class = node.attribute_value("class")
-            if not bean_class:
-                self._diag("jsp:useBean without class attribute", node)
-                return None
-            metadata = {"bean": bean_id or "", "class": bean_class}
-            scope = node.attribute_value("scope")
-            if scope:
-                metadata["scope"] = scope
-            return CodeStatement(StatementKind.BEAN_INSTANTIATION, self._open_tag(node),
-                                 metadata=metadata, origin_span=node.span)
-        if name in ("jsp:getProperty", "jsp:setProperty"):
-            bean = node.attribute_value("name")
-            prop = node.attribute_value("property")
-            if not bean or not prop:
-                self._diag(f"{name} missing name/property attribute", node)
-                return None
-            if name == "jsp:getProperty":
-                metadata = {"bean": bean, "property": prop,
-                            "method": "get" + _capitalized(prop)}
-                stmt_kind = StatementKind.PROPERTY_GET
-            else:
-                metadata = {"bean": bean, "property": prop}
-                if prop != "*":
-                    metadata["method"] = "set" + _capitalized(prop)
-                value = node.attribute_value("value")
-                if value is not None:
-                    metadata["value"] = value
-                param = node.attribute_value("param")
-                if param is not None:
-                    metadata["param"] = param
-                stmt_kind = StatementKind.PROPERTY_SET
-            return CodeStatement(stmt_kind, self._open_tag(node), metadata=metadata,
-                                 origin_span=node.span)
-        # jsp:include, jsp:forward, jsp:param, ... : template text, codified
-        # later by the dependency extraction pass.
-        return None
-
-    def _custom_action(self, node: JspNode) -> CodeStatement | None:
-        """The call of the tag's known handler; None for template text."""
-        handler = self.known_tag_handlers.get(node.name)
-        if handler is None:
+def _bean_action(node: JspNode, doc: JspDocument,
+                 diagnostics: list[Diagnostic] | None) -> CodeStatement | None:
+    """The statement of a bean action; None for template text."""
+    name = node.name
+    if name == "jsp:useBean":
+        bean_class = node.attribute_value("class")
+        if not bean_class:
+            emit(diagnostics, "translation", "jsp:useBean without class attribute",
+                 f"{doc.page_path}@{node.span[0]}")
             return None
-        methods = ["setAttribute"] * len(node.attributes) + ["doStartTag", "doEndTag"]
-        return CodeStatement(
-            StatementKind.TAG_HANDLER_CALL, self._open_tag(node),
-            metadata={"tag": node.name, "handler": handler,
-                      "methods": methods,
-                      "attributes": [name for name, _ in node.attributes]},
-            origin_span=node.span)
+        metadata = {"bean": node.attribute_value("id") or "", "class": bean_class}
+        scope = node.attribute_value("scope")
+        if scope:
+            metadata["scope"] = scope
+        return CodeStatement(StatementKind.BEAN_INSTANTIATION, _open_tag(node, doc.source),
+                             metadata=metadata, origin_span=node.span)
+    if name in ("jsp:getProperty", "jsp:setProperty"):
+        bean = node.attribute_value("name")
+        prop = node.attribute_value("property")
+        if not bean or not prop:
+            emit(diagnostics, "translation", f"{name} missing name/property attribute",
+                 f"{doc.page_path}@{node.span[0]}")
+            return None
+        if name == "jsp:getProperty":
+            metadata = {"bean": bean, "property": prop, "method": "get" + _capitalized(prop)}
+            stmt_kind = StatementKind.PROPERTY_GET
+        else:
+            metadata = {"bean": bean, "property": prop}
+            if prop != "*":
+                metadata["method"] = "set" + _capitalized(prop)
+            value = node.attribute_value("value")
+            if value is not None:
+                metadata["value"] = value
+            param = node.attribute_value("param")
+            if param is not None:
+                metadata["param"] = param
+            stmt_kind = StatementKind.PROPERTY_SET
+        return CodeStatement(stmt_kind, _open_tag(node, doc.source), metadata=metadata,
+                             origin_span=node.span)
+    # jsp:include, jsp:forward, jsp:param, ... : template text, codified later
+    # by the dependency extraction pass.
+    return None
+
+
+def _handler_call(node: JspNode, src: str,
+                  known_tag_handlers: Mapping[str, str]) -> CodeStatement | None:
+    """The call of a custom action's known handler; None for template text."""
+    handler = known_tag_handlers.get(node.name)
+    if handler is None:
+        return None
+    methods = ["setAttribute"] * len(node.attributes) + ["doStartTag", "doEndTag"]
+    return CodeStatement(
+        StatementKind.TAG_HANDLER_CALL, _open_tag(node, src),
+        metadata={"tag": node.name, "handler": handler, "methods": methods,
+                  "attributes": [name for name, _ in node.attributes]},
+        origin_span=node.span)
+
+
+def _template_emit(src: str, runs: list[Span]) -> CodeStatement:
+    """One statement for the template text between two statements."""
+    return CodeStatement(StatementKind.TEMPLATE_EMIT,
+                         "".join([src[start:end] for start, end in runs]),
+                         origin_span=(runs[0][0], runs[-1][1]))
 
 
 def translate_page(doc: JspDocument, known_tag_handlers: Mapping[str, str] | None = None,
                    diagnostics: list[Diagnostic] | None = None) -> ServletUnit:
-    """Apply the translation rules to one parsed page, in document order.
+    """Apply the translation rules to one parsed page, in one document-order
+    loop over its nodes, with no recursion.
 
     ``known_tag_handlers`` maps a custom action's tag name (e.g.
     "c:redirect") to its handler class; actions not listed there are emitted
     verbatim like any other tag. Findings go to ``diagnostics``.
+
+    Template text is what no code covers: a cursor moves over the source and
+    skips only the scripting elements, JSP comments and the open and close
+    tags of actions that become statements. A stack holds the close tag of
+    each such action until the loop is past its children. The text from the
+    cursor to the next skipped region is one source run; every skipped region
+    is non-empty, so no two runs touch. The runs since the last statement
+    become one template emit, sliced from the source once.
     """
-    unit = ServletUnit(class_name=mangle_class_name(doc.page_path),
-                       source_page=doc.page_path)
-    translator = _Translator(doc, known_tag_handlers or {}, unit, diagnostics)
-    translator.walk()
-    translator.flush()
-    return unit
+    src = doc.source
+    handlers = known_tag_handlers or {}
+    declarations: list[CodeStatement] = []
+    body: list[CodeStatement] = []
+    imports: dict[str, None] = {}  # in first-seen order
+    runs: list[Span] = []
+    pos = 0
+    closes: list[Span] = []
+    for node in iter_nodes(doc.nodes):
+        kind = node.kind
+        if kind is NodeKind.TEMPLATE_TEXT:
+            continue
+        if kind is NodeKind.DIRECTIVE:
+            if node.name in ("page", "jsp:directive.page"):
+                for imp in (node.attribute_value("import") or "").split(","):
+                    if imp := imp.strip():
+                        imports[imp] = None
+            continue
+        start, end = node.span
+        while closes and closes[-1][0] <= start:
+            close_start, close_end = closes.pop()
+            if pos < close_start:
+                runs.append((pos, close_start))
+            pos = close_end
+        stmt = None  # and stays None for a JSP comment: it never reaches the client
+        if kind is NodeKind.SCRIPTLET:
+            stmt = CodeStatement(StatementKind.INLINE_CODE,
+                                 src[node.inner_span[0]:node.inner_span[1]],
+                                 origin_span=node.span)
+        elif kind is NodeKind.EXPRESSION:
+            stmt = CodeStatement(StatementKind.EXPRESSION_EMIT,
+                                 src[node.inner_span[0]:node.inner_span[1]],
+                                 origin_span=node.span)
+        elif kind is NodeKind.DECLARATION:
+            declarations.append(CodeStatement(
+                StatementKind.INLINE_CODE, src[node.inner_span[0]:node.inner_span[1]].strip(),
+                origin_span=node.span))
+        elif kind is NodeKind.STANDARD_ACTION or kind is NodeKind.CUSTOM_ACTION:
+            stmt = (_bean_action(node, doc, diagnostics) if kind is NodeKind.STANDARD_ACTION
+                    else _handler_call(node, src, handlers))
+            if stmt is None:
+                continue  # template text
+            if node.inner_span is not None:
+                end = node.inner_span[0]
+                closes.append((node.inner_span[1], node.span[1]))
+        if pos < start:
+            runs.append((pos, start))
+        pos = end
+        if stmt is not None:
+            if runs:
+                body.append(_template_emit(src, runs))
+                runs = []
+            body.append(stmt)
+    for close_start, close_end in reversed(closes):
+        if pos < close_start:
+            runs.append((pos, close_start))
+        pos = close_end
+    if pos < len(src):
+        runs.append((pos, len(src)))
+    if runs:
+        body.append(_template_emit(src, runs))
+    return ServletUnit(mangle_class_name(doc.page_path), doc.page_path,
+                       declarations, body, list(imports))
 
 
 # -- source rendering ---------------------------------------------------------
@@ -320,7 +296,7 @@ def _render_statement(stmt: CodeStatement, out: list[str], indent: str) -> None:
                 arg = f'"{escape_java_string(value)}"'
             out.append(f"{indent}{md['bean']}.{md['method']}({arg});")
         else:
-            param = md.get("param") or md.get("property")
+            param = escape_java_string(md.get("param") or md["property"])
             out.append(
                 f"{indent}{md['bean']}.{md['method']}(request.getParameter(\"{param}\"));")
     elif stmt.kind is StatementKind.TAG_HANDLER_CALL:

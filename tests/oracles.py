@@ -18,7 +18,6 @@ from jspkdm.deployment_mapper import ServletDecl
 from jspkdm.diagnostics import Diagnostic, emit
 from jspkdm.jsp_parser import (_CLOSE_OPENER, _DELIMITED, _DIRECTIVE_OPENER, _PREFIXED_NAME,
                                _Parser, iter_nodes, normalize_page_path)
-from jspkdm.servlet_translator import _Translator
 
 # -- scripting-region delimiter scan --------------------------------------------
 
@@ -169,44 +168,6 @@ def emit_literals(java_source: str) -> list[str]:
     """Unescaped string literals of the source's emit calls, in order."""
     return [unescape_java(m.group(1))
             for m in _EMIT_LITERAL_RE.finditer(java_source)]
-
-
-# -- template-emit buffer -------------------------------------------------------------
-
-
-class _TextBufferTranslator(_Translator):
-    """The translator with a text buffer in place of its run buffer: each
-    emit slices its own text from the source at once and keeps it with its
-    span, and a flush joins the texts and spans the first to the last."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._texts: list[tuple[str, tuple[int, int]]] = []
-
-    def _emit(self, start: int, end: int) -> None:
-        text = self.doc.source[start:end]
-        if text:
-            self._texts.append((text, (start, end)))
-
-    def flush(self) -> None:
-        if not self._texts:
-            return
-        text = "".join(t for t, _ in self._texts)
-        span = (self._texts[0][1][0], self._texts[-1][1][1])
-        self.unit.service_body.append(
-            CodeStatement(StatementKind.TEMPLATE_EMIT, text, origin_span=span))
-        self._texts.clear()
-
-
-def translate_with_text_buffer(doc, known_tag_handlers=None) -> ServletUnit:
-    """``translate_page`` with the text buffer: the reference for the run
-    buffer, which must give the same statements."""
-    unit = ServletUnit(class_name=mangle_class_name(doc.page_path),
-                       source_page=doc.page_path)
-    translator = _TextBufferTranslator(doc, known_tag_handlers or {}, unit, None)
-    translator.walk()
-    translator.flush()
-    return unit
 
 
 # -- recursive translation ------------------------------------------------------------
@@ -486,7 +447,8 @@ def extract_with_html_nodes(source: str, page_path: str = "/gen.jsp"):
         values = {key.lower() if html else key: value for key, value in node.attributes}
         url = values.get(attribute)
         if not url:
-            if not tag_kind.endswith("errorPage"):
+            # An empty URL on an a or form tag is the page itself.
+            if not (tag_kind.endswith("errorPage") or html and url == ""):
                 found.append((node.span[0], f"<{node.name}> without {attribute} attribute"))
             continue
         method = values.get("method") if tag_kind == "form" else None

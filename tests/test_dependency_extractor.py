@@ -81,6 +81,17 @@ class TestExtraction:
         assert refs_of('<jsp:include flush="true" />', diagnostics) == []
         assert len(diagnostics) == 1
 
+    def test_empty_a_or_form_url_names_the_page_itself(self):
+        diagnostics = []
+        assert refs_of('<a href="">top</a><FORM ACTION="" method="delete"></FORM>'
+                       '<a href>x</a><jsp:include page="" /><a name="n"><form>',
+                       diagnostics) == []
+        # An absent URL, and an empty one on a server-side tag, stay diagnostics.
+        assert [(d.message, d.location) for d in diagnostics] == [
+            ("<jsp:include> without page attribute", "/p.jsp@70"),
+            ("<a> without href attribute", "/p.jsp@93"),
+            ("<form> without action attribute", "/p.jsp@105")]
+
     def test_dynamic_urls_flagged(self):
         refs = refs_of('<a href="${target}">x</a>'
                        '<c:url value="/fixed.css" />'

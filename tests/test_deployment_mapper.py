@@ -315,6 +315,28 @@ class TestResolveUrl:
         extension = resolve_url(table, make_ref("/q.jsp"), "/index.jsp")
         assert extension.page_path == "/z.jsp"
 
+    @pytest.mark.parametrize("url, servlet", [
+        ("/foo/bar/index.html", "servlet1"),
+        ("/foo/bar/index.bop", "servlet1"),
+        ("/baz", "servlet2"),
+        ("/baz/index.html", "servlet2"),
+        ("/catalog", "servlet3"),
+        ("/catalog/index.html", None),  # the default servlet, unmapped here
+        ("/catalog/racecar.bop", "servlet4"),
+        ("/index.bop", "servlet4"),
+    ])
+    def test_servlet_spec_mapping_example(self, url, servlet):
+        """The example mapping set of the Servlet spec, §12.2."""
+        table = table_of([("/foo/bar/*", "servlet1"), ("/baz/*", "servlet2"),
+                          ("/catalog", "servlet3"), ("*.bop", "servlet4")])
+        target = resolve_url(table, make_ref(url), "/index.jsp")
+        if servlet is None:
+            assert target.kind is ResolvedKind.UNRESOLVED
+            assert target.reason == "no-mapping"
+        else:
+            assert target.kind is ResolvedKind.INTERNAL_SERVLET_CLASS
+            assert target.class_name == servlet
+
     def test_dynamic_is_unresolved(self):
         table = table_of([("/x", "/x.jsp")])
         target = resolve_url(table, make_ref("${go}", dynamic=True), "/index.jsp")

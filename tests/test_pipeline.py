@@ -25,10 +25,9 @@ from jspkdm import (
     serialize_model,
     write_outputs,
 )
-from jspkdm import pipeline
+from jspkdm import pipeline, servlet_translator
 from jspkdm.cli import main
 from jspkdm.pipeline import NODE_CLASS, NODE_EXTERNAL, NODE_PAGE
-from jspkdm.servlet_translator import _Translator
 from .conftest import (
     FIXTURE_CLASS_EDGES,
     FIXTURE_EXTERNAL_EDGES,
@@ -341,10 +340,10 @@ class TestRunPipeline:
     def test_failed_translation_keeps_its_earlier_diagnostics(self, tmp_path, monkeypatch):
         # The translator reports into the run's sink as it goes, so what it
         # found before a fault stays, ahead of the page's parse diagnostic.
-        def fail(translator, node):
+        def fail(node, src, known_tag_handlers):
             raise RuntimeError(f"no handler for {node.name}")
 
-        monkeypatch.setattr(_Translator, "_custom_action", fail)
+        monkeypatch.setattr(servlet_translator, "_handler_call", fail)
         root = make_two_page_app(tmp_path / "app")
         (root / "bad.jsp").write_text('<jsp:useBean id="b" /><x:tag />', encoding="utf-8")
         result = run_pipeline(scan_webapp(root))
@@ -360,14 +359,14 @@ class TestRunPipeline:
         # including those of pages that failed to parse or to translate.
         (fixture_webapp / "broken.jsp").write_text("<% nope", encoding="utf-8")
         (fixture_webapp / "faulty.jsp").write_text("<p>x</p><x:fail />", encoding="utf-8")
-        custom_action = _Translator._custom_action
+        handler_call = servlet_translator._handler_call
 
-        def fail_on_x(translator, node):
+        def fail_on_x(node, src, known_tag_handlers):
             if node.name == "x:fail":
                 raise RuntimeError("no handler")
-            return custom_action(translator, node)
+            return handler_call(node, src, known_tag_handlers)
 
-        monkeypatch.setattr(_Translator, "_custom_action", fail_on_x)
+        monkeypatch.setattr(servlet_translator, "_handler_call", fail_on_x)
         docs: list[weakref.ref] = []
         units: list[weakref.ref] = []
         alive: list[tuple[str, int, int]] = []

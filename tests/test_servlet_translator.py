@@ -29,7 +29,7 @@ from .genjsp import (generate_adversarial_page, generate_page, generated_pages,
 from .oracles import (
     emit_literals,
     strip_scripting_regions,
-    translate_with_text_buffer,
+    translate_recursively,
     unescape_java,
 )
 
@@ -268,6 +268,8 @@ class TestRendering:
          'cart.setCount(request.getParameter("n"));'),
         ('<jsp:setProperty name="cart" property="size"/>',
          'cart.setSize(request.getParameter("size"));'),
+        ("<jsp:setProperty name=\"cart\" property=\"count\" param='q\"r\\s'/>",
+         'cart.setCount(request.getParameter("q\\"r\\\\s"));'),
         ('<c:redirect url="/x.jsp"/>',
          "// custom tag c:redirect -> org.example.RedirectTag "
          "(setAttribute/doStartTag/doEndTag)"),
@@ -321,7 +323,9 @@ class TestRandomizedProperties:
 
 
 class TestRunBuffer:
-    """Template text is buffered as source runs and sliced once per flush."""
+    """Template text is kept as source runs and sliced once per statement.
+    The recursive reference keeps a text buffer instead: it slices each
+    piece of text as it goes."""
 
     def test_statements_match_the_text_buffer(self):
         rng = random.Random(0x5EED)
@@ -335,9 +339,10 @@ class TestRunBuffer:
                 continue
             known = handlers if i % 3 == 0 else None
             unit = translate_page(doc, known)
-            reference = translate_with_text_buffer(doc, known)
+            reference = translate_recursively(doc, known)
             assert unit.service_body == reference.service_body
             assert unit.declarations == reference.declarations
+            assert unit.imports == reference.imports
             checked += 1
         assert checked > 1200
 
