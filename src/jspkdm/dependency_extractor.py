@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from ._records import Value
 from .diagnostics import Diagnostic, emit
 from .jsp_parser import (_PREFIXED_NAME, JspDocument, JspNode, JspParseError, NodeKind, Span,
-                         _Parser, iter_nodes)
+                         iter_nodes, scan_tag_attrs)
 
 # (tag kind, designated attribute), keyed by node kind and name. HTML tags are
 # template text, keyed by the lower-cased name: their tag and attribute names
@@ -44,7 +44,7 @@ _OPTIONAL_ATTR_KINDS = frozenset({"page-directive-errorPage",
 # dependency nor an anomaly. An absent one is still an anomaly.
 _SELF_URL_KINDS = frozenset({"a-href", "form"})
 
-_FORM_METHODS = frozenset({"get", "post", "put"})
+_FORM_METHODS = frozenset({"get", "post", "dialog"})
 
 # The open tag of an HTML row, in any case, that no name character follows,
 # or the start of an HTML comment (no group).
@@ -92,7 +92,7 @@ def _dependency_tags(doc: JspDocument, diagnostics: list[Diagnostic] | None
     is read as any other.
     """
     src = doc.source
-    scanner = _Parser(src, doc.page_path)  # one EOF memo for the page
+    memo: dict = {}  # the tag scanner's EOF memo for the page
     read_to = 0  # the end of the last HTML tag read; an opener before it is inside it
     in_comment = False
     for node in iter_nodes(doc.nodes):
@@ -118,7 +118,7 @@ def _dependency_tags(doc: JspDocument, diagnostics: list[Diagnostic] | None
                 pos, in_comment = m.start() + 2, True
                 continue
             try:
-                scanned = scanner._scan_tag_attrs(m.end(), m.start())
+                scanned = scan_tag_attrs(src, m.end(), m.start(), doc.page_path, memo)
             except JspParseError as exc:
                 emit(diagnostics, "extraction", f"<{m[1]}> is template text: {exc}",
                      f"{doc.page_path}@{m.start()}")

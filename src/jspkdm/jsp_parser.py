@@ -11,6 +11,13 @@ nested when their close tag is found and folded flat otherwise. No EL
 evaluation and no tag-library loading happen here: the node list is the
 shared input for the servlet translator and the URL-reference extractor.
 
+Parsing is plain functions over the source. ``_parse_nodes`` appends to the
+page's one node list and calls itself once per open action, one Python frame
+a level: under the default recursion limit of 1000, a page nests about 990
+levels deep before it raises ``RecursionError``. The extractor reads the
+``a`` and ``form`` tags with the same tag scanner, :func:`scan_tag_attrs`,
+and an EOF memo of its own.
+
 Scanning takes time linear in the page size on any input. One compiled
 regex finds each "<" that opens something, so template text is skipped in
 C, and one compiled regex tokenizes each tag attribute. A tag with no ">" is
@@ -25,7 +32,7 @@ does not close the innermost open action is template text.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from enum import Enum
 
 from ._records import Fields
@@ -128,14 +135,15 @@ _ATTR_RE = re.compile(r"""\s*(?:([^\s=/>]+)\s*(?:=\s*(?:"([^"]*)"|'([^']*)'"""
 # capture the name of a close tag, which whitespace and ">" end, or element.
 _LT_RE = re.compile(
     r"<(?:(%--)|(%@)|(%=)|(%!)|(%)|/(" + _PREFIXED_NAME + r")\s*>|(" + _PREFIXED_NAME + "))")
-# _LT_RE group -> the arguments of _Parser._parse_delimited.
+# _LT_RE group -> the opener's length, the closer, and the node kind and its
+# name in errors, of each element that _jsp_element builds.
 _DELIMITED = {
     1: (4, "--%>", NodeKind.COMMENT, "JSP comment"),
+    2: (3, "%>", NodeKind.DIRECTIVE, "directive"),
     3: (3, "%>", NodeKind.EXPRESSION, "expression"),
     4: (3, "%>", NodeKind.DECLARATION, "declaration"),
     5: (2, "%>", NodeKind.SCRIPTLET, "scriptlet"),
 }
-_DIRECTIVE_OPENER = 2
 _CLOSE_OPENER = 6
 _DIRECTIVE_NAME_RE = re.compile(r"\s*([A-Za-z][\w.\-]*)")
 _DIRECTIVE_ATTR_RE = re.compile(
@@ -152,207 +160,155 @@ def _classify_element(name: str) -> NodeKind:
     return NodeKind.CUSTOM_ACTION
 
 
-class _Parser:
-    def __init__(self, source: str, page_path: str):
-        self.source = source
-        self.page_path = page_path
-        self.pos = 0
-        self._close_span: Span | None = None
-        # Attribute-name start -> (index of each key, attributes, index here)
-        # for every name that a tag scan reaching EOF passed; see
-        # _scan_tag_attrs.
-        self._eof_memo: dict[int, tuple[dict[str, int], list[tuple[str, str]], int]] = {}
+def _jsp_element(src: str, lt: int, opener: int, page_path: str) -> JspNode:
+    """The scripting element, JSP comment or directive that the ``_LT_RE``
+    group ``opener`` opens at ``lt``."""
+    open_len, closer, kind, what = _DELIMITED[opener]
+    start = lt + open_len
+    end = src.find(closer, start)
+    if end < 0:
+        raise UnterminatedScriptlet(f"unterminated {what}", page_path, lt)
+    if kind is not NodeKind.DIRECTIVE:
+        return JspNode(kind=kind, span=(lt, end + len(closer)), inner_span=(start, end))
+    name = ""
+    if m := _DIRECTIVE_NAME_RE.match(src, start, end):
+        name, start = m.group(1), m.end()
+    attrs: list[tuple[str, str]] = []
+    seen: set[str] = set()
+    for m in _DIRECTIVE_ATTR_RE.finditer(src, start, end):
+        attr = m.group(1)
+        key = attr.lower()
+        if key in seen:
+            raise DuplicateAttribute(f"duplicate attribute {attr!r}", page_path, m.start())
+        seen.add(key)
+        attrs.append((attr, next(g for g in m.groups()[1:] if g is not None)))
+        start = m.end()
+    rest = src[start:end]
+    if '"' in rest or "'" in rest:
+        raise MalformedAttribute("unclosed quote in directive", page_path, start)
+    return JspNode(kind=kind, name=name, attributes=tuple(attrs), span=(lt, end + 2))
 
-    # -- error helpers ----------------------------------------------------
 
-    def _unterminated(self, offset: int, what: str) -> UnterminatedScriptlet:
-        return UnterminatedScriptlet(f"unterminated {what}", self.page_path, offset)
+def scan_tag_attrs(src: str, pos: int, tag_start: int, page_path: str,
+                   memo: dict[int, tuple[dict[str, int], list[tuple[str, str]], int]]
+                   ) -> tuple[list[tuple[str, str]], int, bool] | None:
+    """Scan the attributes of the tag opened at ``tag_start`` from ``pos`` up
+    to its ``>``.
 
-    # -- region scanners --------------------------------------------------
+    Returns (attributes, position after ">", self_closing), or None when
+    EOF arrives before ">" (the caller then treats "<" as template text).
+    Quoted values may contain "<", ">" and expression fragments; an
+    unclosed quote is a hard error.
 
-    def _parse_delimited(self, start: int, open_len: int, closer: str,
-                         kind: NodeKind, what: str) -> JspNode:
-        end = self.source.find(closer, start + open_len)
-        if end < 0:
-            raise self._unterminated(start, what)
-        self.pos = end + len(closer)
-        return JspNode(kind=kind, span=(start, self.pos),
-                       inner_span=(start + open_len, end))
-
-    def _parse_directive(self, start: int) -> JspNode:
-        end = self.source.find("%>", start + 3)
-        if end < 0:
-            raise self._unterminated(start, "directive")
-        inner = self.source[start + 3:end]
-        m = _DIRECTIVE_NAME_RE.match(inner)
-        name = m.group(1) if m else ""
-        rest = inner[m.end():] if m else inner
-        attrs = self._scan_directive_attrs(rest, start + 3 + (m.end() if m else 0))
-        self.pos = end + 2
-        return JspNode(kind=NodeKind.DIRECTIVE, name=name, attributes=tuple(attrs),
-                       span=(start, self.pos))
-
-    def _scan_directive_attrs(self, text: str, offset: int) -> list[tuple[str, str]]:
-        attrs: list[tuple[str, str]] = []
-        seen: set[str] = set()
-        consumed = 0
-        for m in _DIRECTIVE_ATTR_RE.finditer(text):
-            name = m.group(1)
-            value = next(g for g in m.groups()[1:] if g is not None)
-            key = name.lower()
-            if key in seen:
-                raise DuplicateAttribute(
-                    f"duplicate attribute {name!r}", self.page_path, offset + m.start())
-            seen.add(key)
-            attrs.append((name, value))
-            consumed = m.end()
-        leftover = text[consumed:]
-        if '"' in leftover or "'" in leftover:
-            raise MalformedAttribute(
-                "unclosed quote in directive", self.page_path, offset + consumed)
-        return attrs
-
-    def _scan_tag_attrs(self, pos: int, tag_start: int
-                        ) -> tuple[list[tuple[str, str]], int, bool] | None:
-        """Scan attributes from ``pos`` up to the tag's ``>``.
-
-        Returns (attributes, position after ">", self_closing), or None when
-        EOF arrives before ">" (the caller then treats "<" as template text).
-        Quoted values may contain "<", ">" and expression fragments; an
-        unclosed quote is a hard error.
-
-        Tokens from an attribute-name start onward do not depend on where
-        the scan began, so a scan that reaches EOF records each name start it
-        passed. A later scan that lands on one returns None at once, or
-        raises for the first name from there on that it has already seen.
-        """
-        src = self.source
-        n = len(src)
-        memo = self._eof_memo
-        attrs: list[tuple[str, str]] = []
-        seen: set[str] = set()
-        starts: list[int] = []
-        while True:
-            m = _ATTR_RE.match(src, pos)
-            name, double, single, value, end = m.groups()
-            if name is None:
-                pos = m.end()
-                if pos == n:
-                    break
-                if src[pos] == ">":
-                    return attrs, pos + 1, False
-                if src.startswith("/>", pos):
-                    return attrs, pos + 2, True
-                pos += 1  # stray "/" or "=", skip
-                continue
-            start = m.start(1)
-            hit = memo.get(start)
-            if hit is not None:
-                order, known, index = hit
-                dups = [i for i in map(order.get, seen) if i is not None and i >= index]
-                if dups:
-                    raise DuplicateAttribute(f"duplicate attribute {known[min(dups)][0]!r}",
-                                             self.page_path, tag_start)
-                return None
-            starts.append(start)
-            if double is not None:
-                value = double
-            elif single is not None:
-                value = single
-            elif value is None:  # no "="
-                value = ""
-            elif value.startswith(("'", '"')):
-                raise MalformedAttribute("unclosed quote", self.page_path, m.start(4))
-            elif not value and m.end(4) == n:
-                break  # EOF right after "="
-            key = name.lower()
-            if key in seen:
-                raise DuplicateAttribute(
-                    f"duplicate attribute {name!r}", self.page_path, tag_start)
-            seen.add(key)
-            attrs.append((name, value))
+    Tokens from an attribute-name start onward do not depend on where
+    the scan began, so a scan that reaches EOF records in ``memo``, one dict
+    per page, each name start it passed: its index of each key, its
+    attributes, and its index there. A later scan that lands on one returns
+    None at once, or raises for the first name from there on that it has
+    already seen.
+    """
+    n = len(src)
+    attrs: list[tuple[str, str]] = []
+    seen: set[str] = set()
+    starts: list[int] = []
+    while True:
+        m = _ATTR_RE.match(src, pos)
+        name, double, single, value, end = m.groups()
+        if name is None:
             pos = m.end()
-            if end is not None:
-                return attrs, pos, end == "/>"
-        order = {name.lower(): i for i, (name, _) in enumerate(attrs)}
-        for index, start in enumerate(starts):
-            memo[start] = (order, attrs, index)
-        return None
+            if pos == n:
+                break
+            if src[pos] == ">":
+                return attrs, pos + 1, False
+            if src.startswith("/>", pos):
+                return attrs, pos + 2, True
+            pos += 1  # stray "/" or "=", skip
+            continue
+        start = m.start(1)
+        hit = memo.get(start)
+        if hit is not None:
+            order, known, index = hit
+            dups = [i for i in map(order.get, seen) if i is not None and i >= index]
+            if dups:
+                raise DuplicateAttribute(f"duplicate attribute {known[min(dups)][0]!r}",
+                                         page_path, tag_start)
+            return None
+        starts.append(start)
+        if double is not None:
+            value = double
+        elif single is not None:
+            value = single
+        elif value is None:  # no "="
+            value = ""
+        elif value.startswith(("'", '"')):
+            raise MalformedAttribute("unclosed quote", page_path, m.start(4))
+        elif not value and m.end(4) == n:
+            break  # EOF right after "="
+        key = name.lower()
+        if key in seen:
+            raise DuplicateAttribute(f"duplicate attribute {name!r}", page_path, tag_start)
+        seen.add(key)
+        attrs.append((name, value))
+        pos = m.end()
+        if end is not None:
+            return attrs, pos, end == "/>"
+    order = {name.lower(): i for i, (name, _) in enumerate(attrs)}
+    for index, start in enumerate(starts):
+        memo[start] = (order, attrs, index)
+    return None
 
-    # -- element / node parsing -------------------------------------------
 
-    def _parse_element(self, nodes: list[JspNode], flush_text: Callable[[int], None],
-                       start: int, name: str, name_end: int) -> bool:
-        """Append the element opened at ``start`` to ``nodes``, after the text
-        before it; False, appending nothing, when no ">" ends the tag, so what
-        is there is template text.
+def _parse_nodes(src: str, pos: int, page_path: str, memo: dict, nodes: list[JspNode],
+                 close_name: str | None) -> tuple[int, Span | None]:
+    """Append the nodes from ``pos`` to ``nodes``, up to the close tag of
+    ``close_name`` or to EOF. Returns the position reached and the close
+    tag's span, or None at EOF.
 
-        A prefixed action that is not self-closing nests: what follows is
-        parsed into ``nodes`` as well and moved into its children once the
-        close tag turns up. Left unclosed by EOF, it stays flat with what
-        followed as its siblings, so no node list is copied per unclosed level.
-        The tag is scanned here, not in ``_parse_nodes``, because the frame
-        depth of each call sets where a deep page hits the recursion limit,
-        and so the error text it is reported with.
-        """
-        scanned = self._scan_tag_attrs(name_end, start)
-        if scanned is None:
-            self.pos = start + 1
-            return False
-        attrs, tag_end, self_closing = scanned
-        flush_text(start)
-        node = JspNode(kind=_classify_element(name), name=name, attributes=tuple(attrs),
-                       span=(start, tag_end))
-        nodes.append(node)
-        self.pos = tag_end
-        if self_closing:
-            return True
-        first_child = len(nodes)
-        self._parse_nodes(nodes, until_close=name)
-        close_span, self._close_span = self._close_span, None
-        if close_span is not None:
-            node.children = tuple(nodes[first_child:])
-            del nodes[first_child:]
-            node.span = (start, close_span[1])
-            node.inner_span = (tag_end, close_span[0])
-        return True
-
-    def _parse_nodes(self, nodes: list[JspNode], until_close: str | None = None
-                     ) -> list[JspNode]:
-        src = self.source
-        n = len(src)
-        run_start = self.pos
-        self._close_span = None
-
-        def flush_text(end: int) -> None:
-            if end > run_start:
-                nodes.append(JspNode(kind=NodeKind.TEMPLATE_TEXT, span=(run_start, end)))
-
-        while (m := _LT_RE.search(src, self.pos)) is not None:
-            lt = m.start()
-            opener = m.lastindex
-            delimited = _DELIMITED.get(opener)
-            if delimited is not None:
-                flush_text(lt)
-                nodes.append(self._parse_delimited(lt, *delimited))
-            elif opener == _DIRECTIVE_OPENER:
-                flush_text(lt)
-                nodes.append(self._parse_directive(lt))
-            elif opener == _CLOSE_OPENER:
-                self.pos = m.end()
-                if m.group(opener) != until_close:
-                    continue  # closes nothing open: part of the template text
-                flush_text(lt)
-                self._close_span = (lt, self.pos)
-                return nodes
-            elif not self._parse_element(nodes, flush_text, lt, m.group(opener), m.end()):
+    A prefixed action that is not self-closing nests: what follows is parsed
+    into ``nodes`` as well, by one call of this function per open action,
+    and moved into its children once the close tag turns up. Left unclosed
+    by EOF, it stays flat with what followed as its siblings, so no node
+    list is copied per unclosed level.
+    """
+    run_start = pos
+    while (m := _LT_RE.search(src, pos)) is not None:
+        lt = m.start()
+        opener = m.lastindex
+        if opener == _CLOSE_OPENER:
+            pos = m.end()
+            if m.group(opener) != close_name:
+                continue  # closes nothing open: part of the template text
+            if lt > run_start:
+                nodes.append(JspNode(kind=NodeKind.TEMPLATE_TEXT, span=(run_start, lt)))
+            return pos, (lt, pos)
+        if opener in _DELIMITED:
+            node = _jsp_element(src, lt, opener, page_path)
+            self_closing = True  # nothing nests in it
+        else:
+            scanned = scan_tag_attrs(src, m.end(), lt, page_path, memo)
+            if scanned is None:
+                pos = lt + 1
                 continue  # no tag: part of the template text
-            run_start = self.pos
-
-        self.pos = n
-        flush_text(n)
-        self._close_span = None
-        return nodes
+            attrs, tag_end, self_closing = scanned
+            name = m.group(opener)
+            node = JspNode(kind=_classify_element(name), name=name,
+                           attributes=tuple(attrs), span=(lt, tag_end))
+        if lt > run_start:
+            nodes.append(JspNode(kind=NodeKind.TEMPLATE_TEXT, span=(run_start, lt)))
+        nodes.append(node)
+        pos = node.span[1]
+        if not self_closing:
+            first_child = len(nodes)
+            pos, close_span = _parse_nodes(src, pos, page_path, memo, nodes, name)
+            if close_span is not None:
+                node.children = tuple(nodes[first_child:])
+                del nodes[first_child:]
+                node.span = (lt, close_span[1])
+                node.inner_span = (tag_end, close_span[0])
+        run_start = pos
+    if len(src) > run_start:
+        nodes.append(JspNode(kind=NodeKind.TEMPLATE_TEXT, span=(run_start, len(src))))
+    return len(src), None
 
 
 def parse_jsp(source: str, page_path: str) -> JspDocument:
@@ -365,7 +321,8 @@ def parse_jsp(source: str, page_path: str) -> JspDocument:
     if not page_path:
         raise ValueError("page_path must be non-empty")
     page_path = normalize_page_path(page_path)
-    nodes = _Parser(source, page_path)._parse_nodes([])
+    nodes: list[JspNode] = []
+    _parse_nodes(source, 0, page_path, {}, nodes, None)
     return JspDocument(page_path=page_path, nodes=nodes, source=source)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from enum import Enum
 from pathlib import Path
+from unicodedata import category
 
 from ._records import Fields, fields_repr
 from .diagnostics import Diagnostic, emit
@@ -102,6 +103,28 @@ def mangle_class_name(page_path: str) -> str:
     return "".join(out)
 
 
+# JLS §3.9's keywords, "_" among them, and §3.10's boolean and null
+# literals: spelled as identifiers, but none of them is one.
+_JAVA_RESERVED = frozenset(
+    "abstract assert boolean break byte case catch char class const continue default do"
+    " double else enum extends final finally float for goto if implements import"
+    " instanceof int interface long native new package private protected public return"
+    " short static strictfp super switch synchronized this throw throws transient try"
+    " void volatile while _ true false null".split())
+# The Unicode categories of the characters an identifier starts with (Java
+# letters: Character.isJavaIdentifierStart), and of those it goes on with.
+_JAVA_LETTER = frozenset({"Lu", "Ll", "Lt", "Lm", "Lo", "Nl", "Sc", "Pc"})
+_JAVA_LETTER_OR_DIGIT = _JAVA_LETTER | {"Nd", "Mn", "Mc"}
+
+
+def _is_java_identifier(name: str) -> bool:
+    """Whether ``name`` is a Java identifier (JLS §3.8). The
+    identifier-ignorable controls that Java also takes inside one are
+    refused."""
+    return (name not in _JAVA_RESERVED and category(name[0]) in _JAVA_LETTER
+            and all(category(c) in _JAVA_LETTER_OR_DIGIT for c in name[1:]))
+
+
 def _capitalized(prop: str) -> str:
     return prop[:1].upper() + prop[1:]
 
@@ -113,34 +136,61 @@ def _open_tag(node: JspNode, src: str) -> str:
     return src[node.span[0]:end]
 
 
+def _bean_action_problem(node: JspNode) -> str | None:
+    """Why a bean action is template text, or None: an absent attribute, or
+    a name that goes into the servlet's code and is no Java identifier. The
+    bean's name goes in as it is; a property, as its getter or setter, so
+    ``class`` gives ``getClass``. ``*`` names every property of a
+    ``jsp:setProperty``."""
+    name = node.name
+    if name == "jsp:useBean":
+        if not node.attribute_value("class"):
+            return "jsp:useBean without class attribute"
+        bean = node.attribute_value("id")
+        if not bean:
+            return "jsp:useBean without id attribute"
+        if not _is_java_identifier(bean):
+            return f"{name} id {bean!r} is not a Java identifier"
+        return None
+    bean = node.attribute_value("name")
+    prop = node.attribute_value("property")
+    if not bean or not prop:
+        return f"{name} missing name/property attribute"
+    if not _is_java_identifier(bean):
+        return f"{name} name {bean!r} is not a Java identifier"
+    if name == "jsp:setProperty" and prop == "*":
+        return None
+    method = ("get" if name == "jsp:getProperty" else "set") + _capitalized(prop)
+    if not _is_java_identifier(method):
+        return f"{name} property {prop!r} gives no Java method name"
+    return None
+
+
 def _bean_action(node: JspNode, doc: JspDocument,
                  diagnostics: list[Diagnostic] | None) -> CodeStatement | None:
     """The statement of a bean action; None for template text."""
     name = node.name
+    if name not in ("jsp:useBean", "jsp:getProperty", "jsp:setProperty"):
+        # jsp:include, jsp:forward, jsp:param, ... : template text, codified
+        # later by the dependency extraction pass.
+        return None
+    problem = _bean_action_problem(node)
+    if problem is not None:
+        emit(diagnostics, "translation", problem, f"{doc.page_path}@{node.span[0]}")
+        return None
     if name == "jsp:useBean":
-        bean_class = node.attribute_value("class")
-        if not bean_class:
-            emit(diagnostics, "translation", "jsp:useBean without class attribute",
-                 f"{doc.page_path}@{node.span[0]}")
-            return None
-        metadata = {"bean": node.attribute_value("id") or "", "class": bean_class}
+        metadata = {"bean": node.attribute_value("id"), "class": node.attribute_value("class")}
         scope = node.attribute_value("scope")
         if scope:
             metadata["scope"] = scope
-        return CodeStatement(StatementKind.BEAN_INSTANTIATION, _open_tag(node, doc.source),
-                             metadata=metadata, origin_span=node.span)
-    if name in ("jsp:getProperty", "jsp:setProperty"):
-        bean = node.attribute_value("name")
+        stmt_kind = StatementKind.BEAN_INSTANTIATION
+    else:
         prop = node.attribute_value("property")
-        if not bean or not prop:
-            emit(diagnostics, "translation", f"{name} missing name/property attribute",
-                 f"{doc.page_path}@{node.span[0]}")
-            return None
+        metadata = {"bean": node.attribute_value("name"), "property": prop}
         if name == "jsp:getProperty":
-            metadata = {"bean": bean, "property": prop, "method": "get" + _capitalized(prop)}
+            metadata["method"] = "get" + _capitalized(prop)
             stmt_kind = StatementKind.PROPERTY_GET
         else:
-            metadata = {"bean": bean, "property": prop}
             if prop != "*":
                 metadata["method"] = "set" + _capitalized(prop)
             value = node.attribute_value("value")
@@ -150,11 +200,8 @@ def _bean_action(node: JspNode, doc: JspDocument,
             if param is not None:
                 metadata["param"] = param
             stmt_kind = StatementKind.PROPERTY_SET
-        return CodeStatement(stmt_kind, _open_tag(node, doc.source), metadata=metadata,
-                             origin_span=node.span)
-    # jsp:include, jsp:forward, jsp:param, ... : template text, codified later
-    # by the dependency extraction pass.
-    return None
+    return CodeStatement(stmt_kind, _open_tag(node, doc.source), metadata=metadata,
+                         origin_span=node.span)
 
 
 def _handler_call(node: JspNode, src: str,
@@ -281,7 +328,7 @@ def _render_statement(stmt: CodeStatement, out: list[str], indent: str) -> None:
         for line in stmt.text.strip("\n").splitlines() or [""]:
             out.append(indent + line.strip())
     elif stmt.kind is StatementKind.BEAN_INSTANTIATION:
-        cls, bean = md.get("class", "Object"), md.get("bean", "bean")
+        cls, bean = md["class"], md["bean"]
         out.append(f"{indent}{cls} {bean} = new {cls}();")
     elif stmt.kind is StatementKind.PROPERTY_GET:
         out.append(f"{indent}out.print({md['bean']}.{md['method']}());")

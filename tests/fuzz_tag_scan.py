@@ -18,25 +18,31 @@ import argparse
 import sys
 from typing import Sequence
 
-from jspkdm import jsp_parser
+from jspkdm import dependency_extractor, jsp_parser
 
 from .genjsp import parse_outcome, tag_soup
 from .oracles import scan_tag_attrs_oracle
 
 
-def _oracle_scan(parser, pos: int, tag_start: int):
-    return scan_tag_attrs_oracle(parser.source, pos, tag_start, parser.page_path)
+# Each namespace where a caller looks the tag scanner up.
+_CALLERS = (jsp_parser, dependency_extractor)
+
+
+def _oracle_scan(src: str, pos: int, tag_start: int, page_path: str, memo: dict):
+    return scan_tag_attrs_oracle(src, pos, tag_start, page_path)
 
 
 def disagreements(pages: Sequence[str]) -> list[str]:
     """The pages whose outcome changes when the oracle scans each tag."""
     scanned = [parse_outcome(page) for page in pages]
-    kept = jsp_parser._Parser._scan_tag_attrs
-    jsp_parser._Parser._scan_tag_attrs = _oracle_scan
+    kept = [module.scan_tag_attrs for module in _CALLERS]
+    for module in _CALLERS:
+        module.scan_tag_attrs = _oracle_scan
     try:
         return [page for page, got in zip(pages, scanned) if got != parse_outcome(page)]
     finally:
-        jsp_parser._Parser._scan_tag_attrs = kept
+        for module, scan in zip(_CALLERS, kept):
+            module.scan_tag_attrs = scan
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,6 +8,7 @@ character scans, regexes and brute-force ranking, so that a test asserting
 from __future__ import annotations
 
 import re
+import unicodedata
 from collections.abc import Iterable
 from xml.sax.saxutils import quoteattr
 
@@ -16,8 +17,8 @@ from jspkdm import (TAG_TABLE, CodeStatement, DuplicateAttribute, JspNode, JspPa
                     mangle_class_name)
 from jspkdm.deployment_mapper import ServletDecl
 from jspkdm.diagnostics import Diagnostic, emit
-from jspkdm.jsp_parser import (_CLOSE_OPENER, _DELIMITED, _DIRECTIVE_OPENER, _PREFIXED_NAME,
-                               _Parser, iter_nodes, normalize_page_path)
+from jspkdm.jsp_parser import (_CLOSE_OPENER, _DELIMITED, _PREFIXED_NAME, _classify_element,
+                               _jsp_element, iter_nodes, normalize_page_path, scan_tag_attrs)
 
 # -- scripting-region delimiter scan --------------------------------------------
 
@@ -173,6 +174,29 @@ def emit_literals(java_source: str) -> list[str]:
 # -- recursive translation ------------------------------------------------------------
 
 
+# The reserved words of JLS §3.9 and the literals of §3.10 that look like
+# identifiers.
+_JAVA_KEYWORDS = set("""
+    abstract continue for new switch assert default if package synchronized boolean
+    do goto private this break double implements protected throw byte else import
+    public throws case enum instanceof return transient catch extends int short try
+    char final interface static void class finally long strictfp volatile const float
+    native super while _ true false null""".split())
+
+
+def java_identifier(name: str) -> bool:
+    """JLS §3.8, one character at a time: a Java letter (a Unicode letter, a
+    letter number, a currency symbol or a connector such as "_"), then Java
+    letters and digits (decimal digits and combining marks too), and no
+    reserved word. The identifier-ignorable controls are refused."""
+    for i, c in enumerate(name):
+        cat = unicodedata.category(c)
+        letter = cat[0] == "L" or cat in ("Nl", "Sc", "Pc")
+        if not (letter or i and cat in ("Nd", "Mn", "Mc")):
+            return False
+    return bool(name) and name not in _JAVA_KEYWORDS
+
+
 class RecursiveTranslator:
     """The recursive reference for ``translate_page``: ``walk`` descends into
     each element's children through ``_emit_element`` and the action handlers,
@@ -261,11 +285,16 @@ class RecursiveTranslator:
         name = node.name
         if name == "jsp:useBean":
             bean_class = node.attribute_value("class")
-            if not bean_class:
-                self._diag("jsp:useBean without class attribute", node)
+            bean = node.attribute_value("id")
+            problem = ("jsp:useBean without class attribute" if not bean_class
+                       else "jsp:useBean without id attribute" if not bean
+                       else None if java_identifier(bean)
+                       else f"jsp:useBean id {bean!r} is not a Java identifier")
+            if problem:
+                self._diag(problem, node)
                 self._emit_element(node)
                 return
-            metadata = {"bean": node.attribute_value("id") or "", "class": bean_class}
+            metadata = {"bean": bean, "class": bean_class}
             if node.attribute_value("scope"):
                 metadata["scope"] = node.attribute_value("scope")
             self._statement(CodeStatement(
@@ -279,13 +308,24 @@ class RecursiveTranslator:
                 self._diag(f"{name} missing name/property attribute", node)
                 self._emit_element(node)
                 return
+            # The property goes into the servlet as its getter or setter.
+            method = ("get" if name == "jsp:getProperty" else "set") + prop[:1].upper() + prop[1:]
+            every = name == "jsp:setProperty" and prop == "*"
+            problem = (f"{name} name {bean!r} is not a Java identifier"
+                       if not java_identifier(bean)
+                       else f"{name} property {prop!r} gives no Java method name"
+                       if not (every or java_identifier(method)) else None)
+            if problem:
+                self._diag(problem, node)
+                self._emit_element(node)
+                return
             metadata = {"bean": bean, "property": prop}
             if name == "jsp:getProperty":
-                metadata["method"] = "get" + prop[:1].upper() + prop[1:]
+                metadata["method"] = method
                 stmt_kind = StatementKind.PROPERTY_GET
             else:
                 if prop != "*":
-                    metadata["method"] = "set" + prop[:1].upper() + prop[1:]
+                    metadata["method"] = method
                 for key in ("value", "param"):
                     if node.attribute_value(key) is not None:
                         metadata[key] = node.attribute_value(key)
@@ -332,7 +372,7 @@ _LT_WITH_HTML_RE = re.compile(
 _COMMENT_OPENER, _COMMENT_CLOSER = 8, 9
 
 
-class HtmlNodeParser(_Parser):
+class HtmlNodeParser:
     """The reference for finding the ``a`` and ``form`` tags in template text:
     the parser as it was when its search regex also found those tags, and
     each became a flat node of its own, here of kind TEMPLATE_TEXT with the
@@ -342,41 +382,63 @@ class HtmlNodeParser(_Parser):
     or ``form`` tag from an HTML comment's ``<!--`` to the next ``-->`` or
     ``--!>`` is text, while JSP inside the comment is parsed as anywhere else.
     ``html_spans`` lists the spans of the tags read, also when the parse
-    fails later."""
+    fails later. It recurses through ``parse_nodes`` and ``_parse_element``,
+    two frames a nesting level, and shares only the package's tag scanner
+    and its builder of scripting elements, JSP comments and directives."""
 
     def __init__(self, source: str, page_path: str):
-        super().__init__(source, page_path)
+        self.source = source
+        self.page_path = page_path
+        self.pos = 0
+        self.memo: dict = {}  # the tag scanner's EOF memo
         self.html_spans: list[tuple[int, int]] = []
         self.unread: list[tuple[int, str, JspParseError]] = []
         self.in_comment = False
 
     def _parse_element(self, nodes, flush_text, start, name, name_end) -> bool:
-        if ":" in name:
-            return super()._parse_element(nodes, flush_text, start, name, name_end)
-        if self.in_comment:
+        """Append the tag opened at ``start``, and a prefixed action's
+        children; False, appending nothing, when the tag is text."""
+        html = ":" not in name
+        if html and self.in_comment:
             self.pos = start + 1
             return False
         try:
-            scanned = self._scan_tag_attrs(name_end, start)
+            scanned = scan_tag_attrs(self.source, name_end, start, self.page_path, self.memo)
         except (MalformedAttribute, DuplicateAttribute) as exc:
+            if not html:
+                raise
             self.unread.append((start, name, exc))
             scanned = None
         if scanned is None:
             self.pos = start + 1
             return False
-        attrs, tag_end, _ = scanned
+        attrs, tag_end, self_closing = scanned
         flush_text(start)
-        nodes.append(JspNode(NodeKind.TEMPLATE_TEXT, name, tuple(attrs), span=(start, tag_end)))
-        self.html_spans.append((start, tag_end))
         self.pos = tag_end
+        if html:
+            nodes.append(JspNode(NodeKind.TEMPLATE_TEXT, name, tuple(attrs),
+                                 span=(start, tag_end)))
+            self.html_spans.append((start, tag_end))
+            return True
+        node = JspNode(_classify_element(name), name, tuple(attrs), span=(start, tag_end))
+        nodes.append(node)
+        if self_closing:
+            return True
+        first_child = len(nodes)
+        close_span = self.parse_nodes(nodes, until_close=name)
+        if close_span is not None:
+            node.children = tuple(nodes[first_child:])
+            del nodes[first_child:]
+            node.span = (start, close_span[1])
+            node.inner_span = (tag_end, close_span[0])
         return True
 
-    def _parse_nodes(self, nodes, until_close=None):
-        # jsp_parser._Parser._parse_nodes with _LT_WITH_HTML_RE.
+    def parse_nodes(self, nodes, until_close=None):
+        """Append to ``nodes`` from ``self.pos`` up to the close tag of
+        ``until_close``, and return its span, or to EOF, and return None."""
         src = self.source
         n = len(src)
         run_start = self.pos
-        self._close_span = None
 
         def flush_text(end: int) -> None:
             if end > run_start:
@@ -385,13 +447,10 @@ class HtmlNodeParser(_Parser):
         while (m := _LT_WITH_HTML_RE.search(src, self.pos)) is not None:
             lt = m.start()
             opener = m.lastindex
-            delimited = _DELIMITED.get(opener)
-            if delimited is not None:
+            if opener in _DELIMITED:
                 flush_text(lt)
-                nodes.append(self._parse_delimited(lt, *delimited))
-            elif opener == _DIRECTIVE_OPENER:
-                flush_text(lt)
-                nodes.append(self._parse_directive(lt))
+                nodes.append(_jsp_element(src, lt, opener, self.page_path))
+                self.pos = nodes[-1].span[1]
             elif opener == _CLOSE_OPENER:
                 if m.group(opener) != until_close:
                     # Template text, whose name may hold a comment's "-->".
@@ -399,8 +458,7 @@ class HtmlNodeParser(_Parser):
                     continue
                 self.pos = m.end()
                 flush_text(lt)
-                self._close_span = (lt, self.pos)
-                return nodes
+                return lt, self.pos
             elif opener == _COMMENT_OPENER:
                 self.pos = lt + 2  # the "-->" of "<!-->" starts here
                 self.in_comment = True
@@ -415,8 +473,7 @@ class HtmlNodeParser(_Parser):
 
         self.pos = n
         flush_text(n)
-        self._close_span = None
-        return nodes
+        return None
 
 
 _REQUEST_TIME_RE = re.compile(r"\$\{|<%|</?" + _PREFIXED_NAME)
@@ -429,8 +486,9 @@ def extract_with_html_nodes(source: str, page_path: str = "/gen.jsp"):
     in document order."""
     page_path = normalize_page_path(page_path)
     parser = HtmlNodeParser(source, page_path)
+    nodes: list[JspNode] = []
     try:
-        nodes = parser._parse_nodes([])
+        parser.parse_nodes(nodes)
     except JspParseError as exc:
         return parser.html_spans, (type(exc), str(exc), exc.offset)
     refs: list[UrlRef] = []
@@ -452,7 +510,7 @@ def extract_with_html_nodes(source: str, page_path: str = "/gen.jsp"):
                 found.append((node.span[0], f"<{node.name}> without {attribute} attribute"))
             continue
         method = values.get("method") if tag_kind == "form" else None
-        if method and method.lower() not in ("get", "post", "put"):
+        if method and method.lower() not in ("get", "post", "dialog"):
             found.append((node.span[0], f"unsupported form method {method!r}"))
         refs.append(UrlRef(tag_kind, url, _REQUEST_TIME_RE.search(url) is not None,
                            node.span))

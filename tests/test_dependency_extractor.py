@@ -71,6 +71,15 @@ class TestExtraction:
         assert [(d.category, d.message, d.location) for d in diagnostics] == [
             ("extraction", "unsupported form method 'Delete'", "/p.jsp@3")]
 
+    def test_form_methods_are_those_of_html(self):
+        # HTML forms know get, post and dialog; put is not one of them.
+        diagnostics = []
+        refs = refs_of('<form action="/d" method="dialog"><form action="/p" method="PUT">',
+                       diagnostics)
+        assert [ref.raw_url for ref in refs] == ["/d", "/p"]
+        assert [(d.category, d.message, d.location) for d in diagnostics] == [
+            ("extraction", "unsupported form method 'PUT'", "/p.jsp@34")]
+
     def test_page_directive_without_error_page_yields_nothing(self):
         diagnostics = []
         assert refs_of('<%@ page import="java.util.*" %>', diagnostics) == []

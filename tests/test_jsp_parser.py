@@ -17,6 +17,7 @@ import pytest
 from jspkdm import (
     DuplicateAttribute,
     JspNode,
+    JspParseError,
     MalformedAttribute,
     NodeKind,
     StatementKind,
@@ -29,7 +30,7 @@ from jspkdm import (
 )
 from .fuzz_tag_scan import disagreements
 from .genjsp import generate_page, generated_pages, parse_outcome, tag_soup
-from .oracles import check_span_coverage, delimiter_scan
+from .oracles import HtmlNodeParser, check_span_coverage, delimiter_scan
 
 
 def kinds_of(doc):
@@ -177,6 +178,19 @@ class TestAttributes:
     def test_unclosed_quote_is_an_error(self):
         with pytest.raises(MalformedAttribute):
             parse_jsp('<c:form action="/a>', "/p.jsp")
+
+    @pytest.mark.parametrize("source, error, offset", [
+        # At the duplicate's name.
+        ('<%@ page a="1" A="2" %>', DuplicateAttribute, 15),
+        ('ab<%@page a="1"  b=2 B="3"%>', DuplicateAttribute, 21),
+        # At the text that no attribute took, which holds the quote.
+        ('<%@ page a "x" %>', MalformedAttribute, 8),
+        ('ab<%@ page a="1" b "x" %>', MalformedAttribute, 16),
+    ])
+    def test_directive_error_is_at_its_offset_in_the_page(self, source, error, offset):
+        with pytest.raises(error) as info:
+            parse_jsp(source, "/p.jsp")
+        assert info.value.offset == offset
 
     def test_unterminated_scriptlet_is_an_error(self):
         for source in ("<% int i = 0;", "<%= i", "<%! int i;", "<%-- gone"):
@@ -484,3 +498,32 @@ class TestScannerAgreesWithOracle:
         assert disagreements(pages) == []
         assert outcome_kinds(pages[:2000]) == OUTCOMES
         assert html_tag_outcomes(pages[:20_000]) == HTML_REFS | HTML_DIAGNOSTICS
+
+
+
+class TestParserAgreesWithReference:
+    """The parser, one frame a nesting level, against ``oracles.HtmlNodeParser``,
+    which nests through two methods and also reads the ``a`` and ``form``
+    tags: where it reads none, both give the same nodes or the same error."""
+
+    def test_20k_tag_soup_pages_parse_as_the_reference_does(self):
+        bad, outcomes = [], []
+        for page in tag_soup(20_000, seed=5):
+            reference = HtmlNodeParser(page, "/gen.jsp")
+            expected: list[JspNode] | tuple = []
+            try:
+                reference.parse_nodes(expected)
+            except JspParseError as exc:
+                expected = type(exc), str(exc)
+            if reference.html_spans:
+                continue
+            outcomes.append(type(expected))
+            try:
+                got = parse_jsp(page, "/gen.jsp").nodes
+            except JspParseError as exc:
+                got = type(exc), str(exc)
+            if got != expected:
+                bad.append(page)
+        assert bad == []
+        # Pages that parse, and pages that fail.
+        assert outcomes.count(list) > 13_000 and outcomes.count(tuple) > 800

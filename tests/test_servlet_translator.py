@@ -291,6 +291,67 @@ class TestRendering:
         assert [(d.category, d.message, d.location) for d in diagnostics] == [
             ("translation", f"{name} missing name/property attribute", "/p.jsp@0")]
 
+    @pytest.mark.parametrize("action, message", [
+        ("<jsp:setProperty name=\"cart\" property='a\"b'/>",
+         "jsp:setProperty property 'a\"b' gives no Java method name"),
+        ('<jsp:getProperty name="c-1" property="x y"/>',
+         "jsp:getProperty name 'c-1' is not a Java identifier"),
+        ('<jsp:getProperty name="cart" property="x y"/>',
+         "jsp:getProperty property 'x y' gives no Java method name"),
+        ('<jsp:getProperty name="cart" property="*"/>',
+         "jsp:getProperty property '*' gives no Java method name"),
+        ('<jsp:useBean class="B"/>', "jsp:useBean without id attribute"),
+        ('<jsp:useBean id="" class="B"/>', "jsp:useBean without id attribute"),
+        ('<jsp:useBean id="9b" class="B"/>', "jsp:useBean id '9b' is not a Java identifier"),
+        ('<jsp:useBean id="new" class="B"/>', "jsp:useBean id 'new' is not a Java identifier"),
+        ('<jsp:useBean id="null" class="B"/>', "jsp:useBean id 'null' is not a Java identifier"),
+        ('<jsp:useBean id="_" class="B"/>', "jsp:useBean id '_' is not a Java identifier"),
+        ('<jsp:useBean id="a·b" class="B"/>',
+         "jsp:useBean id 'a·b' is not a Java identifier"),
+        ('<jsp:getProperty name="b" property="x²"/>',
+         "jsp:getProperty property 'x²' gives no Java method name"),
+    ])
+    def test_bean_name_that_is_no_java_identifier_is_emitted(self, action, message):
+        # The names go into the servlet's code: `cart.setA"b(...)`,
+        # `out.print(c-1.getX y())` and `B  = new B();` are not Java.
+        diagnostics = []
+        unit = translate(action, diagnostics=diagnostics)
+        assert service_lines(unit) == [f'out.print("{escape_java_string(action)}");']
+        assert [(d.category, d.message, d.location) for d in diagnostics] == [
+            ("translation", message, "/p.jsp@0")]
+        reference = []
+        assert translate_recursively(parse_jsp(action, "/p.jsp"), {}, reference).service_body \
+            == unit.service_body
+        assert reference == diagnostics
+
+    @pytest.mark.parametrize("bean", ["cart", "$b_1", "_x", "café", "π́",
+                                      "Ⅰx", "bean12", "Integer", "var", "record"])
+    def test_bean_name_that_is_a_java_identifier_is_a_statement(self, bean):
+        source = (f'<jsp:useBean id="{bean}" class="B"/>'
+                  f'<jsp:getProperty name="{bean}" property="{bean}"/>')
+        diagnostics = []
+        unit = translate(source, diagnostics=diagnostics)
+        assert [s.kind for s in unit.service_body] == [StatementKind.BEAN_INSTANTIATION,
+                                                       StatementKind.PROPERTY_GET]
+        assert diagnostics == []
+        assert translate_recursively(parse_jsp(source, "/p.jsp")).service_body \
+            == unit.service_body
+
+    @pytest.mark.parametrize("prop, method", [
+        ("class", "Class"), ("int", "Int"), ("default", "Default"), ("new", "New"),
+        ("null", "Null"), ("_", "_"), ("1st", "1st")])
+    def test_property_is_checked_as_the_method_it_gives(self, prop, method):
+        # `b.getClass()` and `b.setInt(...)` are Java, though `class` and
+        # `int` are no identifiers: the servlet writes only the method.
+        source = (f'<jsp:getProperty name="b" property="{prop}"/>'
+                  f'<jsp:setProperty name="b" property="{prop}" value="v"/>')
+        diagnostics = []
+        unit = translate(source, diagnostics=diagnostics)
+        assert service_lines(unit) == [f"out.print(b.get{method}());", f'b.set{method}("v");']
+        assert diagnostics == []
+        assert translate_recursively(parse_jsp(source, "/p.jsp")).service_body \
+            == unit.service_body
+
 
 class TestRandomizedProperties:
     CASES = 300
@@ -424,10 +485,10 @@ def custom_tag_chain(tags: list[tuple[str, str]], known_tag_handlers=None):
 class TestDeepPages:
     """The translator holds one stack entry per open action, and no frame."""
 
-    def test_490_level_nest_translates(self):
-        depth = 490
+    def test_900_level_nest_translates(self):
+        depth = 900
         source = '<c:if test="t">x' * depth + "</c:if>" * depth
-        # The parser still recurses, two frames a level: in a thread of its
+        # The parser still recurses, one frame a level: in a thread of its
         # own it starts from an empty stack, as under the command line.
         with ThreadPoolExecutor(1) as pool:
             doc = pool.submit(parse_jsp, source, "/deep.jsp").result(timeout=60)
