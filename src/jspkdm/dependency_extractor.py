@@ -36,12 +36,13 @@ TAG_TABLE: dict[tuple[NodeKind, str], tuple[str, str]] = {
 }
 
 # Tag kinds whose designated attribute is optional: absence means "no
-# dependency", not an anomaly.
+# dependency", not an anomaly. A form without an action submits to the
+# document itself (HTML), as one with an empty action does.
 _OPTIONAL_ATTR_KINDS = frozenset({"page-directive-errorPage",
-                                  "jsp:directive.page-errorPage"})
+                                  "jsp:directive.page-errorPage", "form"})
 
 # Tag kinds whose empty value names the document itself (HTML): neither a
-# dependency nor an anomaly. An absent one is still an anomaly.
+# dependency nor an anomaly. An absent href is still an anomaly.
 _SELF_URL_KINDS = frozenset({"a-href", "form"})
 
 _FORM_METHODS = frozenset({"get", "post", "dialog"})

@@ -5,10 +5,15 @@ reference to an internal page, an internal servlet class, an external
 resource, or an explicit "unresolved" verdict. Pattern matching follows the
 container precedence rule: exact match, then longest path prefix, then
 extension, then the default mapping.
+
+A Java source is read lexically: its comments are stripped once, and its
+class name and @WebServlet argument lists are found by regexes over the
+stripped text, so the scan runs in C.
 """
 
 from __future__ import annotations
 
+import functools
 import posixpath
 import re
 from enum import Enum
@@ -78,6 +83,9 @@ class ResolvedTarget(Value):
 # -- web.xml --------------------------------------------------------------------
 
 
+# Every element of web.xml is asked its local name, and a descriptor spells
+# few distinct tags: a kept answer costs less than the split.
+@functools.lru_cache(maxsize=256)
 def _local(tag: str) -> str:
     return tag.rpartition("}")[2]
 
@@ -87,6 +95,15 @@ def _child_text(element, local_name: str) -> str | None:
         if _local(child.tag) == local_name:
             return (child.text or "").strip()
     return None
+
+
+def _first_texts(element) -> dict[str, str | None]:
+    """The text of the first child of each local name, in one pass over the
+    children."""
+    texts: dict[str, str | None] = {}
+    for child in element:
+        texts.setdefault(_local(child.tag), child.text)
+    return texts
 
 
 def parse_web_xml(content: bytes, diagnostics: list[Diagnostic] | None = None
@@ -109,9 +126,11 @@ def parse_web_xml(content: bytes, diagnostics: list[Diagnostic] | None = None
     for element in root.iter():
         local = _local(element.tag)
         if local == "servlet":
-            name = _child_text(element, "servlet-name")
-            servlet_class = _child_text(element, "servlet-class")
-            jsp_file = _child_text(element, "jsp-file")
+            # An absent child reads as "", as an empty one does.
+            texts = _first_texts(element)
+            name = (texts.get("servlet-name") or "").strip()
+            servlet_class = (texts.get("servlet-class") or "").strip()
+            jsp_file = (texts.get("jsp-file") or "").strip()
             if not name:
                 emit(diagnostics, "web-xml",
                      "servlet declaration without servlet-name; skipped")
@@ -146,13 +165,29 @@ def parse_web_xml(content: bytes, diagnostics: list[Diagnostic] | None = None
 # -- @WebServlet annotations ------------------------------------------------------
 
 _LINE_COMMENT_RE = re.compile(r"//[^\n]*")
-_BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
-_STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
+# A block comment ends at the first "*/", and a string literal at the first
+# quote that no backslash escapes. Both are spelled as runs of the characters
+# that cannot end them (the "unrolled loop"), which the engine steps over in
+# one loop, not a lazy ".*?" or an alternation tried at each character.
+_BLOCK_COMMENT_RE = re.compile(r"/\*[^*]*\*+(?:[^/*][^*]*\*+)*/")
+_STRING_RE = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"')
 _ANNOTATION_RE = re.compile(r"@\s*WebServlet\b")
 _PACKAGE_RE = re.compile(r"^\s*package\s+([\w.]+)\s*;", re.MULTILINE)
-_CLASS_RE = re.compile(r"\bclass\s+([A-Za-z_]\w*)")
+# "class" as a whole word. The lookbehind puts the word boundary after the
+# literal, so the engine searches for "class" instead of trying every offset.
+_CLASS_RE = re.compile(r"class(?<=\bclass)\s+([A-Za-z_]\w*)")
+_ARGS_OPEN_RE = re.compile(r"\s*\(")
+# A paren, or a string literal; one that is left open runs to the end.
+_ARGS_TOKEN_RE = re.compile(r'[()]|"[^"\\]*(?:\\[\s\S][^"\\]*)*"?')
+_KEYED_ARG_RE = re.compile(r"\b(?:urlPatterns|value)\s*=")
+_NAME_ARG_RE = re.compile(r'\bname\s*=\s*"([^"\\]*(?:\\.[^"\\]*)*)"')
 
 
+# The pipeline reads each source's class name and then its annotations, and
+# both need the source without comments: the cache of one keeps the second
+# call from stripping the same text again. The strip is not idempotent
+# ("//*a*/* b */" leaves "/* b */"), so callers pass the source as read.
+@functools.lru_cache(maxsize=1)
 def _strip_java_comments(source: str) -> str:
     return _LINE_COMMENT_RE.sub("", _BLOCK_COMMENT_RE.sub("", source))
 
@@ -162,32 +197,26 @@ def _unescape_java(literal: str) -> str:
 
 
 def _annotation_args(source: str, pos: int) -> str | None:
-    """Text between the balanced parens starting at ``pos`` (skipping space)."""
-    n = len(source)
-    while pos < n and source[pos].isspace():
-        pos += 1
-    if pos >= n or source[pos] != "(":
+    """Text between the balanced parens starting at ``pos`` (skipping space),
+    or None when there is no "(" there or it is never closed.
+
+    Only parens and string literals matter, so the scan steps from one to the
+    next with ``_ARGS_TOKEN_RE``; a string left open takes the rest of the
+    source, so its parens close nothing.
+    """
+    opening = _ARGS_OPEN_RE.match(source, pos)
+    if opening is None:
         return None
-    depth = 0
-    start = pos + 1
-    in_string = False
-    i = pos
-    while i < n:
-        c = source[i]
-        if in_string:
-            if c == "\\":
-                i += 1
-            elif c == '"':
-                in_string = False
-        elif c == '"':
-            in_string = True
-        elif c == "(":
+    start = opening.end()
+    depth = 1
+    for token in _ARGS_TOKEN_RE.finditer(source, start):
+        text = token[0]
+        if text == "(":
             depth += 1
-        elif c == ")":
+        elif text == ")":
             depth -= 1
             if depth == 0:
-                return source[start:i]
-        i += 1
+                return source[start:token.start()]
     return None
 
 
@@ -206,7 +235,7 @@ def _patterns_from_args(args: str) -> list[str] | None:
         m = _STRING_RE.match(stripped)
         return [_unescape_java(m.group(1))] if m else []
 
-    keyed = re.search(r"\b(?:urlPatterns|value)\s*=", args)
+    keyed = _KEYED_ARG_RE.search(args)
     if keyed:
         return literals_after(keyed.end())
     if "=" not in args:
@@ -221,7 +250,9 @@ def scan_webservlet_annotations(
     """Lexical scan for @WebServlet URL patterns on one class.
 
     Handles the single string value, ``value = {...}`` and
-    ``urlPatterns = {...}`` forms; anything else yields a diagnostic.
+    ``urlPatterns = {...}`` forms; anything else yields a diagnostic. Pass
+    the source as read: called right after :func:`java_qualified_class_name`
+    on the same text, the scan reuses its comment strip.
     """
     source = _strip_java_comments(java_source)
     results: list[tuple[str, ServletDecl]] = []
@@ -236,7 +267,7 @@ def scan_webservlet_annotations(
             emit(diagnostics, "annotation",
                  f"@WebServlet on {class_qualified_name} without url patterns")
             continue
-        name_match = re.search(r'\bname\s*=\s*"((?:[^"\\]|\\.)*)"', args)
+        name_match = _NAME_ARG_RE.search(args)
         servlet_name = (_unescape_java(name_match.group(1)) if name_match
                         else class_qualified_name)
         decl = ServletDecl(servlet_name=servlet_name,
@@ -248,7 +279,8 @@ def scan_webservlet_annotations(
 
 
 def java_qualified_class_name(java_source: str, fallback: str) -> str:
-    """Best-effort "package.Class" from a source file, lexically."""
+    """Best-effort "package.Class" from a source file, lexically: the first
+    ``class`` keyword after the comments are stripped, else ``fallback``."""
     source = _strip_java_comments(java_source)
     cls = _CLASS_RE.search(source)
     name = cls.group(1) if cls else fallback
@@ -263,6 +295,8 @@ PATTERN_PREFIX = "prefix"
 PATTERN_EXTENSION = "extension"
 PATTERN_DEFAULT = "default"
 
+_EXTENSION_PATTERN_RE = re.compile(r"\*\.[^/.*]+")
+
 
 def classify_pattern(pattern: str) -> str | None:
     """One of the four container pattern shapes, or None when invalid."""
@@ -270,7 +304,7 @@ def classify_pattern(pattern: str) -> str | None:
         return PATTERN_DEFAULT
     if pattern.startswith("/") and pattern.endswith("/*") and "*" not in pattern[:-1]:
         return PATTERN_PREFIX
-    if re.fullmatch(r"\*\.[^/.*]+", pattern):
+    if _EXTENSION_PATTERN_RE.fullmatch(pattern):
         return PATTERN_EXTENSION
     if pattern.startswith("/") and "*" not in pattern:
         return PATTERN_EXACT

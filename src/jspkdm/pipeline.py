@@ -205,7 +205,35 @@ def scan_webapp(root, include: list[str] | None = None,
     return inventory
 
 
-def _read_text(path: Path, encoding: str, diagnostics: list[Diagnostic], what: str,
+def _java_files_under(base: Path) -> list[str]:
+    """The ``*.java`` files under ``base``: the same strings, in the same
+    order, as ``[str(p) for p in sorted(base.rglob("*.java")) if p.is_file()]``.
+    A symlinked directory is not followed, a directory is no source whatever
+    its name, and the paths sort by their parts. Each directory costs one
+    ``os.scandir``, whose entries carry their type, so a regular file costs
+    no ``stat``; a directory that cannot be listed is skipped, as ``rglob``
+    skips it."""
+    top = str(base)
+    cut = 2 if top == "." else 0  # pathlib writes "./a.java" as "a.java"
+    found: list[tuple[list[str], str]] = []
+    dirs: list[tuple[str, list[str]]] = [(top, [])]
+    while dirs:
+        path, parts = dirs.pop()
+        try:
+            with os.scandir(path) as scan:
+                entries = list(scan)
+        except OSError:
+            continue
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                dirs.append((entry.path, parts + [entry.name]))
+            elif entry.name.endswith(".java") and entry.is_file():
+                found.append((parts + [entry.name], entry.path[cut:]))
+    found.sort()
+    return [path for _, path in found]
+
+
+def _read_text(path: Path | str, encoding: str, diagnostics: list[Diagnostic], what: str,
                newline: str | None = None) -> str | None:
     """The file's text, or None after an "io" diagnostic. ``newline`` is
     ``open``'s: a page is read with ``""``, so that its spans index the file
@@ -262,21 +290,21 @@ def run_pipeline(inventory: WebAppInventory,
                  inventory.web_xml)
         except XmlSyntaxError as exc:
             emit(diagnostics, "web-xml", str(exc), inventory.web_xml)
-    java_files: list[tuple[str, Path]] = [
+    java_files: list[tuple[str, Path | str]] = [
         (rel, inventory.root / rel.lstrip("/")) for rel in inventory.java_sources]
     for source_root in config.source_roots:
         base = Path(source_root)
         if not base.is_dir():
             emit(diagnostics, "io", "source root not found", str(base))
             continue
-        java_files.extend(
-            (p.as_posix(), p) for p in sorted(base.rglob("*.java"))
-            if p.is_file() and _utf8_path(p.as_posix(), diagnostics))
+        java_files.extend((p, p) for p in _java_files_under(base)
+                          if _utf8_path(p, diagnostics))
     for label, java_path in java_files:
         source = _read_text(java_path, config.encoding, diagnostics, label)
         if source is None:
             continue
-        qualified = java_qualified_class_name(source, java_path.stem)
+        stem = os.path.splitext(os.path.basename(java_path))[0]
+        qualified = java_qualified_class_name(source, stem)
         for pattern, decl in scan_webservlet_annotations(source, qualified, diagnostics):
             decls.append(decl)
             mappings.append((pattern, decl.servlet_name))

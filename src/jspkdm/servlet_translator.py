@@ -14,6 +14,7 @@ inspection.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from enum import Enum
 from pathlib import Path
@@ -125,6 +126,14 @@ def _is_java_identifier(name: str) -> bool:
             and all(category(c) in _JAVA_LETTER_OR_DIGIT for c in name[1:]))
 
 
+# A page names few bean classes, and names each again and again, so the
+# answers are kept: checking each character's category costs more.
+@functools.lru_cache(maxsize=256)
+def _is_java_class_name(name: str) -> bool:
+    """Whether ``name`` is Java identifiers joined by dots."""
+    return all(part and _is_java_identifier(part) for part in name.split("."))
+
+
 def _capitalized(prop: str) -> str:
     return prop[:1].upper() + prop[1:]
 
@@ -139,18 +148,22 @@ def _open_tag(node: JspNode, src: str) -> str:
 def _bean_action_problem(node: JspNode) -> str | None:
     """Why a bean action is template text, or None: an absent attribute, or
     a name that goes into the servlet's code and is no Java identifier. The
-    bean's name goes in as it is; a property, as its getter or setter, so
-    ``class`` gives ``getClass``. ``*`` names every property of a
+    bean's name goes in as it is; a class, as a dotted name whose every part
+    is an identifier; a property, as its getter or setter, so ``class``
+    gives ``getClass``. ``*`` names every property of a
     ``jsp:setProperty``."""
     name = node.name
     if name == "jsp:useBean":
-        if not node.attribute_value("class"):
+        cls = node.attribute_value("class")
+        if not cls:
             return "jsp:useBean without class attribute"
         bean = node.attribute_value("id")
         if not bean:
             return "jsp:useBean without id attribute"
         if not _is_java_identifier(bean):
             return f"{name} id {bean!r} is not a Java identifier"
+        if not _is_java_class_name(cls):
+            return f"{name} class {cls!r} is not a Java class name"
         return None
     bean = node.attribute_value("name")
     prop = node.attribute_value("property")

@@ -15,7 +15,7 @@ from xml.sax.saxutils import quoteattr
 from jspkdm import (TAG_TABLE, CodeStatement, DuplicateAttribute, JspNode, JspParseError,
                     MalformedAttribute, NodeKind, ServletUnit, StatementKind, UrlRef,
                     mangle_class_name)
-from jspkdm.deployment_mapper import ServletDecl
+from jspkdm.deployment_mapper import _ANNOTATION_RE, _PACKAGE_RE, ServletDecl, _unescape_java
 from jspkdm.diagnostics import Diagnostic, emit
 from jspkdm.jsp_parser import (_CLOSE_OPENER, _DELIMITED, _PREFIXED_NAME, _classify_element,
                                _jsp_element, iter_nodes, normalize_page_path, scan_tag_attrs)
@@ -142,6 +142,101 @@ def precedence_oracle(entries: Iterable[tuple[str, ServletDecl]],
 def ranked_patterns(entries: Iterable[tuple[str, ServletDecl]], url: str) -> list[str]:
     """Every pattern that matches ``url``, in precedence order."""
     return [m[3] for m in sorted(_ranked_matches(entries, url))]
+
+
+# -- @WebServlet scan ----------------------------------------------------------------
+
+# The scanner as it was before it ran in C: the class regex with its word
+# boundary first, a lazy block comment, string literals read as an
+# alternation at each character, and below the argument list's character
+# loop. The annotation and package regexes are the package's own.
+_CLASS_WORD_RE = re.compile(r"\bclass\s+([A-Za-z_]\w*)")
+_BLOCK_COMMENT_LAZY_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
+_JAVA_STRING_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def strip_java_comments_oracle(source: str) -> str:
+    return re.sub(r"//[^\n]*", "", _BLOCK_COMMENT_LAZY_RE.sub("", source))
+
+
+def annotation_args_oracle(source: str, pos: int) -> str | None:
+    """Text between the balanced parens starting at ``pos`` (skipping
+    space), one character at a time; None when a string or paren is left
+    open."""
+    n = len(source)
+    while pos < n and source[pos].isspace():
+        pos += 1
+    if pos >= n or source[pos] != "(":
+        return None
+    depth = 0
+    start = pos + 1
+    in_string = False
+    i = pos
+    while i < n:
+        c = source[i]
+        if in_string:
+            if c == "\\":
+                i += 1
+            elif c == '"':
+                in_string = False
+        elif c == '"':
+            in_string = True
+        elif c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth == 0:
+                return source[start:i]
+        i += 1
+    return None
+
+
+def patterns_oracle(args: str) -> list[str] | None:
+    """The URL patterns of an argument list: the string literals after
+    ``urlPatterns =`` or ``value =`` (in braces, or the one literal), or
+    every literal when there is no ``=``; None for other keyed forms."""
+    keyed = re.search(r"\b(?:urlPatterns|value)\s*=", args)
+    if keyed is None:
+        return None if "=" in args else [
+            _unescape_java(m.group(1)) for m in _JAVA_STRING_RE.finditer(args)]
+    rest = args[keyed.end():].lstrip()
+    if rest.startswith("{"):
+        end = rest.find("}")
+        return [] if end < 0 else [_unescape_java(m.group(1))
+                                   for m in _JAVA_STRING_RE.finditer(rest[:end])]
+    m = _JAVA_STRING_RE.match(rest)
+    return [_unescape_java(m.group(1))] if m else []
+
+
+def java_class_name_oracle(java_source: str, fallback: str) -> str:
+    source = strip_java_comments_oracle(java_source)
+    cls = _CLASS_WORD_RE.search(source)
+    name = cls.group(1) if cls else fallback
+    pkg = _PACKAGE_RE.search(source)
+    return f"{pkg.group(1)}.{name}" if pkg else name
+
+
+def webservlet_oracle(java_source: str, class_qualified_name: str):
+    """``[(pattern, servlet name, servlet class, source)], diagnostics`` of
+    the @WebServlet annotations, read with :func:`annotation_args_oracle`."""
+    source = strip_java_comments_oracle(java_source)
+    found: list[tuple[str, str, str, str]] = []
+    diagnostics: list[Diagnostic] = []
+    for m in _ANNOTATION_RE.finditer(source):
+        args = annotation_args_oracle(source, m.end())
+        if args is None:
+            emit(diagnostics, "annotation",
+                 f"@WebServlet on {class_qualified_name} has no arguments")
+            continue
+        patterns = patterns_oracle(args)
+        if not patterns:
+            emit(diagnostics, "annotation",
+                 f"@WebServlet on {class_qualified_name} without url patterns")
+            continue
+        name_match = re.search(r'\bname\s*=\s*"((?:[^"\\]|\\.)*)"', args)
+        name = _unescape_java(name_match.group(1)) if name_match else class_qualified_name
+        found += [(pattern, name, class_qualified_name, "annotation") for pattern in patterns]
+    return found, diagnostics
 
 
 # -- java string literals -----------------------------------------------------------
@@ -288,8 +383,10 @@ class RecursiveTranslator:
             bean = node.attribute_value("id")
             problem = ("jsp:useBean without class attribute" if not bean_class
                        else "jsp:useBean without id attribute" if not bean
-                       else None if java_identifier(bean)
-                       else f"jsp:useBean id {bean!r} is not a Java identifier")
+                       else f"jsp:useBean id {bean!r} is not a Java identifier"
+                       if not java_identifier(bean)
+                       else None if all(map(java_identifier, bean_class.split(".")))
+                       else f"jsp:useBean class {bean_class!r} is not a Java class name")
             if problem:
                 self._diag(problem, node)
                 self._emit_element(node)
@@ -505,8 +602,10 @@ def extract_with_html_nodes(source: str, page_path: str = "/gen.jsp"):
         values = {key.lower() if html else key: value for key, value in node.attributes}
         url = values.get(attribute)
         if not url:
-            # An empty URL on an a or form tag is the page itself.
-            if not (tag_kind.endswith("errorPage") or html and url == ""):
+            # An empty URL on an a or form tag is the page itself, and so is
+            # a form's absent action.
+            if not (tag_kind.endswith("errorPage") or tag_kind == "form"
+                    or html and url == ""):
                 found.append((node.span[0], f"<{node.name}> without {attribute} attribute"))
             continue
         method = values.get("method") if tag_kind == "form" else None

@@ -95,11 +95,17 @@ class TestExtraction:
         assert refs_of('<a href="">top</a><FORM ACTION="" method="delete"></FORM>'
                        '<a href>x</a><jsp:include page="" /><a name="n"><form>',
                        diagnostics) == []
-        # An absent URL, and an empty one on a server-side tag, stay diagnostics.
+        # An absent href, and an empty URL on a server-side tag, stay
+        # diagnostics; a form without an action submits to the page itself.
         assert [(d.message, d.location) for d in diagnostics] == [
             ("<jsp:include> without page attribute", "/p.jsp@70"),
-            ("<a> without href attribute", "/p.jsp@93"),
-            ("<form> without action attribute", "/p.jsp@105")]
+            ("<a> without href attribute", "/p.jsp@93")]
+
+    def test_form_without_action_names_the_page_itself(self):
+        diagnostics = []
+        assert refs_of('<form method="post"><FORM Method="PUT"></FORM>'
+                       '<form\nname="f" >', diagnostics) == []
+        assert diagnostics == []
 
     def test_dynamic_urls_flagged(self):
         refs = refs_of('<a href="${target}">x</a>'
@@ -241,7 +247,7 @@ class TestExtractionAgreesWithHtmlNodes:
         assert kinds["a-href"] > 500 and kinds["form"] > 500
         messages = " ".join(d.message for got in compared if isinstance(got, list)
                             for d in got[1])
-        for part in ("without href", "without action", "unsupported form method",
+        for part in ("without href", "unsupported form method",
                      "unclosed quote", "duplicate attribute"):
             assert part in messages, part
 

@@ -22,11 +22,14 @@ from jspkdm import (
 from jspkdm.deployment_mapper import (
     SOURCE_ANNOTATION,
     SOURCE_WEB_XML,
+    _annotation_args,
+    _strip_java_comments,
     classify_pattern,
     java_qualified_class_name,
     normalize_url_path,
 )
-from .oracles import precedence_oracle, ranked_patterns
+from .fuzz_annotations import disagreements, java_soup, outcome
+from .oracles import annotation_args_oracle, precedence_oracle, ranked_patterns
 
 WEB_XML_POWERS = b"""<?xml version="1.0" encoding="UTF-8"?>
 <web-app xmlns="http://java.sun.com/xml/ns/javaee">
@@ -119,6 +122,26 @@ class TestParseWebXml:
         decls, mappings = parse_web_xml(WEB_XML_POWERS)
         assert decls and mappings  # the fixture uses a default namespace
 
+    def test_first_child_of_each_name_counts(self):
+        # A later duplicate is ignored, and an empty first child reads as
+        # absent even when a later one has text.
+        content = b"""<web-app>
+          <servlet><servlet-name> a </servlet-name><servlet-name>b</servlet-name>
+            <servlet-class> x.A </servlet-class><servlet-class>x.B</servlet-class></servlet>
+          <servlet><servlet-name>c</servlet-name><jsp-file> </jsp-file>
+            <servlet-class>x.C</servlet-class><jsp-file>/c.jsp</jsp-file></servlet>
+          <servlet><servlet-name/><servlet-name>d</servlet-name>
+            <servlet-class>x.D</servlet-class></servlet>
+          <servlet-mapping><servlet-name> a </servlet-name><servlet-name>c</servlet-name>
+            <url-pattern>/a</url-pattern></servlet-mapping></web-app>"""
+        diagnostics = []
+        decls, mappings = parse_web_xml(content, diagnostics)
+        assert [(d.servlet_name, d.servlet_class, d.jsp_file) for d in decls] == [
+            ("a", "x.A", None), ("c", "x.C", None)]
+        assert mappings == [("/a", "a")]
+        assert [d.message for d in diagnostics] == [
+            "servlet declaration without servlet-name; skipped"]
+
 
 class TestAnnotationScan:
     def test_single_value_form(self):
@@ -168,6 +191,42 @@ class TestAnnotationScan:
         source = "package com.example;\npublic final class Thing {}"
         assert java_qualified_class_name(source, "Fallback") == "com.example.Thing"
         assert java_qualified_class_name("int x;", "Fallback") == "Fallback"
+
+    @pytest.mark.parametrize("source, name", [
+        ("class A", "A"), ("subclass X class Y", "Y"), ("myclass Y", "F"), ("Class Z", "F"),
+        ("x.class A", "A"), ("class_ B", "F"), ("classclass C", "F"), ("é class D", "D")])
+    def test_class_is_a_whole_word(self, source, name):
+        assert java_qualified_class_name(source, "F") == name
+
+    def test_each_source_is_stripped_once(self):
+        source = 'package p;\n@WebServlet("/s") /* note */ public class S {}'
+        _strip_java_comments.cache_clear()
+        qualified = java_qualified_class_name(source, "S")
+        assert [p for p, _ in scan_webservlet_annotations(source, qualified)] == ["/s"]
+        info = _strip_java_comments.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("args, expected", [
+        ('("/a")', '"/a"'), (' \n\u2028("/a")', '"/a"'), ('(("a"))', '("a")'),
+        ('("(", ")")', '"(", ")"'), ('("\\")")', '"\\")"'), ("(a", None), ('("a)', None),
+        ('("a\\', None), ("x(", None), ("", None), ('(")")', '")"')])
+    def test_annotation_args_agree_with_the_character_loop(self, args, expected):
+        source = "@WebServlet" + args
+        assert _annotation_args(source, 11) == expected
+        assert annotation_args_oracle(source, 11) == expected
+
+    def test_generated_sources_scan_as_the_references_do(self):
+        sources = java_soup(2000, seed=29)
+        assert disagreements(sources) == []
+        outcomes = [outcome(source) for source in sources]
+        assert sum(bool(found) for _, found, _ in outcomes) > 200
+        assert sum(any(name != qualified for _, name, _, _ in found)
+                   for qualified, found, _ in outcomes) > 20
+        messages = " ".join(d.message for _, _, diagnostics in outcomes for d in diagnostics)
+        for part in ("has no arguments", "without url patterns"):
+            assert part in messages, part
+        assert sum(qualified == "Fallback" for qualified, _, _ in outcomes) > 200
+        assert sum("." in qualified for qualified, _, _ in outcomes) > 50
 
 
 class TestBuildLookupTable:

@@ -647,6 +647,53 @@ class TestRunPipeline:
         assert ("/a.jsp", "x.Go", "form") in result.graph.edges
 
 
+class TestSourceRootListing:
+    """A source root is listed by ``os.scandir``, as ``sorted(rglob)`` lists
+    it and without what is not a file."""
+
+    @staticmethod
+    def make_tree(base: Path) -> None:
+        for rel in ("a.java", "a/b.java", "a-b/c.java", "a0/d.java", ".hidden/h.java",
+                    "x.java/in.java", "real/r.java", "notes.txt", "A.JAVA"):
+            (base / rel).parent.mkdir(parents=True, exist_ok=True)
+            (base / rel).write_text("class C {}", encoding="utf-8")
+        os.symlink(base / "a.java", base / "link.java")
+        os.symlink(base / "missing.java", base / "broken.java")
+        os.symlink(base / "real", base / "linked")
+        os.symlink(base / "real", base / "linked.java")
+
+    def test_listing_is_sorted_rglob_of_files(self, tmp_path, monkeypatch):
+        base = tmp_path / "java"
+        base.mkdir()
+        self.make_tree(base)
+        # By path parts, "a" < "a-b" < "a.java" < "a0", though as strings
+        # "a-b/c.java" < "a.java" < "a/b.java".
+        expected = [".hidden/h.java", "a/b.java", "a-b/c.java", "a.java", "a0/d.java",
+                    "link.java", "real/r.java", "x.java/in.java"]
+        rglob = [str(p) for p in sorted(base.rglob("*.java")) if p.is_file()]
+        assert rglob == [f"{base}/{rel}" for rel in expected]
+        assert pipeline._java_files_under(base) == rglob
+        monkeypatch.chdir(tmp_path)
+        for given in ("java", "./java/", "java//"):
+            assert pipeline._java_files_under(Path(given)) == [f"java/{rel}" for rel in expected]
+        monkeypatch.chdir(base)
+        assert pipeline._java_files_under(Path(".")) == expected
+
+    def test_a_listed_source_is_named_by_its_path_and_stem(self, tmp_path):
+        root = tmp_path / "app"
+        root.mkdir()
+        (root / "a.jsp").write_text('<a href="/s">s</a>', encoding="utf-8")
+        base = tmp_path / "java"
+        (base / "p").mkdir(parents=True)
+        (base / "p" / "NoClass.java").write_text('@WebServlet("/s")', encoding="utf-8")
+        (base / "p" / "Bad.java").write_bytes(b"class \xff {}")
+        diagnostics = []
+        result = run_pipeline(scan_webapp(root), PipelineConfig(source_roots=[str(base)]),
+                              diagnostics)
+        assert ("/a.jsp", "NoClass", "a-href") in result.graph.edges
+        assert [d.location for d in diagnostics] == [f"{base}/p/Bad.java"]
+
+
 class TestEmitDot:
     def test_empty_graph(self):
         assert emit_dot(DependencyGraph()) == "digraph deps {\n}\n"

@@ -73,14 +73,14 @@ class TestRuleMapping:
         assert stmt.text == " i "
 
     def test_use_bean_and_properties(self):
-        source = ('<jsp:useBean id="myBeans" class="package.BeansClass" '
+        source = ('<jsp:useBean id="myBeans" class="beans.BeansClass" '
                   'scope="session" />'
                   '<jsp:getProperty name="myBeans" property="firstName" />')
         unit = translate(source)
         bean, getter = unit.service_body
         assert bean.kind is StatementKind.BEAN_INSTANTIATION
         assert bean.metadata["bean"] == "myBeans"
-        assert bean.metadata["class"] == "package.BeansClass"
+        assert bean.metadata["class"] == "beans.BeansClass"
         assert getter.kind is StatementKind.PROPERTY_GET
         assert getter.metadata["bean"] == "myBeans"
         assert getter.metadata["method"] == "getFirstName"
@@ -310,6 +310,17 @@ class TestRendering:
          "jsp:useBean id 'a·b' is not a Java identifier"),
         ('<jsp:getProperty name="b" property="x²"/>',
          "jsp:getProperty property 'x²' gives no Java method name"),
+        ('<jsp:useBean id="b" class="x y;"/>',
+         "jsp:useBean class 'x y;' is not a Java class name"),
+        ('<jsp:useBean id="b" class="package.BeansClass"/>',
+         "jsp:useBean class 'package.BeansClass' is not a Java class name"),
+        ('<jsp:useBean id="b" class="a..B"/>', "jsp:useBean class 'a..B' is not a Java class name"),
+        ('<jsp:useBean id="b" class=".B"/>', "jsp:useBean class '.B' is not a Java class name"),
+        ('<jsp:useBean id="b" class="a.B."/>', "jsp:useBean class 'a.B.' is not a Java class name"),
+        ('<jsp:useBean id="b" class="a.1B"/>', "jsp:useBean class 'a.1B' is not a Java class name"),
+        ('<jsp:useBean id="b" class="java.util.List<String>"/>',
+         "jsp:useBean class 'java.util.List<String>' is not a Java class name"),
+        ('<jsp:useBean id="b" class="B();"/>', "jsp:useBean class 'B();' is not a Java class name"),
     ])
     def test_bean_name_that_is_no_java_identifier_is_emitted(self, action, message):
         # The names go into the servlet's code: `cart.setA"b(...)`,
@@ -333,6 +344,17 @@ class TestRendering:
         unit = translate(source, diagnostics=diagnostics)
         assert [s.kind for s in unit.service_body] == [StatementKind.BEAN_INSTANTIATION,
                                                        StatementKind.PROPERTY_GET]
+        assert diagnostics == []
+        assert translate_recursively(parse_jsp(source, "/p.jsp")).service_body \
+            == unit.service_body
+
+    @pytest.mark.parametrize("cls", ["B", "com.example.model.CartBean", "java.util.ArrayList",
+                                     "café.Crème", "$a._b", "a.record.Var"])
+    def test_bean_class_of_dotted_java_identifiers_is_a_statement(self, cls):
+        source = f'<jsp:useBean id="b" class="{cls}"/>'
+        diagnostics = []
+        unit = translate(source, diagnostics=diagnostics)
+        assert service_lines(unit) == [f"{cls} b = new {cls}();"]
         assert diagnostics == []
         assert translate_recursively(parse_jsp(source, "/p.jsp")).service_body \
             == unit.service_body
