@@ -6,9 +6,11 @@ resource, or an explicit "unresolved" verdict. Pattern matching follows the
 container precedence rule: exact match, then longest path prefix, then
 extension, then the default mapping.
 
-A Java source is read lexically: its comments are stripped once, and its
-class name and @WebServlet argument lists are found by regexes over the
-stripped text, so the scan runs in C.
+In web.xml's ``servlet`` and ``servlet-mapping`` elements the first child of
+each name counts, read by one pass over the children. A Java source is read
+lexically: its comments are stripped once, and its class name and
+@WebServlet argument lists are found by regexes over the stripped text, so
+the scan runs in C.
 """
 
 from __future__ import annotations
@@ -90,13 +92,6 @@ def _local(tag: str) -> str:
     return tag.rpartition("}")[2]
 
 
-def _child_text(element, local_name: str) -> str | None:
-    for child in element:
-        if _local(child.tag) == local_name:
-            return (child.text or "").strip()
-    return None
-
-
 def _first_texts(element) -> dict[str, str | None]:
     """The text of the first child of each local name, in one pass over the
     children."""
@@ -149,7 +144,7 @@ def parse_web_xml(content: bytes, diagnostics: list[Diagnostic] | None = None
                 jsp_file=normalize_page_path(jsp_file) if jsp_file else None,
                 source=SOURCE_WEB_XML))
         elif local == "servlet-mapping":
-            name = _child_text(element, "servlet-name")
+            name = (_first_texts(element).get("servlet-name") or "").strip()
             if not name:
                 emit(diagnostics, "web-xml", "servlet-mapping without servlet-name; skipped")
                 continue

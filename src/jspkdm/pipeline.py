@@ -10,7 +10,8 @@ stay in the dependency graph and the report; the model only ever relates
 class units. Per-file failures are isolated: a page that cannot be read,
 parsed, translated or extracted is reported and skipped. Every diagnostic
 joins the run's one list when it is found, so the list keeps the order the
-run works in.
+run works in. One ``os.scandir`` walk lists the webapp and each source root,
+and reports a directory it cannot list in the walk's order.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import fnmatch
 import json
 import os
 import re
+from collections.abc import Iterator
 from pathlib import Path
 
 from ._records import fields_repr
@@ -153,6 +155,33 @@ def _utf8_path(path: str, diagnostics: list[Diagnostic] | None) -> bool:
     return True
 
 
+def _walk(top: str, diagnostics: list[Diagnostic] | None
+          ) -> Iterator[tuple[tuple[str, ...], str]]:
+    """Each regular file under ``top`` as its names below ``top`` and its
+    path, in ``os.walk``'s top-down order: a directory's files sorted by
+    name, then each of its subdirectories in name order. A symlink to a file
+    is a file, and a symlinked directory is not entered. Each directory costs
+    one ``os.scandir``, whose entries carry their type, so a regular file
+    costs no ``stat``. A directory that cannot be listed is skipped with an
+    "io" diagnostic."""
+    dirs: list[tuple[str, tuple[str, ...]]] = [(top, ())]
+    while dirs:
+        path, parts = dirs.pop()
+        try:
+            with os.scandir(path) as scan:
+                entries = sorted(scan, key=lambda entry: entry.name)
+        except OSError as exc:
+            emit(diagnostics, "io", f"unreadable entry skipped: {exc}", exc.filename)
+            continue
+        for entry in entries:
+            # isfile, unlike DirEntry.is_file, says False for a symlink loop.
+            if entry.is_file(follow_symlinks=False) or (
+                    entry.is_symlink() and os.path.isfile(entry.path)):
+                yield parts + (entry.name,), entry.path
+        dirs.extend((entry.path, parts + (entry.name,)) for entry in reversed(entries)
+                    if entry.is_dir(follow_symlinks=False))
+
+
 def scan_webapp(root, include: list[str] | None = None,
                 exclude: list[str] | None = None,
                 diagnostics: list[Diagnostic] | None = None) -> WebAppInventory:
@@ -163,73 +192,43 @@ def scan_webapp(root, include: list[str] | None = None,
     root = Path(root)
     if not root.is_dir():
         raise RootNotFound(str(root))
-    inventory = WebAppInventory(root=root)
     pages: list[str] = []
     sources: list[str] = []
-
-    def on_error(error: OSError) -> None:
-        emit(diagnostics, "io", f"unreadable entry skipped: {error}",
-             getattr(error, "filename", None))
-
-    for dirpath, dirnames, filenames in os.walk(root, onerror=on_error):
-        dirnames.sort()
-        for filename in sorted(filenames):
-            path = Path(dirpath) / filename
-            if not path.is_file():
-                continue
-            rel = "/" + path.relative_to(root).as_posix()
-            if include and not _glob_match(rel, include):
-                continue
-            if exclude and _glob_match(rel, exclude):
-                continue
-            suffix = path.suffix.lower()
-            if suffix not in (".jsp", ".jspf", ".java"):
-                continue
-            if not _utf8_path(rel, diagnostics):
-                continue
-            if suffix == ".java":
-                sources.append(rel)
-            elif "\\" in rel:
-                # normalize_page_path reads a backslash as "/", so the name could
-                # collide with another page's; no container serves it anyway.
-                emit(diagnostics, "io", "page name contains a backslash; skipped", rel)
-            elif _NOT_XML_RE.search(rel):
-                emit(diagnostics, "io", "page name is not valid in XML; skipped", _shown(rel))
-            else:
-                pages.append(rel)
-    inventory.jsp_pages = sorted(pages)
-    inventory.java_sources = sorted(sources)
-    web_xml = root / "WEB-INF" / "web.xml"
-    if web_xml.is_file():
-        inventory.web_xml = "/WEB-INF/web.xml"
-    return inventory
+    for parts, _ in _walk(str(root), diagnostics):
+        stem, _, suffix = parts[-1].rpartition(".")
+        suffix = suffix.lower()
+        if not stem or suffix not in ("jsp", "jspf", "java"):
+            continue
+        rel = "/" + "/".join(parts)
+        if include and not _glob_match(rel, include):
+            continue
+        if exclude and _glob_match(rel, exclude):
+            continue
+        if not _utf8_path(rel, diagnostics):
+            continue
+        if suffix == "java":
+            sources.append(rel)
+        elif "\\" in rel:
+            # normalize_page_path reads a backslash as "/", so the name could
+            # collide with another page's; no container serves it anyway.
+            emit(diagnostics, "io", "page name contains a backslash; skipped", rel)
+        elif _NOT_XML_RE.search(rel):
+            emit(diagnostics, "io", "page name is not valid in XML; skipped", _shown(rel))
+        else:
+            pages.append(rel)
+    web_xml = (root / "WEB-INF" / "web.xml").is_file()
+    return WebAppInventory(root, sorted(pages), sorted(sources),
+                           "/WEB-INF/web.xml" if web_xml else None)
 
 
-def _java_files_under(base: Path) -> list[str]:
+def _java_files_under(base: Path, diagnostics: list[Diagnostic] | None = None
+                      ) -> list[str]:
     """The ``*.java`` files under ``base``: the same strings, in the same
-    order, as ``[str(p) for p in sorted(base.rglob("*.java")) if p.is_file()]``.
-    A symlinked directory is not followed, a directory is no source whatever
-    its name, and the paths sort by their parts. Each directory costs one
-    ``os.scandir``, whose entries carry their type, so a regular file costs
-    no ``stat``; a directory that cannot be listed is skipped, as ``rglob``
-    skips it."""
+    order, as ``[str(p) for p in sorted(base.rglob("*.java")) if p.is_file()]``."""
     top = str(base)
     cut = 2 if top == "." else 0  # pathlib writes "./a.java" as "a.java"
-    found: list[tuple[list[str], str]] = []
-    dirs: list[tuple[str, list[str]]] = [(top, [])]
-    while dirs:
-        path, parts = dirs.pop()
-        try:
-            with os.scandir(path) as scan:
-                entries = list(scan)
-        except OSError:
-            continue
-        for entry in entries:
-            if entry.is_dir(follow_symlinks=False):
-                dirs.append((entry.path, parts + [entry.name]))
-            elif entry.name.endswith(".java") and entry.is_file():
-                found.append((parts + [entry.name], entry.path[cut:]))
-    found.sort()
+    found = sorted((parts, path[cut:]) for parts, path in _walk(top, diagnostics)
+                   if parts[-1].endswith(".java"))
     return [path for _, path in found]
 
 
@@ -297,7 +296,7 @@ def run_pipeline(inventory: WebAppInventory,
         if not base.is_dir():
             emit(diagnostics, "io", "source root not found", str(base))
             continue
-        java_files.extend((p, p) for p in _java_files_under(base)
+        java_files.extend((p, p) for p in _java_files_under(base, diagnostics)
                           if _utf8_path(p, diagnostics))
     for label, java_path in java_files:
         source = _read_text(java_path, config.encoding, diagnostics, label)

@@ -145,74 +145,59 @@ def _open_tag(node: JspNode, src: str) -> str:
     return src[node.span[0]:end]
 
 
-def _bean_action_problem(node: JspNode) -> str | None:
-    """Why a bean action is template text, or None: an absent attribute, or
-    a name that goes into the servlet's code and is no Java identifier. The
+def _bean_action(node: JspNode, doc: JspDocument,
+                 diagnostics: list[Diagnostic] | None) -> CodeStatement | None:
+    """The statement of a bean action; None for template text. A bean action
+    is template text, with a diagnostic, when an attribute is absent, or
+    when a name that goes into the servlet's code is no Java identifier. The
     bean's name goes in as it is; a class, as a dotted name whose every part
     is an identifier; a property, as its getter or setter, so ``class``
     gives ``getClass``. ``*`` names every property of a
     ``jsp:setProperty``."""
     name = node.name
-    if name == "jsp:useBean":
-        cls = node.attribute_value("class")
-        if not cls:
-            return "jsp:useBean without class attribute"
-        bean = node.attribute_value("id")
-        if not bean:
-            return "jsp:useBean without id attribute"
-        if not _is_java_identifier(bean):
-            return f"{name} id {bean!r} is not a Java identifier"
-        if not _is_java_class_name(cls):
-            return f"{name} class {cls!r} is not a Java class name"
-        return None
-    bean = node.attribute_value("name")
-    prop = node.attribute_value("property")
-    if not bean or not prop:
-        return f"{name} missing name/property attribute"
-    if not _is_java_identifier(bean):
-        return f"{name} name {bean!r} is not a Java identifier"
-    if name == "jsp:setProperty" and prop == "*":
-        return None
-    method = ("get" if name == "jsp:getProperty" else "set") + _capitalized(prop)
-    if not _is_java_identifier(method):
-        return f"{name} property {prop!r} gives no Java method name"
-    return None
-
-
-def _bean_action(node: JspNode, doc: JspDocument,
-                 diagnostics: list[Diagnostic] | None) -> CodeStatement | None:
-    """The statement of a bean action; None for template text."""
-    name = node.name
     if name not in ("jsp:useBean", "jsp:getProperty", "jsp:setProperty"):
         # jsp:include, jsp:forward, jsp:param, ... : template text, codified
         # later by the dependency extraction pass.
         return None
-    problem = _bean_action_problem(node)
+    attrs = dict(node.attributes)
+    problem = None
+    if name == "jsp:useBean":
+        cls, bean = attrs.get("class"), attrs.get("id")
+        if not cls:
+            problem = "jsp:useBean without class attribute"
+        elif not bean:
+            problem = "jsp:useBean without id attribute"
+        elif not _is_java_identifier(bean):
+            problem = f"{name} id {bean!r} is not a Java identifier"
+        elif not _is_java_class_name(cls):
+            problem = f"{name} class {cls!r} is not a Java class name"
+        metadata = {"bean": bean, "class": cls}
+        if attrs.get("scope"):
+            metadata["scope"] = attrs["scope"]
+        stmt_kind = StatementKind.BEAN_INSTANTIATION
+    else:
+        bean, prop = attrs.get("name"), attrs.get("property")
+        getter = name == "jsp:getProperty"
+        method = ("get" if getter else "set") + _capitalized(prop or "")
+        if not bean or not prop:
+            problem = f"{name} missing name/property attribute"
+        elif not _is_java_identifier(bean):
+            problem = f"{name} name {bean!r} is not a Java identifier"
+        elif (getter or prop != "*") and not _is_java_identifier(method):
+            problem = f"{name} property {prop!r} gives no Java method name"
+        metadata = {"bean": bean, "property": prop}
+        if getter or prop != "*":
+            metadata["method"] = method
+        if getter:
+            stmt_kind = StatementKind.PROPERTY_GET
+        else:
+            for key in ("value", "param"):
+                if key in attrs:
+                    metadata[key] = attrs[key]
+            stmt_kind = StatementKind.PROPERTY_SET
     if problem is not None:
         emit(diagnostics, "translation", problem, f"{doc.page_path}@{node.span[0]}")
         return None
-    if name == "jsp:useBean":
-        metadata = {"bean": node.attribute_value("id"), "class": node.attribute_value("class")}
-        scope = node.attribute_value("scope")
-        if scope:
-            metadata["scope"] = scope
-        stmt_kind = StatementKind.BEAN_INSTANTIATION
-    else:
-        prop = node.attribute_value("property")
-        metadata = {"bean": node.attribute_value("name"), "property": prop}
-        if name == "jsp:getProperty":
-            metadata["method"] = "get" + _capitalized(prop)
-            stmt_kind = StatementKind.PROPERTY_GET
-        else:
-            if prop != "*":
-                metadata["method"] = "set" + _capitalized(prop)
-            value = node.attribute_value("value")
-            if value is not None:
-                metadata["value"] = value
-            param = node.attribute_value("param")
-            if param is not None:
-                metadata["param"] = param
-            stmt_kind = StatementKind.PROPERTY_SET
     return CodeStatement(stmt_kind, _open_tag(node, doc.source), metadata=metadata,
                          origin_span=node.span)
 
@@ -331,6 +316,18 @@ def escape_java_string(text: str) -> str:
             .replace("\r", "\\r").replace("\t", "\\t"))
 
 
+def _java_lines(code: str) -> list[str]:
+    """The lines of scripting code, each stripped of white space, and one
+    empty line for none. A line ends only at CR, LF or CRLF, as in Java (JLS
+    §3.4), so a string literal holding U+2028 or ``\\x0b`` stays whole; white
+    space is SP, HT and FF only (§3.6). As ``str.splitlines`` does, a final
+    line end adds no empty line."""
+    lines = code.strip("\n").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if len(lines) > 1 and not lines[-1]:
+        lines.pop()
+    return [line.strip(" \t\f") for line in lines]
+
+
 def _render_statement(stmt: CodeStatement, out: list[str], indent: str) -> None:
     md = stmt.metadata or {}
     if stmt.kind is StatementKind.TEMPLATE_EMIT:
@@ -338,8 +335,8 @@ def _render_statement(stmt: CodeStatement, out: list[str], indent: str) -> None:
     elif stmt.kind is StatementKind.EXPRESSION_EMIT:
         out.append(f"{indent}out.print({stmt.text.strip()});")
     elif stmt.kind is StatementKind.INLINE_CODE:
-        for line in stmt.text.strip("\n").splitlines() or [""]:
-            out.append(indent + line.strip())
+        for line in _java_lines(stmt.text):
+            out.append(indent + line)
     elif stmt.kind is StatementKind.BEAN_INSTANTIATION:
         cls, bean = md["class"], md["bean"]
         out.append(f"{indent}{cls} {bean} = new {cls}();")
@@ -377,8 +374,8 @@ def render_servlet_source(unit: ServletUnit) -> str:
     if unit.declarations:
         lines.append("")
         for decl in unit.declarations:
-            for line in decl.text.strip("\n").splitlines() or [""]:
-                lines.append("    " + line.strip())
+            for line in _java_lines(decl.text):
+                lines.append("    " + line)
     lines.append("")
     lines.append(f"    public void {INIT_METHOD}() {{")
     lines.append("    }")

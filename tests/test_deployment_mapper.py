@@ -133,14 +133,17 @@ class TestParseWebXml:
           <servlet><servlet-name/><servlet-name>d</servlet-name>
             <servlet-class>x.D</servlet-class></servlet>
           <servlet-mapping><servlet-name> a </servlet-name><servlet-name>c</servlet-name>
-            <url-pattern>/a</url-pattern></servlet-mapping></web-app>"""
+            <url-pattern>/a</url-pattern></servlet-mapping>
+          <servlet-mapping><servlet-name/><servlet-name>d</servlet-name>
+            <url-pattern>/d</url-pattern></servlet-mapping></web-app>"""
         diagnostics = []
         decls, mappings = parse_web_xml(content, diagnostics)
         assert [(d.servlet_name, d.servlet_class, d.jsp_file) for d in decls] == [
             ("a", "x.A", None), ("c", "x.C", None)]
         assert mappings == [("/a", "a")]
         assert [d.message for d in diagnostics] == [
-            "servlet declaration without servlet-name; skipped"]
+            "servlet declaration without servlet-name; skipped",
+            "servlet-mapping without servlet-name; skipped"]
 
 
 class TestAnnotationScan:

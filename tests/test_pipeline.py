@@ -94,7 +94,7 @@ class TestScanWebApp:
 
 
     def test_file_name_that_is_not_utf8_is_skipped(self, fixture_webapp, tmp_path):
-        # os.walk hands such a name over with surrogate escapes, which no
+        # os.scandir hands such a name over with surrogate escapes, which no
         # artifact can carry; the scan skips it and says so.
         source_root = tmp_path / "java"
         source_root.mkdir()
@@ -191,6 +191,84 @@ class TestScanWebApp:
         result = run_pipeline(scan_webapp(os.fsdecode(root)))
         assert result.model.name == "caf\\xe9"
         assert b'name="caf\\xe9"' in serialize_model(result.model, "xmi")
+
+
+def unreadable(monkeypatch, *names: str) -> None:
+    """Make ``os.scandir`` refuse the directories called ``names``, as it
+    refuses one without read permission (root reads any directory)."""
+    scandir = os.scandir
+
+    def refusing(path="."):
+        if os.path.basename(os.fspath(path)) in names:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refusing)
+
+
+def make_files(root: Path, *rels: str) -> None:
+    for rel in rels:
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text("<p>x</p>", encoding="utf-8")
+
+
+class TestWalkRules:
+    """What the webapp walk lists, and the order its diagnostics come in."""
+
+    def test_a_page_is_named_by_its_suffix_in_any_case(self, tmp_path):
+        make_files(tmp_path, ".jsp", "..jsp", "X.JSP", "a.JSPF", "a.jsp.bak", "jsp",
+                   "B.Java", ".java", "d.jsp/in.jsp")
+        inventory = scan_webapp(tmp_path)
+        assert inventory.jsp_pages == ["/..jsp", "/X.JSP", "/a.JSPF", "/d.jsp/in.jsp"]
+        assert inventory.java_sources == ["/B.Java"]
+
+    def test_a_symlink_to_a_file_is_one_and_a_symlinked_directory_is_not_entered(
+            self, tmp_path):
+        root = tmp_path / "app"
+        make_files(root, "a.jsp", "sub/c.jsp")
+        make_files(tmp_path, "outside/o.jsp")
+        os.symlink(root / "a.jsp", root / "link.jsp")
+        os.symlink(root / "missing.jsp", root / "b.jsp")
+        os.symlink(root / "loop.jsp", root / "loop.jsp")
+        os.symlink(root / "sub", root / "linked")
+        os.symlink(tmp_path / "outside", root / "out.jsp")
+        diagnostics = []
+        inventory = scan_webapp(root, diagnostics=diagnostics)
+        assert inventory.jsp_pages == ["/a.jsp", "/link.jsp", "/sub/c.jsp"]
+        assert diagnostics == []
+
+    def test_include_and_exclude_match_the_rooted_path(self, tmp_path):
+        make_files(tmp_path, "a.jsp", "sub/a.jsp", "sub/deep/b.jsp")
+        assert scan_webapp(tmp_path, include=["/sub/*"]).jsp_pages == [
+            "/sub/a.jsp", "/sub/deep/b.jsp"]
+        assert scan_webapp(tmp_path, include=["sub/*"]).jsp_pages == []
+        assert scan_webapp(tmp_path, exclude=["/a.jsp"]).jsp_pages == [
+            "/sub/a.jsp", "/sub/deep/b.jsp"]
+        assert scan_webapp(tmp_path, include=["*.jsp"], exclude=["/sub/d*"]).jsp_pages == [
+            "/a.jsp", "/sub/a.jsp"]
+
+    def test_diagnostics_follow_the_walk_not_the_sorted_paths(self, tmp_path):
+        # A directory's files come before its subdirectories' files.
+        make_files(tmp_path, "z\\x.jsp", "a/y\\x.jsp")
+        diagnostics = []
+        scan_webapp(tmp_path, diagnostics=diagnostics)
+        assert [d.location for d in diagnostics] == ["/z\\x.jsp", "/a/y\\x.jsp"]
+
+    def test_an_unreadable_directory_is_reported_in_walk_order(self, tmp_path, monkeypatch):
+        make_files(tmp_path, "a.jsp", "z\\q.jsp", "a/p\\q.jsp", "b/hidden.jsp",
+                   "c/x\\y.jsp")
+        unreadable(monkeypatch, "b")
+        diagnostics = []
+        inventory = scan_webapp(tmp_path, diagnostics=diagnostics)
+        assert inventory.jsp_pages == ["/a.jsp"]
+        refused = f"{tmp_path}/b"
+        assert [(d.category, d.message, d.location) for d in diagnostics] == [
+            ("io", "page name contains a backslash; skipped", "/z\\q.jsp"),
+            ("io", "page name contains a backslash; skipped", "/a/p\\q.jsp"),
+            ("io", f"unreadable entry skipped: [Errno {errno.EACCES}] "
+                   f"{os.strerror(errno.EACCES)}: {refused!r}", refused),
+            ("io", "page name contains a backslash; skipped", "/c/x\\y.jsp"),
+        ]
 
 
 class TestRunPipeline:
@@ -661,6 +739,7 @@ class TestSourceRootListing:
         os.symlink(base / "missing.java", base / "broken.java")
         os.symlink(base / "real", base / "linked")
         os.symlink(base / "real", base / "linked.java")
+        os.symlink(base / "loop.java", base / "loop.java")
 
     def test_listing_is_sorted_rglob_of_files(self, tmp_path, monkeypatch):
         base = tmp_path / "java"
@@ -692,6 +771,25 @@ class TestSourceRootListing:
                               diagnostics)
         assert ("/a.jsp", "NoClass", "a-href") in result.graph.edges
         assert [d.location for d in diagnostics] == [f"{base}/p/Bad.java"]
+
+
+    def test_an_unreadable_directory_is_reported(self, tmp_path, monkeypatch):
+        base = tmp_path / "java"
+        for rel in ("a/A.java", "b/B.java", "c/C.java"):
+            (base / rel).parent.mkdir(parents=True, exist_ok=True)
+            (base / rel).write_text("class C {}", encoding="utf-8")
+        (tmp_path / "app").mkdir()
+        unreadable(monkeypatch, "b")
+        diagnostics = []
+        assert pipeline._java_files_under(base, diagnostics) == [
+            f"{base}/a/A.java", f"{base}/c/C.java"]
+        refused = f"{base}/b"
+        expected = [("io", f"unreadable entry skipped: [Errno {errno.EACCES}] "
+                           f"{os.strerror(errno.EACCES)}: {refused!r}", refused)]
+        assert [(d.category, d.message, d.location) for d in diagnostics] == expected
+        result = run_pipeline(scan_webapp(tmp_path / "app"),
+                              PipelineConfig(source_roots=[str(base)]))
+        assert [(d.category, d.message, d.location) for d in result.diagnostics] == expected
 
 
 class TestEmitDot:

@@ -249,6 +249,41 @@ class TestRendering:
         rendered = render_servlet_source(unit)
         assert emit_literals(rendered) == [source]
 
+    # The characters str.splitlines ends a line at and Java does not (JLS §3.4).
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"], ids=ascii)
+    @pytest.mark.parametrize("opener, indent", [("<%", 8), ("<%!", 4)],
+                             ids=["scriptlet", "declaration"])
+    def test_a_string_literal_stays_on_its_line(self, char, opener, indent):
+        page = f'{opener} String s = "a{char}b";\n  t();{char}\n u(); %>'
+        rendered = render_servlet_source(translate(page)).split("\n")
+        at = rendered.index(" " * indent + f'String s = "a{char}b";')
+        # FF is Java white space; the others are not.
+        assert rendered[at + 1:at + 3] == [" " * indent + f"t();{char}".rstrip("\f"),
+                                           " " * indent + "u();"]
+
+    @pytest.mark.parametrize("opener", ["<%", "<%!"])
+    def test_line_feeds_and_carriage_returns_split_as_before(self, opener):
+        # Where the only line ends are LF, CR and CRLF, the lines are those
+        # of str.splitlines, each stripped.
+        rng = random.Random(5)
+        for _ in range(300):
+            code = "".join(rng.choice(["a", "b;", " ", "\t", "\n", "\r", "\r\n"])
+                           for _ in range(rng.randint(0, 12)))
+            rendered = render_servlet_source(translate(f"{opener}{code}%>")).split("\n")
+            # The translator strips a declaration's text as a whole.
+            text = code if opener == "<%" else code.strip()
+            expected = [line.strip() for line in text.strip("\n").splitlines() or [""]]
+            if opener == "<%":
+                start = rendered.index(
+                    "        ServletOutputStream out = response.getOutputStream();") + 1
+                body = rendered[start:rendered.index("        out.close();")]
+            else:
+                start = next(i for i, line in enumerate(rendered)
+                             if line.startswith("public class ")) + 2
+                body = rendered[start:rendered.index("    public void _jspInit() {") - 1]
+            assert [line.strip(" ") for line in body] == expected, repr(code)
+
     def test_render_deterministic(self, powers_page):
         unit = translate_page(parse_jsp(powers_page, "/powers.jsp"))
         assert render_servlet_source(unit) == render_servlet_source(unit)
