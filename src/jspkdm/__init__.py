@@ -9,7 +9,6 @@ from .code_model import (
     BlockUnit,
     ClassUnit,
     CodeElement,
-    CodeRelationship,
     DuplicateClassName,
     KdmModel,
     MethodUnit,
@@ -67,8 +66,8 @@ from .servlet_translator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockUnit", "ClassUnit", "CodeElement", "CodeRelationship",
-    "CodeStatement", "DependencyGraph", "Diagnostic", "DuplicateAttribute",
+    "BlockUnit", "ClassUnit", "CodeElement", "CodeStatement",
+    "DependencyGraph", "Diagnostic", "DuplicateAttribute",
     "DuplicateClassName", "JspDocument", "JspNode", "JspParseError", "KdmModel",
     "MalformedAttribute", "MethodUnit", "ModelIndex", "MutationReport", "NodeKind",
     "PipelineConfig", "PipelineResult", "ResolvedKind",

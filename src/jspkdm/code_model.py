@@ -1,9 +1,12 @@
 """KDM-subset code model: discovery, mutation and serialization.
 
 The model keeps the few element kinds the recovery needs (class, method,
-block, statement-level elements, class-to-class relationships). Discovery
-walks translated servlet units; mutation injects call relationships found by
-the dependency analysis; serialization writes a documented JSON form (with a
+block, statement-level elements, class-to-class relationships). A
+relationship is a ``(from class name, to class name, kind)`` string triple
+in ``KdmModel.relationships``, and an element holds the indexes of its
+relationships in that list, as the JSON form does. Discovery walks
+translated servlet units; mutation injects call relationships found by the
+dependency analysis; serialization writes a documented JSON form (with a
 lossless round trip) and a simplified XMI dialect (see docs/MODEL_FORMATS.md).
 """
 
@@ -15,7 +18,7 @@ from collections.abc import Iterable, Iterator
 from io import BufferedIOBase
 from json.encoder import encode_basestring_ascii
 
-from ._records import Value, fields_repr
+from ._records import fields_repr
 from .jsp_parser import Span, normalize_page_path
 from .servlet_translator import (
     DESTROY_METHOD,
@@ -31,25 +34,15 @@ class DuplicateClassName(ValueError):
     """Two units mangled to the same class name; signals a pipeline bug."""
 
 
-class CodeRelationship(Value):
-    """A "newCall" from one class to another: immutable and slotted, equal to
-    another with the same (from, to, kind) and hashed on them; classes
-    compare by identity."""
-
-    __slots__ = ("from_class", "to_class", "kind")
-
-    def __init__(self, from_class: ClassUnit, to_class: ClassUnit, kind: str):
-        Value.__init__(self, from_class, to_class, kind)
-
-
 class CodeElement:
-    """A statement-level element. Slotted, with ``relationships`` defaulting
-    to the shared ``()``: only injected "newCall" elements carry one."""
+    """A statement-level element. Slotted; ``relationships`` holds indexes
+    into ``KdmModel.relationships`` and defaults to the shared ``()``: only
+    injected "newCall" elements carry one."""
 
     __slots__ = ("name", "kind", "origin_span", "relationships")
 
     def __init__(self, name: str, kind: str, origin_span: Span | None = None,
-                 relationships: tuple[CodeRelationship, ...] = ()):
+                 relationships: tuple[int, ...] = ()):
         self.name = name
         self.kind = kind
         self.origin_span = origin_span
@@ -84,9 +77,7 @@ class ClassUnit:
         self.source_page = source_page
         self.code_elements = [] if code_elements is None else code_elements
 
-    def __repr__(self) -> str:
-        # Not its methods: their relationships lead back to their classes.
-        return f"ClassUnit(name={self.name!r}, source_page={self.source_page!r})"
+    __repr__ = fields_repr
 
     def method(self, name: str) -> MethodUnit | None:
         for m in self.code_elements:
@@ -108,7 +99,7 @@ PACKAGE = "jsp"
 
 class KdmModel:
     def __init__(self, name: str, class_units: list[ClassUnit] | None = None,
-                 relationships: list[CodeRelationship] | None = None):
+                 relationships: list[tuple[str, str, str]] | None = None):
         self.name = name
         self.class_units = [] if class_units is None else class_units
         self.relationships = [] if relationships is None else relationships
@@ -158,7 +149,7 @@ class ModelIndex:
     """Lookup indexes over one model, for a batch of lookups and injections.
 
     Maps source pages to class units and holds the model's class units and
-    relationships in sets, so that :func:`find_class_unit` and
+    relationship triples in sets, so that :func:`find_class_unit` and
     :func:`add_method_call` cost O(1) a call. The sets hold the model's own
     objects and no keys of their own, and the model does not keep the index:
     build one per batch, let it go after the batch, and change the model only
@@ -183,23 +174,23 @@ def add_method_call(index: ModelIndex, caller: ClassUnit, target: ClassUnit,
                     kind: str) -> MutationReport:
     """Record that ``caller``'s service method reaches ``target``.
 
-    Appends a "newCall" element to the caller's service block carrying a new
-    relationship, and registers the relationship model-wide. A repeated
-    (from, to, kind) triple is reported as a duplicate and changes nothing.
-    A class outside the model, or a caller without a service method, raises
-    ``ValueError``.
+    Appends the ``(caller name, target name, kind)`` triple to the model's
+    relationships and a "newCall" element holding its index to the caller's
+    service block. A repeated triple is reported as a duplicate and changes
+    nothing. A class outside the model, or a caller without a service method,
+    raises ``ValueError``.
     """
     if caller not in index.members or target not in index.members:
         raise ValueError("caller and target must belong to the model")
     service = caller.method(SERVICE_METHOD)
     if service is None:
         raise ValueError(f"caller {caller.name!r} has no {SERVICE_METHOD} method")
-    rel = CodeRelationship(from_class=caller, to_class=target, kind=kind)
+    rel = (caller.name, target.name, kind)
     if rel in index.relationships:
         return MutationReport("duplicate")
-    service.block.elements.append(
-        CodeElement(name="newCall", kind="Call", relationships=(rel,)))
-    index.model.relationships.append(rel)
+    relationships = index.model.relationships
+    service.block.elements.append(CodeElement("newCall", "Call", None, (len(relationships),)))
+    relationships.append(rel)
     index.relationships.add(rel)
     return MutationReport("added")
 
@@ -243,7 +234,6 @@ def _xmi_chunks(model: KdmModel) -> Iterator[str]:
     :func:`_xmi_head`'s cache, and its span and relations are written after
     it.
     """
-    rel_ids = {id(r): f"rel.{i}" for i, r in enumerate(model.relationships)}
     yield (f'<?xml version="1.0" encoding="UTF-8"?>\n'
            f'<kdm:Segment xmlns:kdm={_quoteattr(KDM_NS)} xmlns:xmi={_quoteattr(XMI_NS)} '
            f'xmi:version="2.1" name={_quoteattr(model.name)}>\n'
@@ -265,18 +255,18 @@ def _xmi_chunks(model: KdmModel) -> Iterator[str]:
                 if span is not None:
                     line = f'{line} spanStart="{span[0]}" spanEnd="{span[1]}"'
                 if el.relationships:
-                    refs = " ".join([rel_ids[id(r)] for r in el.relationships])
-                    line += f' relations={_quoteattr(refs)}'
+                    refs = " ".join([f"rel.{i}" for i in el.relationships])
+                    line += f' relations="{refs}"'
                 lines.append(line + "/>")
             lines.append('          </blockUnit>')
             lines.append('        </methodUnit>')
         lines.append('      </classUnit>\n')
         yield "\n".join(lines)
     yield '    </package>\n'
-    for rel in model.relationships:
-        yield (f'    <codeRelationship xmi:id={_quoteattr(rel_ids[id(rel)])} '
-               f'from={_quoteattr(rel.from_class.name)} to={_quoteattr(rel.to_class.name)} '
-               f'kind={_quoteattr(rel.kind)} label="newCall"/>\n')
+    for i, (src, dst, kind) in enumerate(model.relationships):
+        yield (f'    <codeRelationship xmi:id="rel.{i}" '
+               f'from={_quoteattr(src)} to={_quoteattr(dst)} '
+               f'kind={_quoteattr(kind)} label="newCall"/>\n')
     yield '  </codeModel>\n</kdm:Segment>\n'
 
 
@@ -305,7 +295,7 @@ def _json_head(name: str, kind: str) -> str:
             f'              "origin_span": ')
 
 
-def _json_class(c: ClassUnit, rel_index: dict[int, str]) -> str:
+def _json_class(c: ClassUnit) -> str:
     q = encode_basestring_ascii
     methods = []
     for m in c.code_elements:
@@ -313,7 +303,7 @@ def _json_class(c: ClassUnit, rel_index: dict[int, str]) -> str:
         for e in m.block.elements:
             head = _json_head(e.name, e.kind)
             span = e.origin_span
-            rels = (_json_array([rel_index[id(r)] for r in e.relationships], " " * 14)
+            rels = (_json_array(map(repr, e.relationships), " " * 14)
                     if e.relationships else "[]")
             if span is None:
                 elements.append(f'{head}null,\n'
@@ -345,21 +335,19 @@ def _json_chunks(model: KdmModel) -> Iterator[str]:
     and an empty relationship list is ``[]``.
     """
     q = encode_basestring_ascii
-    rel_index = {id(r): repr(i) for i, r in enumerate(model.relationships)}
     classes = _json_array([q(c.name) for c in model.class_units], " " * 6)
     yield (f'{{\n  "name": {q(model.name)},\n'
            f'  "packages": [\n    {{\n      "name": "{PACKAGE}",\n'
            f'      "classes": {classes}\n    }}\n  ],\n'
            f'  "class_units": ')
-    yield from _json_array_chunks(
-        (_json_class(c, rel_index) for c in model.class_units), "  ")
+    yield from _json_array_chunks(map(_json_class, model.class_units), "  ")
     yield ',\n  "relationships": '
     yield from _json_array_chunks((
-        f'{{\n      "from": {q(r.from_class.name)},\n'
-        f'      "to": {q(r.to_class.name)},\n'
-        f'      "kind": {q(r.kind)},\n'
+        f'{{\n      "from": {q(src)},\n'
+        f'      "to": {q(dst)},\n'
+        f'      "kind": {q(kind)},\n'
         f'      "label": "newCall"\n    }}'
-        for r in model.relationships), "  ")
+        for src, dst, kind in model.relationships), "  ")
     yield "\n}\n"
 
 
@@ -397,12 +385,11 @@ def _index(value, where: str) -> int:
     return value
 
 
-def _target(items, key, where: str):
-    """``items[key]``; a key that names nothing there raises ``ValueError``."""
-    try:
-        return items[key]
-    except (KeyError, IndexError, TypeError):
-        raise ValueError(f"{where} {key!r} names nothing") from None
+def _name(value, names: set[str], where: str) -> str:
+    """``value``, which must be one of ``names``."""
+    if not isinstance(value, str) or value not in names:
+        raise ValueError(f"{where} {value!r} names nothing")
+    return value
 
 
 def deserialize_model(data: bytes) -> KdmModel:
@@ -417,8 +404,6 @@ def deserialize_model(data: bytes) -> KdmModel:
     """
     doc = json.loads(data.decode("utf-8"))
     classes: list[ClassUnit] = []
-    by_name: dict[str, ClassUnit] = {}
-    pending: list[tuple[CodeElement, list[int]]] = []
     for cdoc in doc["class_units"]:
         methods = []
         for mdoc in cdoc["methods"]:
@@ -429,32 +414,30 @@ def deserialize_model(data: bytes) -> KdmModel:
                     if not isinstance(span, list) or len(span) != 2:
                         raise ValueError(f"origin_span must be two integers, not {span!r}")
                     span = tuple(_index(x, "origin_span") for x in span)
-                element = CodeElement(name=_text(edoc["name"], "element name"),
-                                      kind=_text(edoc["kind"], "element kind"),
-                                      origin_span=span)
-                pending.append((element, [_index(i, "relationship index")
-                                          for i in edoc["relationships"]]))
-                elements.append(element)
+                elements.append(CodeElement(
+                    _text(edoc["name"], "element name"), _text(edoc["kind"], "element kind"),
+                    span, tuple([_index(i, "relationship index")
+                                 for i in edoc["relationships"]])))
             methods.append(MethodUnit(_text(mdoc["name"], "method name"), BlockUnit(elements)))
         source_page = cdoc["source_page"]
-        cu = ClassUnit(_text(cdoc["name"], "class name"),
-                       None if source_page is None else _text(source_page, "source_page"),
-                       methods)
-        classes.append(cu)
-        by_name[cu.name] = cu
-    if doc["packages"] != [{"name": PACKAGE, "classes": [c.name for c in classes]}]:
+        classes.append(ClassUnit(
+            _text(cdoc["name"], "class name"),
+            None if source_page is None else _text(source_page, "source_page"), methods))
+    names = [c.name for c in classes]
+    if doc["packages"] != [{"name": PACKAGE, "classes": names}]:
         raise ValueError(f'packages must be the one "{PACKAGE}" package '
                          f'holding every class unit in order')
+    known = set(names)
     relationships = []
     for rdoc in doc["relationships"]:
         if rdoc["label"] != "newCall":
             raise ValueError(f'relationship label must be "newCall", not {rdoc["label"]!r}')
-        relationships.append(
-            CodeRelationship(_target(by_name, rdoc["from"], "relationship from"),
-                             _target(by_name, rdoc["to"], "relationship to"),
-                             _text(rdoc["kind"], "relationship kind")))
-    for element, indices in pending:
-        element.relationships = tuple([_target(relationships, i, "relationship index")
-                                       for i in indices])
+        relationships.append((_name(rdoc["from"], known, "relationship from"),
+                              _name(rdoc["to"], known, "relationship to"),
+                              _text(rdoc["kind"], "relationship kind")))
+    unknown = next((i for c in classes for m in c.code_elements for e in m.block.elements
+                    for i in e.relationships if i >= len(relationships)), None)
+    if unknown is not None:
+        raise ValueError(f"relationship index {unknown!r} names nothing")
     return KdmModel(name=_text(doc["name"], "model name"), class_units=classes,
                     relationships=relationships)

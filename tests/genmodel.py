@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 
-from jspkdm import BlockUnit, ClassUnit, CodeElement, CodeRelationship, KdmModel, MethodUnit
+from jspkdm import BlockUnit, ClassUnit, CodeElement, KdmModel, MethodUnit
 
 
 def random_model(rng: random.Random) -> KdmModel:
@@ -34,16 +34,14 @@ def random_model(rng: random.Random) -> KdmModel:
     if classes:
         for _ in range(rng.randint(0, 6)):
             a, b = rng.choice(classes), rng.choice(classes)
-            kind = rng.choice(["a-href", "form", "jsp:include", "call"])
-            if any(r.from_class is a and r.to_class is b and r.kind == kind
-                   for r in model.relationships):
+            rel = (a.name, b.name, rng.choice(["a-href", "form", "jsp:include", "call"]))
+            if rel in model.relationships:
                 continue
-            rel = CodeRelationship(a, b, kind)
-            model.relationships.append(rel)
             service = a.method("_jspService")
             if service is not None:
-                service.block.elements.append(
-                    CodeElement(name="newCall", kind="Call", relationships=(rel,)))
+                service.block.elements.append(CodeElement(
+                    name="newCall", kind="Call", relationships=(len(model.relationships),)))
+            model.relationships.append(rel)
     return model
 
 
@@ -76,10 +74,10 @@ def awkward_model(rng: random.Random) -> KdmModel:
     model = KdmModel(name=awkward_name(rng), class_units=classes)
     if classes:
         model.relationships = [
-            CodeRelationship(rng.choice(classes), rng.choice(classes), awkward_name(rng))
+            (rng.choice(classes).name, rng.choice(classes).name, awkward_name(rng))
             for _ in range(rng.randint(1, 5))]
         for element in (e for c in classes for m in c.code_elements for e in m.block.elements):
-            element.relationships = tuple(rng.choices(model.relationships,
+            element.relationships = tuple(rng.choices(range(len(model.relationships)),
                                                       k=rng.randint(0, 4)))
     return model
 

@@ -717,7 +717,6 @@ def model_to_dict(model) -> dict:
     ``json.dumps(model_to_dict(model), indent=2)`` plus a newline. Every class
     unit sits in the one "jsp" package, and every relationship is a
     "newCall"."""
-    rel_index = {id(r): i for i, r in enumerate(model.relationships)}
     return {
         "name": model.name,
         "packages": [{"name": "jsp", "classes": [c.name for c in model.class_units]}],
@@ -734,8 +733,7 @@ def model_to_dict(model) -> dict:
                                 "kind": e.kind,
                                 "origin_span": list(e.origin_span)
                                 if e.origin_span is not None else None,
-                                "relationships": [rel_index[id(r)]
-                                                  for r in e.relationships],
+                                "relationships": list(e.relationships),
                             }
                             for e in m.block.elements
                         ],
@@ -746,9 +744,8 @@ def model_to_dict(model) -> dict:
             for c in model.class_units
         ],
         "relationships": [
-            {"from": r.from_class.name, "to": r.to_class.name,
-             "kind": r.kind, "label": "newCall"}
-            for r in model.relationships
+            {"from": src, "to": dst, "kind": kind, "label": "newCall"}
+            for src, dst, kind in model.relationships
         ],
     }
 
@@ -760,7 +757,6 @@ def model_to_xmi(model) -> str:
     """The model's XMI document, each element rendered whole with
     ``xml.sax.saxutils.quoteattr``: the byte-level reference for the XMI
     writer, which renders an element's name and kind once per pair."""
-    rel_ids = {id(r): f"rel.{i}" for i, r in enumerate(model.relationships)}
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
              f'<kdm:Segment xmlns:kdm={quoteattr("urn:jspkdm:code")} '
              f'xmlns:xmi={quoteattr("http://www.omg.org/XMI")} '
@@ -783,18 +779,17 @@ def model_to_xmi(model) -> str:
                     e_attrs += (f' spanStart="{el.origin_span[0]}"'
                                 f' spanEnd="{el.origin_span[1]}"')
                 if el.relationships:
-                    refs = " ".join(rel_ids[id(r)] for r in el.relationships)
+                    refs = " ".join(f"rel.{i}" for i in el.relationships)
                     e_attrs += f' relations={quoteattr(refs)}'
                 lines.append(f'            <codeElement {e_attrs}/>')
             lines.append('          </blockUnit>')
             lines.append('        </methodUnit>')
         lines.append('      </classUnit>')
     lines.append('    </package>')
-    for rel in model.relationships:
-        lines.append(f'    <codeRelationship xmi:id={quoteattr(rel_ids[id(rel)])} '
-                     f'from={quoteattr(rel.from_class.name)} '
-                     f'to={quoteattr(rel.to_class.name)} '
-                     f'kind={quoteattr(rel.kind)} label="newCall"/>')
+    for i, (src, dst, kind) in enumerate(model.relationships):
+        lines.append(f'    <codeRelationship xmi:id={quoteattr(f"rel.{i}")} '
+                     f'from={quoteattr(src)} to={quoteattr(dst)} '
+                     f'kind={quoteattr(kind)} label="newCall"/>')
     lines.append('  </codeModel>')
     lines.append('</kdm:Segment>')
     return "\n".join(lines) + "\n"

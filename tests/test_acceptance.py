@@ -129,8 +129,9 @@ def test_criterion_4_end_to_end_fixture(tmp_path):
         assert set(outputs[0]) == {"model.xmi", "model.json", "deps.dot",
                                    "report.json"}
 
-        edges = {(r.from_class.source_page, r.to_class.source_page, r.kind)
-                 for r in result.model.relationships}
+        page = {c.name: c.source_page for c in result.model.class_units}
+        edges = {(page[src], page[dst], kind)
+                 for src, dst, kind in result.model.relationships}
         assert edges == FIXTURE_MODEL_EDGES
 
         model_json = outputs[0]["model.json"].decode()

@@ -118,10 +118,8 @@ class TestAddMethodCall:
         assert len(block.elements) == n_elements + 1
         new = block.elements[-1]
         assert new.name == "newCall"
-        assert new.relationships[0] is model.relationships[0]
-        rel = model.relationships[0]
-        assert rel.from_class is a and rel.to_class is b
-        assert rel.kind == "jsp:include"
+        assert new.relationships == (0,)
+        assert model.relationships == [(a.name, b.name, "jsp:include")]
 
     def test_repeat_is_reported_duplicate(self):
         model = two_class_model()
@@ -147,8 +145,7 @@ class TestAddMethodCall:
         a = model.class_units[0]
         report = add_method_call(ModelIndex(model), a, a, "a-href")
         assert report.status == "added"
-        rel = model.relationships[0]
-        assert rel.from_class is rel.to_class is a
+        assert model.relationships == [(a.name, a.name, "a-href")]
 
     def test_missing_service_method_mutates_nothing(self):
         orphan = ClassUnit(name="orphan", code_elements=[
@@ -180,10 +177,13 @@ class TestAddMethodCall:
             delta = len(model.relationships) - before
             assert delta in (0, 1)
             assert (report.status == "added") == (delta == 1)
-        members = {id(c) for c in model.class_units}
-        for rel in model.relationships:
-            assert id(rel.from_class) in members
-            assert id(rel.to_class) in members
+        names = {c.name for c in model.class_units}
+        for src, dst, _ in model.relationships:
+            assert src in names and dst in names
+        calls = [e for c in model.class_units for m in c.code_elements
+                 for e in m.block.elements if e.relationships]
+        assert sorted(i for e in calls for i in e.relationships) == list(
+            range(len(model.relationships)))
 
 
 class TestSerialization:
@@ -249,6 +249,8 @@ class TestSerialization:
         (("relationships", 0, "label"), 3),
         # References to what the document does not hold.
         (("relationships", 0, "to"), "B"),
+        (("relationships", 0, "from"), ["A"]),
+        (("relationships", 0, "to"), 3),
         (("packages", 0, "classes"), ["B"]),
         ((*SERVICE, 1, "relationships"), [1]),
     ])

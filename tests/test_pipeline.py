@@ -38,8 +38,8 @@ from .conftest import (
 
 
 def model_edge_set(model):
-    return {(r.from_class.source_page, r.to_class.source_page, r.kind)
-            for r in model.relationships}
+    page = {c.name: c.source_page for c in model.class_units}
+    return {(page[src], page[dst], kind) for src, dst, kind in model.relationships}
 
 
 def make_two_page_app(root: Path) -> Path:
@@ -1004,6 +1004,24 @@ class TestCollector:
         # model and graph are still held, so their own cycles do not count.
         assert result.report["pages_parsed"] == 5
         assert found <= 40
+
+    def test_injected_relationships_are_untracked_after_a_collection(self, tmp_path):
+        # A relationship is a triple of names and a "newCall" element holds
+        # its index, so a full collection untracks both and no later one
+        # scans them again.
+        root = tmp_path / "webapp"
+        root.mkdir()
+        for i in range(200):
+            links = "".join(f'<a href="p{(i * 7 + k * 13) % 200}.jsp">{k}</a>'
+                            for k in range(6))
+            (root / f"p{i}.jsp").write_text(f"<p>{links}<%= {i} %></p>", encoding="utf-8")
+        model = run_pipeline(scan_webapp(root)).model
+        gc.collect()
+        calls = [e.relationships for c in model.class_units for m in c.code_elements
+                 for e in m.block.elements if e.relationships]
+        assert len(calls) == len(model.relationships) == 1200
+        assert [r for r in model.relationships if gc.is_tracked(r)] == []
+        assert [r for r in calls if gc.is_tracked(r)] == []
 
     def test_thresholds_are_left_to_the_caller(self, fixture_webapp, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

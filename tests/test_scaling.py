@@ -7,7 +7,8 @@ the model take about 17 s and 2 s. A page of 8000 unterminated tags parses in
 about 50 ms; rescanning to EOF from every tag takes about 70 s. Each bound
 sits 15-25x above the linear time, so a slow spell of the machine cannot
 trip it, and the quadratic code exceeds it many times over. Ratio guards
-compare best-of-five or median times of two inputs instead. Beside the
+compare the times of two inputs instead: the medians of alternating pairs
+(:func:`paired_medians`), or, for the link-free rows, best-of-five. Beside the
 unterminated-tag ratios, step guards bound the characters the parser's two
 scanning regexes move over by a multiple of the page's length, which no
 machine's speed changes.
@@ -45,6 +46,34 @@ from jspkdm.jsp_parser import iter_nodes
 def unterminated_tags(count: int, tag: str = "<c:t{} ") -> str:
     """``count`` tags with no ">" after any of them (8000 make about 55 KB)."""
     return "".join(tag.format(m) for m in range(count))
+
+
+def paired_medians(first, second, pairs: int = 9) -> tuple[float, float]:
+    """The medians of the times that ``first()`` and ``second()`` return,
+    over ``pairs`` pairs of calls, each pair taken in the other order from
+    the last.
+
+    A full collection scans every tracked object, so which of the two calls
+    paid for the rest of the test session's heap used to depend on what
+    earlier tests had allocated. That heap is frozen; the objects each call
+    makes are still collected inside it. A fast or slow spell of the machine
+    that favours one side in a pair or two moves a median little, where it
+    could set a best-of-five.
+    """
+    firsts, seconds = [], []
+    gc.collect()
+    gc.freeze()
+    try:
+        for pair in range(pairs):
+            if pair % 2:
+                seconds.append(second())
+                firsts.append(first())
+            else:
+                firsts.append(first())
+                seconds.append(second())
+    finally:
+        gc.unfreeze()
+    return statistics.median(firsts), statistics.median(seconds)
 
 
 def parse_seconds(source: str) -> float:
@@ -125,9 +154,8 @@ UNTERMINATED = [("<c:t{} ", 8000), ("</c:t{} ", 64_000), ('<c:t{0} a{0}="v" ', 8
 @pytest.mark.parametrize("tag, count", UNTERMINATED)
 def test_unterminated_tags_parse_in_linear_time(tag, count):
     small, large = unterminated_tags(count, tag), unterminated_tags(2 * count, tag)
-    # Best of five alternating runs each, so one slow spell does not count.
-    runs = [(parse_seconds(small), parse_seconds(large)) for _ in range(5)]
-    small_s, large_s = min(r[0] for r in runs), min(r[1] for r in runs)
+    small_s, large_s = paired_medians(lambda: parse_seconds(small),
+                                      lambda: parse_seconds(large))
     assert large_s < 3 * small_s, (
         f"{small_s:.3f} s for {count} tags, {large_s:.3f} s for twice as many")
 
@@ -143,8 +171,8 @@ def test_unterminated_tags_parse_in_linear_steps(tag, count, monkeypatch):
 # it, so no name repeats.
 def test_8000_unterminated_links_extract_in_linear_time():
     small, large = unterminated_tags(8000, "<a x{}="), unterminated_tags(16_000, "<a x{}=")
-    runs = [(extract_seconds(small), extract_seconds(large)) for _ in range(5)]
-    small_s, large_s = min(r[0] for r in runs), min(r[1] for r in runs)
+    small_s, large_s = paired_medians(lambda: extract_seconds(small),
+                                      lambda: extract_seconds(large))
     assert small_s < 1.0, f"8000 unterminated links took {small_s:.2f} s"
     assert large_s < 3 * small_s, (
         f"{small_s:.3f} s for 8000 links, {large_s:.3f} s for twice as many")
@@ -188,27 +216,7 @@ def test_unclosed_actions_before_a_large_page_cost_little():
         assert sum(1 for _ in iter_nodes(doc.nodes)) >= 20_000
         return elapsed
 
-    # A full collection scans every tracked object, so which of the two
-    # parses paid for the rest of the test session's heap used to depend on
-    # what earlier tests had allocated. Freeze that heap; the objects each
-    # parse makes are still collected inside the timed call.
-    # Medians of nine pairs, each taken in the other order from the last: a
-    # fast spell of the machine that favours one side in a pair or two moves
-    # a median little, where it could set a best-of-five.
-    page_runs, prefixed_runs = [], []
-    gc.collect()
-    gc.freeze()
-    try:
-        for pair in range(9):
-            if pair % 2:
-                prefixed_runs.append(timed(prefixed))
-                page_runs.append(timed(page))
-            else:
-                page_runs.append(timed(page))
-                prefixed_runs.append(timed(prefixed))
-    finally:
-        gc.unfreeze()
-    page_s, prefixed_s = statistics.median(page_runs), statistics.median(prefixed_runs)
+    page_s, prefixed_s = paired_medians(lambda: timed(page), lambda: timed(prefixed))
     assert prefixed_s < 1.5 * page_s, (
         f"{page_s:.3f} s for the page, {prefixed_s:.3f} s with 400 unclosed actions")
 
